@@ -1,9 +1,9 @@
 """Command-line surface for the experiment drivers.
 
 Exit codes: 0 success, 1 unknown command, 2 configuration error, 3 runtime
-(validity-window or divergence) error.  Identical config + seed + thread
-count produces byte-identical CSV output; metadata (full config, artifact
-version, seed, threads) rides in the leading comment line of every file.
+(validity-window or divergence) error.  Identical config + seed produces
+byte-identical CSV output; metadata (full config, artifact version, seed)
+rides in the leading comment line of every file.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .harness import (
     uniformity_scan,
 )
 from .lattice import Lattice, cz_decompose, from_function, gaussian, lp_norm, point_mass
+from .propagators import FLOW_KINDS
 from .reporting import render_csv, render_json, trajectory_rows, write_snapshots, write_text
 
 COMMANDS = ("pairs", "decay", "strichartz", "uniformity", "constants", "knapp", "czdemo", "dnls", "s1")
@@ -77,7 +78,7 @@ def _common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default=None, help="output path (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1, help="accepted and ignored; scans run serially")
 
 
 def _metadata(args, command: str, **extra) -> dict:
@@ -115,7 +116,7 @@ def _make_lattice(args) -> Lattice:
 
 def _cmd_decay(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="latticewave decay")
-    parser.add_argument("--kind", choices=("schrodinger", "klein_gordon"), default="schrodinger")
+    parser.add_argument("--kind", choices=FLOW_KINDS, default="schrodinger")
     parser.add_argument("--d", type=int, default=1)
     parser.add_argument("--h", type=float, default=1.0)
     parser.add_argument("--M", type=int, default=None)
@@ -149,7 +150,7 @@ def _parse_pair(args) -> AdmissiblePair:
 
 def _cmd_strichartz(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="latticewave strichartz")
-    parser.add_argument("--kind", choices=("schrodinger", "klein_gordon"), default="schrodinger")
+    parser.add_argument("--kind", choices=FLOW_KINDS, default="schrodinger")
     parser.add_argument("--d", type=int, default=1)
     parser.add_argument("--h", type=float, default=1.0)
     parser.add_argument("--M", type=int, default=None)
@@ -174,7 +175,7 @@ def _cmd_strichartz(argv: list[str]) -> int:
 
 def _cmd_uniformity(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(prog="latticewave uniformity")
-    parser.add_argument("--kind", choices=("schrodinger", "klein_gordon"), default="schrodinger")
+    parser.add_argument("--kind", choices=FLOW_KINDS, default="schrodinger")
     parser.add_argument("--d", type=int, default=1)
     parser.add_argument("--h-list", type=_float_list, required=True)
     parser.add_argument("--q", type=_float_or_inf, required=True)
@@ -187,8 +188,7 @@ def _cmd_uniformity(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     pair = _parse_pair(args)
     scan = uniformity_scan(args.kind, args.h_list, pair, box=args.box, data=args.data,
-                           horizon_fraction=args.horizon_fraction, n_t=args.n_t,
-                           threads=args.threads)
+                           horizon_fraction=args.horizon_fraction, n_t=args.n_t)
     _emit(args, _metadata(args, "uniformity", fits=scan.fits, scan=scan.metadata),
           scan.columns, scan.rows)
     return 0
@@ -211,7 +211,7 @@ def _cmd_constants(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     scan = inequality_constant_scan(args.kind, args.h_list, box=args.box, d=args.d,
                                     p=args.p, q=args.q, s=args.s, theta=args.theta,
-                                    ensemble=args.ensemble, seed=args.seed, threads=args.threads)
+                                    ensemble=args.ensemble, seed=args.seed)
     _emit(args, _metadata(args, "constants", fits=scan.fits, scan=scan.metadata),
           scan.columns, scan.rows)
     return 0

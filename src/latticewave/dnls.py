@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, WindowError
-from .harness import AdmissiblePair, ScanResult, admissible_pairs, loglog_fit, random_ensemble
+from .harness import AdmissiblePair, ScanResult, admissible_pairs, random_ensemble, scan_result
 from .lattice import (
     GridFunction,
     Lattice,
@@ -23,8 +23,8 @@ from .lattice import (
     inner_product,
     lp_norm,
 )
-from .propagators import schrodinger_flow
-from .spectral import bessel_derivative, discrete_laplacian, laplacian_power, laplacian_symbol_grid
+from .propagators import PhaseSpec, schrodinger_flow
+from .spectral import bessel_derivative, discrete_laplacian, laplacian_power
 
 __all__ = [
     "NlsConfig",
@@ -143,17 +143,18 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
         if "boundary_mass" in cfg.monitors:
             series["boundary_mass"].append(boundary_mass_fraction(u, cfg.boundary_width))
 
+    # the half-step multiplier of step_strang, built once per run
+    half = PhaseSpec("schrodinger", 0.5 * cfg.dt, u0.lattice).multiplier_grid()
     u = u0.copy()
     record(u)
     snapshot_times = [0.0]
     states = [u.copy()]
     for k in range(1, n_steps + 1):
-        values = u.values
         # inline Strang step; GridFunction construction validates finiteness
-        values = np.fft.ifftn(_half_multiplier(u.lattice, cfg.dt) * np.fft.fftn(values))
+        values = np.fft.ifftn(half * np.fft.fftn(u.values))
         amp = np.abs(values)
         values = values * np.exp(-1j * cfg.lam * cfg.dt * amp ** (cfg.p - 1.0))
-        values = np.fft.ifftn(_half_multiplier(u.lattice, cfg.dt) * np.fft.fftn(values))
+        values = np.fft.ifftn(half * np.fft.fftn(values))
         if not np.all(np.isfinite(values)):
             raise DivergenceError(f"non-finite state at t={times[k]:g}", last_valid_time=float(times[k - 1]))
         u = GridFunction(u.lattice, values)
@@ -173,19 +174,6 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
         snapshot_times=np.array(snapshot_times),
         states=states,
     )
-
-
-_half_multiplier_cache: dict[tuple, np.ndarray] = {}
-
-
-def _half_multiplier(lattice: Lattice, dt: float) -> np.ndarray:
-    key = (lattice.h, lattice.d, lattice.M, dt)
-    grid = _half_multiplier_cache.get(key)
-    if grid is None:
-        grid = np.exp(-0.5j * dt * laplacian_symbol_grid(lattice))
-        _half_multiplier_cache.clear()  # keep at most one cached grid
-        _half_multiplier_cache[key] = grid
-    return grid
 
 
 def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
@@ -310,15 +298,8 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
         else:
             bound = float("nan")
         rows.append([h, M, m0, e0, s1, h1_sup, bound])
-
-    result = ScanResult(
-        kind="uniform_bound",
-        columns=["h", "M", "mass0", "energy0", "s1", "h1_sup", "h1_bound"],
-        rows=rows,
-        metadata={"d": d, "box": box, "lam": lam, "p": p, "dt": dt, "T": T,
-                  "pairs_count": pairs_count, "r_max": r_max,
-                  "snapshot_stride": snapshot_stride, "gn_constant": gn_constant},
-    )
-    if len(rows) >= 2:
-        result.fits["s1"] = loglog_fit(1.0 / result.column("h"), result.column("s1"))
-    return result
+    return scan_result("uniform_bound", ["h", "M", "mass0", "energy0", "s1", "h1_sup", "h1_bound"], rows,
+                       {"d": d, "box": box, "lam": lam, "p": p, "dt": dt, "T": T,
+                        "pairs_count": pairs_count, "r_max": r_max,
+                        "snapshot_stride": snapshot_stride, "gn_constant": gn_constant},
+                       {"s1": "s1"})

@@ -3,14 +3,12 @@
 Every scan samples a deterministic ensemble (per-cell seeds spawned from one
 base seed), records the raw operands of each measured ratio so results are
 recomputable, and reports ordinary least-squares fits on log-log data.  Cells
-are independent, so scans may run on a thread pool; aggregation is ordered by
-cell index and therefore independent of scheduling.
+run serially in spacing order.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,6 +40,7 @@ __all__ = [
     "admissible_pairs",
     "DecayFit",
     "ScanResult",
+    "scan_result",
     "KnappReport",
     "loglog_fit",
     "decay_data",
@@ -75,13 +74,6 @@ def loglog_fit(x: np.ndarray, y: np.ndarray) -> dict:
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": r2}
-
-
-def _map_cells(fn, cells, threads: int):
-    if threads <= 1:
-        return [fn(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
 
 
 # ---------------------------------------------------------------------------
@@ -265,19 +257,30 @@ class ScanResult:
         return np.array([row[j] for row in self.rows], dtype=float)
 
 
+def scan_result(kind: str, columns: list[str], rows: list[list], metadata: dict,
+                fits: dict[str, str]) -> ScanResult:
+    """Wrap the rows of a spacing scan and fit each named column against 1/h.
+
+    ``fits`` maps a fit name to the column it fits.  Fits need at least two
+    rows, and a column holding a non-positive or NaN value (a degenerate
+    minimum of a one-sided scan, say) has no log-log fit and is skipped.
+    """
+    result = ScanResult(kind=kind, columns=columns, rows=rows, metadata=metadata)
+    if len(rows) >= 2:
+        inv_h = 1.0 / result.column("h")
+        for name, column in fits.items():
+            y = result.column(column)
+            if np.all(y > 0):
+                result.fits[name] = loglog_fit(inv_h, y)
+    return result
+
+
 # ---------------------------------------------------------------------------
 # uniformity of the space-time bound across the spacing scan
 
-_DERIVATIVE_WEIGHTS = {
-    "schrodinger": lambda pair: (lambda f: fractional_derivative(f, 0.0 if math.isinf(pair.q) else 1.0 / pair.q)),
-    "klein_gordon": lambda pair: (lambda f: bessel_derivative(fractional_derivative(f, 1.0 / 3.0), 1.0)),
-}
-
-
 def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
                     box: float = 64.0, data: str = "point", width: float | None = None,
-                    horizon_fraction: float = 0.15, n_t: int = 96,
-                    threads: int = 1) -> ScanResult:
+                    horizon_fraction: float = 0.15, n_t: int = 96) -> ScanResult:
     """Ratio of the truncated space-time norm to two candidate data norms, per spacing.
 
     Mode "with" divides by the derivative-weighted L^2 norm of the data (the
@@ -286,14 +289,12 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     The per-spacing horizon is ``horizon_fraction * box * h`` so the fastest
     band (group speed ~ 2/h) stays inside the box; the tail it cuts is a
     vanishing fraction of the q-th power integral and is recorded in metadata.
+    The flow kind and its dimension are checked by the propagator.
     """
-    if kind not in _DERIVATIVE_WEIGHTS:
-        raise ConfigurationError(f"unknown flow kind {kind!r}")
-    if kind == "klein_gordon" and pair.d != 1:
-        raise ConfigurationError("the half-wave scan is implemented for d = 1 only")
-    weight = _DERIVATIVE_WEIGHTS[kind](pair)
-
-    def cell(h: float):
+    if data not in ("point", "gaussian"):
+        raise ConfigurationError(f"unknown data kind {data!r}")
+    rows = []
+    for h in h_list:
         M = int(round(box / h))
         lat = Lattice(h=h, d=pair.d, M=M)
         u0 = point_mass(lat) if data == "point" else gaussian(lat, width if width is not None else box / 16.0)
@@ -301,24 +302,21 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         T = horizon_fraction * box * h
         grid = symmetric_time_grid(T, n_t, h * h / 16.0)
         S = strichartz_norm(u0, pair, T, t_grid=grid, kind=kind)
-        rhs_with = lp_norm(weight(u0), 2)
+        if kind == "schrodinger":
+            weighted = fractional_derivative(u0, 0.0 if math.isinf(pair.q) else 1.0 / pair.q)
+        else:
+            weighted = bessel_derivative(fractional_derivative(u0, 1.0 / 3.0), 1.0)
+        rhs_with = lp_norm(weighted, 2)
         rhs_without = lp_norm(u0, 2)
-        return [h, M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without]
-
-    rows = _map_cells(cell, list(h_list), threads)
-    result = ScanResult(
-        kind="uniformity",
-        columns=["h", "M", "T", "strichartz", "rhs_with", "rhs_without", "ratio_with", "ratio_without"],
-        rows=rows,
-        metadata={"flow": kind, "q": pair.q, "r": pair.r, "d": pair.d, "box": box,
-                  "data": data, "horizon_fraction": horizon_fraction, "n_t": n_t,
-                  "threads": threads},
+        rows.append([h, M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without])
+    return scan_result(
+        "uniformity",
+        ["h", "M", "T", "strichartz", "rhs_with", "rhs_without", "ratio_with", "ratio_without"],
+        rows,
+        {"flow": kind, "q": pair.q, "r": pair.r, "d": pair.d, "box": box,
+         "data": data, "horizon_fraction": horizon_fraction, "n_t": n_t},
+        {"with": "ratio_with", "without": "ratio_without"},
     )
-    if len(rows) >= 2:
-        inv_h = 1.0 / result.column("h")
-        result.fits["with"] = loglog_fit(inv_h, result.column("ratio_with"))
-        result.fits["without"] = loglog_fit(inv_h, result.column("ratio_without"))
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +416,7 @@ def _square_function(f: GridFunction) -> GridFunction:
 
 def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.0, d: int = 1,
                              p: float = 2.0, q: float | None = None, s: float | None = None,
-                             theta: float | None = None, ensemble: int = 64, seed: int = 0,
-                             threads: int = 1) -> ScanResult:
+                             theta: float | None = None, ensemble: int = 64, seed: int = 0) -> ScanResult:
     """Extremal observed LHS/RHS ratio of one functional inequality, per spacing.
 
     kinds: ``bernstein`` (band projection Lp -> Lq), ``gagliardo_nirenberg``,
@@ -431,8 +428,7 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     """
     _validate_constants_config(kind, d, p, q, s, theta)
 
-    def cell(args):
-        idx, h = args
+    def cell(idx: int, h: float) -> list:
         M = int(round(box / h))
         lat = Lattice(h=h, d=d, M=M)
         fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
@@ -474,26 +470,15 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
             return [h, M, max(r1), min(r1), max(r2), min(r2)]
         return [h, M, max(ratios), min(ratios)]
 
-    cells = list(enumerate(h_list))
-    rows = _map_cells(cell, cells, threads)
+    rows = [cell(idx, h) for idx, h in enumerate(h_list)]
     if kind == "norm_equivalence":
         columns = ["h", "M", "max_ratio_power", "min_ratio_power", "max_ratio_difference", "min_ratio_difference"]
     else:
         columns = ["h", "M", "max_ratio", "min_ratio"]
-    result = ScanResult(
-        kind=f"constants:{kind}",
-        columns=columns,
-        rows=rows,
-        metadata={"box": box, "d": d, "p": p, "q": q, "s": s, "theta": theta,
-                  "ensemble": ensemble, "seed": seed, "threads": threads},
-    )
-    if len(rows) >= 2:
-        inv_h = 1.0 / result.column("h")
-        for name in columns[2:]:
-            col = result.column(name)
-            if np.all(col > 0):  # one-sided scans can report degenerate minima
-                result.fits[name] = loglog_fit(inv_h, col)
-    return result
+    return scan_result(f"constants:{kind}", columns, rows,
+                       {"box": box, "d": d, "p": p, "q": q, "s": s, "theta": theta,
+                        "ensemble": ensemble, "seed": seed},
+                       {name: name for name in columns[2:]})
 
 
 # ---------------------------------------------------------------------------
@@ -624,12 +609,6 @@ def knapp_h_sharpness(h_list: list[float], s: float, pair: AdmissiblePair, *,
         eps = coupling * np.pi * h * h / 2.0
         rep = knapp_experiment(h, eps, s, pair, **kwargs)
         rows.append([h, eps, rep.left_norm, rep.right_norm, rep.left_norm / rep.right_norm])
-    result = ScanResult(
-        kind="knapp_h_sharpness",
-        columns=["h", "epsilon", "left_norm", "right_norm", "ratio"],
-        rows=rows,
-        metadata={"s": s, "q": pair.q, "r": pair.r, "d": pair.d, "coupling": coupling},
-    )
-    if len(rows) >= 2:
-        result.fits["ratio"] = loglog_fit(1.0 / result.column("h"), result.column("ratio"))
-    return result
+    return scan_result("knapp_h_sharpness", ["h", "epsilon", "left_norm", "right_norm", "ratio"], rows,
+                       {"s": s, "q": pair.q, "r": pair.r, "d": pair.d, "coupling": coupling},
+                       {"ratio": "ratio"})

@@ -12,10 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .lattice import GridFunction, Lattice
 from .spectral import BumpProfile, apply_multiplier, band_projection, default_bump, band_symbol, laplacian_symbol_grid
 
 __all__ = [
+    "FLOW_KINDS",
     "PhaseSpec",
     "schrodinger_flow",
     "localized_flow",
@@ -27,6 +29,9 @@ __all__ = [
 ]
 
 
+FLOW_KINDS = ("schrodinger", "klein_gordon")
+
+
 @dataclass(frozen=True)
 class PhaseSpec:
     """Which flow, at what time, on which lattice."""
@@ -36,10 +41,10 @@ class PhaseSpec:
     lattice: Lattice
 
     def __post_init__(self):
-        if self.kind not in ("schrodinger", "klein_gordon"):
-            raise ValueError(f"unknown flow kind {self.kind!r}")
+        if self.kind not in FLOW_KINDS:
+            raise ConfigurationError(f"unknown flow kind {self.kind!r}")
         if self.kind == "klein_gordon" and self.lattice.d != 1:
-            raise ValueError("the half-wave flow is implemented for d = 1 only")
+            raise ConfigurationError("the half-wave flow is implemented for d = 1 only")
 
     def multiplier_grid(self) -> np.ndarray:
         if self.kind == "schrodinger":

@@ -1,9 +1,10 @@
 """Deterministic CSV/JSON emission and the binary snapshot format.
 
 CSV files open with comment lines carrying the full JSON metadata block
-(config, seed, thread count, artifact version), then a fixed header row.
-Floats are written with shortest round-trip repr, so identical config + seed
-+ threads reproduces byte-identical files.
+(config, seed, artifact version), then a fixed header row.  Floats are
+written with shortest round-trip repr, so identical config + seed reproduces
+byte-identical files.  Both formats are strict RFC 8259 JSON: NaN is written
+as null and infinities as the strings "inf" / "-inf".
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import csv
 import io
 import json
 import math
+import os
 import struct
 from typing import IO
 
@@ -31,6 +33,7 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"LWTRJ001"
+SNAPSHOT_HEADER_BYTES = 32
 
 
 def format_value(v) -> str:
@@ -57,21 +60,21 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
-        return None if x != x else x
+        if x != x:
+            return None
+        return format_value(x) if math.isinf(x) else x
     if isinstance(obj, np.integer):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float) and obj in (float("inf"), float("-inf")):
-        return str(obj)
     return str(obj)
 
 
 def render_csv(metadata: dict, columns: list[str], rows: list[list]) -> str:
     buf = io.StringIO()
-    buf.write("# " + json.dumps(_jsonable(metadata), sort_keys=True) + "\n")
+    buf.write("# " + json.dumps(_jsonable(metadata), sort_keys=True, allow_nan=False) + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -82,7 +85,7 @@ def render_csv(metadata: dict, columns: list[str], rows: list[list]) -> str:
 def render_json(metadata: dict, columns: list[str], rows: list[list]) -> str:
     doc = {"metadata": _jsonable(metadata), "columns": list(columns),
            "rows": [[_jsonable(v) for v in row] for row in rows]}
-    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def write_text(out: IO[str] | str | None, text: str) -> None:
@@ -126,16 +129,27 @@ def write_snapshots(path: str, traj: Trajectory) -> None:
 
 
 def read_snapshots(path: str) -> tuple[Lattice, np.ndarray, list[np.ndarray]]:
+    """Read a :func:`write_snapshots` file; a size that disagrees with its header raises ValueError."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(8)
         if magic != SNAPSHOT_MAGIC:
             raise ValueError("not a snapshot file")
+        if size < SNAPSHOT_HEADER_BYTES:
+            raise ValueError(f"truncated snapshot file: {size} bytes, the header alone needs "
+                             f"{SNAPSHOT_HEADER_BYTES}")
         d, M, count, _ = struct.unpack("<IIII", fh.read(16))
         (h,) = struct.unpack("<d", fh.read(8))
         lat = Lattice(h=h, d=d, M=M)
+        n = lat.site_count
+        expected = SNAPSHOT_HEADER_BYTES + count * (8 + 16 * n)
+        if size < expected:
+            raise ValueError(f"truncated snapshot file: {size} bytes, its header declares {expected}")
+        if size > expected:
+            raise ValueError(f"snapshot file has {size - expected} trailing bytes after the "
+                             f"{expected} its header declares")
         times = np.empty(count)
         states = []
-        n = M**d
         for i in range(count):
             (times[i],) = struct.unpack("<d", fh.read(8))
             raw = np.frombuffer(fh.read(16 * n), dtype="<c16")

@@ -45,7 +45,7 @@ from latticewave.spectral import (
     inverse_transform,
 )
 
-from test_dnls import picard_solution, strang_endpoint
+from test_dnls import strang_endpoint
 
 
 def report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -263,7 +263,7 @@ def test_criterion_09_cz_fuzz():
     assert ok
 
 
-def test_criterion_10_dnls_conservation():
+def test_criterion_10_dnls_conservation(picard_reference):
     lat = Lattice(h=0.5, d=1, M=64)
     u0 = from_function(lat, continuum_gaussian(1.0, 2.0))
     cfg = NlsConfig(lam=1.0, p=3.0, dt=0.01, T=1.0)
@@ -282,9 +282,8 @@ def test_criterion_10_dnls_conservation():
     energy_ratio = drifts[0] / drifts[1]
     energy_ok = 3.2 <= energy_ratio <= 4.8
 
-    u0s = from_function(lat, continuum_gaussian(0.8, 2.0))
-    _, ref = picard_solution(u0s, 1.0, 3.0, 0.25, n_s=2048)
-    errs = [float(np.abs(strang_endpoint(u0s, 1.0, 3.0, 0.25, dt).values - ref[-1]).max())
+    u0s, ref_end = picard_reference
+    errs = [float(np.abs(strang_endpoint(u0s, 1.0, 3.0, 0.25, dt).values - ref_end).max())
             for dt in (0.025, 0.0125)]
     oracle_ratio = errs[0] / errs[1]
     oracle_ok = 3.2 <= oracle_ratio <= 4.8

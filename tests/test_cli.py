@@ -72,6 +72,33 @@ def test_constants_runs_and_is_byte_identical(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_constants_threads_flag_is_accepted_and_ignored(tmp_path):
+    args = ["constants", "--kind", "bernstein", "--d", "1", "--h-list", "1,0.5", "--box", "8",
+            "--p", "2", "--q", "inf", "--ensemble", "8", "--seed", "3"]
+    out1, out2 = tmp_path / "t1.csv", tmp_path / "t2.csv"
+    assert run(args + ["--threads", "1", "--out", str(out1)]) == 0
+    assert run(args + ["--threads", "2", "--out", str(out2)]) == 0
+    meta1, header1, rows1 = read_csv(out1)
+    meta2, header2, rows2 = read_csv(out2)
+    assert header1 == header2 and rows1 == rows2
+    assert meta2["threads"] == 2 and "threads" not in meta2["scan"]
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-RFC JSON constant {name}")
+
+
+def test_infinite_exponents_give_strict_json(tmp_path):
+    csv_out, json_out = tmp_path / "s.csv", tmp_path / "c.json"
+    assert run(["strichartz", "--q", "inf", "--r", "2", "--out", str(csv_out)]) == 0
+    assert run(["constants", "--kind", "bernstein", "--h-list", "1,0.5", "--box", "8", "--p", "2",
+                "--q", "inf", "--ensemble", "8", "--format", "json", "--out", str(json_out)]) == 0
+    meta = json.loads(csv_out.read_text().splitlines()[0][2:], parse_constant=_reject_constant)
+    assert meta["config"]["q"] == "inf"
+    doc = json.loads(json_out.read_text(), parse_constant=_reject_constant)
+    assert doc["metadata"]["scan"]["q"] == "inf"
+
+
 def test_strichartz_command(tmp_path):
     out = tmp_path / "s.csv"
     code = run(["strichartz", "--d", "1", "--h", "0.5", "--box", "32", "--q", "inf",

@@ -89,33 +89,7 @@ def test_strang_mass_conservation_many_steps():
 
 
 # ---------------------------------------------------------------------------
-# integral-form oracle
-
-def picard_solution(u0, lam, p, T, n_s, tol=1e-12, max_iter=300):
-    """Fixed-point iteration of the integral form on a uniform fine grid.
-
-    u(t) = flow(t) u0 - i lam * flow(t) * cumtrapz_s flow(-s) (|u|^(p-1) u)(s),
-    trapezoid in s.  Independent of the split-step path.
-    """
-    lat = u0.lattice
-    ts = np.linspace(0.0, T, n_s + 1)
-    ds = ts[1] - ts[0]
-    lin = [schrodinger_flow(u0, float(t)).values for t in ts]
-    u = [v.copy() for v in lin]
-    for _ in range(max_iter):
-        z = [schrodinger_flow(GridFunction(lat, np.abs(v) ** (p - 1.0) * v), -float(t)).values
-             for v, t in zip(u, ts)]
-        cums = [np.zeros_like(z[0])]
-        for j in range(1, len(ts)):
-            cums.append(cums[-1] + 0.5 * ds * (z[j - 1] + z[j]))
-        new = [lin[j] - 1j * lam * schrodinger_flow(GridFunction(lat, cums[j]), float(ts[j])).values
-               for j in range(len(ts))]
-        delta = max(float(np.abs(a - b).max()) for a, b in zip(new, u))
-        u = new
-        if delta < tol:
-            return ts, u
-    raise RuntimeError("fixed-point iteration did not converge")
-
+# integral-form oracle (see conftest.picard_solution)
 
 def strang_endpoint(u0, lam, p, T, dt):
     cfg = NlsConfig(lam=lam, p=p, dt=dt, T=T)
@@ -125,12 +99,9 @@ def strang_endpoint(u0, lam, p, T, dt):
     return u
 
 
-def test_strang_second_order_against_integral_oracle():
-    lat = Lattice(h=0.5, d=1, M=64)
-    u0 = smooth_data(lat, amplitude=0.8)
+def test_strang_second_order_against_integral_oracle(picard_reference):
+    u0, target = picard_reference
     lam, p, T = 1.0, 3.0, 0.25
-    _, ref = picard_solution(u0, lam, p, T, n_s=2048)
-    target = ref[-1]
     errs = []
     for dt in (0.025, 0.0125):
         got = strang_endpoint(u0, lam, p, T, dt).values
@@ -141,6 +112,22 @@ def test_strang_second_order_against_integral_oracle():
 
 # ---------------------------------------------------------------------------
 # evolve
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_evolve_snapshots_equal_repeated_step_strang(d):
+    lat = Lattice(h=0.5, d=d, M=64)
+    cfg = NlsConfig(lam=-1.0, p=3.0, dt=0.01, T=0.2, snapshot_stride=5)
+    traj = evolve(smooth_data(lat), cfg)
+    u = smooth_data(lat)
+    expected = [u.values]
+    for k in range(1, 21):
+        u = step_strang(u, cfg.dt, cfg)
+        if k % cfg.snapshot_stride == 0:
+            expected.append(u.values)
+    assert len(traj.states) == len(expected) == 5
+    for got, want in zip(traj.states, expected):
+        assert np.array_equal(got.values, want)
+
 
 def test_evolve_zero_data():
     lat = Lattice(h=0.5, d=1, M=32)

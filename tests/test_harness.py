@@ -16,6 +16,7 @@ from latticewave.harness import (
     knapp_h_sharpness,
     loglog_fit,
     random_ensemble,
+    scan_result,
     strichartz_norm,
     uniformity_scan,
 )
@@ -146,12 +147,18 @@ def test_uniformity_scan_half_wave_mode():
         uniformity_scan("klein_gordon", [0.5], AdmissiblePair(q=3.0, r=math.inf, d=2), box=16.0)
 
 
-def test_uniformity_scan_threads_match_serial():
+def test_scan_result_fits_only_positive_columns():
+    rows = [[1.0, 2.0, 0.0], [0.5, 4.0, 1.0]]
+    scan = scan_result("demo", ["h", "up", "degenerate"], rows, {}, {"up": "up", "flat": "degenerate"})
+    assert set(scan.fits) == {"up"}
+    assert scan.fits["up"]["slope"] == pytest.approx(1.0)
+    assert scan_result("demo", ["h", "up", "degenerate"], rows[:1], {}, {"up": "up"}).fits == {}
+
+
+def test_uniformity_scan_rejects_unknown_data():
     pair = AdmissiblePair(q=6.0, r=math.inf, d=1)
-    kw = dict(box=32.0, horizon_fraction=0.1, n_t=64)
-    serial = uniformity_scan("schrodinger", [1.0, 0.5], pair, threads=1, **kw)
-    threaded = uniformity_scan("schrodinger", [1.0, 0.5], pair, threads=2, **kw)
-    assert serial.rows == threaded.rows
+    with pytest.raises(ConfigurationError, match="data"):
+        uniformity_scan("schrodinger", [0.5], pair, box=32.0, data="uniform", n_t=64)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from latticewave.errors import ConfigurationError
 from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave
 from latticewave.propagators import (
+    FLOW_KINDS,
     PhaseSpec,
     degenerate_points,
     hessian_cosine_product_min,
@@ -83,6 +85,16 @@ def test_klein_gordon_scope():
         PhaseSpec("klein_gordon", 1.0, lat)
     with pytest.raises(ValueError):
         PhaseSpec("wave", 1.0, Lattice(h=1.0, d=1, M=8))
+
+
+def test_phase_spec_checks_against_flow_kinds():
+    lat = Lattice(h=1.0, d=1, M=8)
+    for kind in FLOW_KINDS:
+        assert PhaseSpec(kind, 0.0, lat).multiplier_grid().shape == lat.shape
+    with pytest.raises(ConfigurationError, match="unknown flow kind"):
+        PhaseSpec("wave", 1.0, lat)
+    with pytest.raises(ConfigurationError, match="d = 1"):
+        PhaseSpec("klein_gordon", 1.0, Lattice(h=1.0, d=2, M=8))
 
 
 def test_degenerate_points_schrodinger():

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from latticewave.dnls import NlsConfig, continuum_gaussian, evolve
 from latticewave.lattice import Lattice, from_function
@@ -50,3 +51,39 @@ def test_trajectory_csv_and_snapshots(tmp_path):
     np.testing.assert_allclose(times, traj.snapshot_times)
     for got, kept in zip(states, traj.states):
         np.testing.assert_array_equal(got, kept.values)
+
+
+def test_render_writes_infinities_as_strings():
+    meta = {"q": float("inf"), "lo": -np.inf, "gap": float("nan")}
+    line = render_csv(meta, ["a"], [[1]]).splitlines()[0]
+    assert json.loads(line[2:]) == {"q": "inf", "lo": "-inf", "gap": None}
+    doc = json.loads(render_json(meta, ["a"], [[np.float64("inf")]]))
+    assert doc["metadata"]["q"] == "inf" and doc["rows"] == [["inf"]]
+
+
+@pytest.fixture
+def snapshot_file(tmp_path):
+    lat = Lattice(h=0.5, d=1, M=32)
+    u0 = from_function(lat, continuum_gaussian(0.5, 1.0))
+    traj = evolve(u0, NlsConfig(lam=1.0, p=3.0, dt=0.05, T=0.1, snapshot_stride=1))
+    path = tmp_path / "states.bin"
+    write_snapshots(str(path), traj)
+    assert path.stat().st_size == 32 + 3 * (8 + 16 * 32)
+    return path
+
+
+@pytest.mark.parametrize("keep, message", [
+    (20, "truncated"),          # inside the header
+    (32 + 4, "truncated"),      # inside the first time field
+    (32 + 8 + 100, "truncated"),  # inside the first state
+])
+def test_read_snapshots_rejects_truncated_file(snapshot_file, keep, message):
+    snapshot_file.write_bytes(snapshot_file.read_bytes()[:keep])
+    with pytest.raises(ValueError, match=message):
+        read_snapshots(str(snapshot_file))
+
+
+def test_read_snapshots_rejects_trailing_bytes(snapshot_file):
+    snapshot_file.write_bytes(snapshot_file.read_bytes() + b"\0" * 3)
+    with pytest.raises(ValueError, match="3 trailing bytes"):
+        read_snapshots(str(snapshot_file))
