@@ -221,7 +221,7 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
     th = d * (p - 1.0) / (2.0 * (p + 1.0))
     best = 0.0
     for j, h in enumerate(h_list):
-        lat = Lattice(h=h, d=d, M=int(round(box / h)))
+        lat = Lattice.for_box(h, d, box)
         candidates = list(random_ensemble(lat, ensemble, seed, cell_key=j))
         coords = lat.coordinate_grids()
         r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
@@ -282,8 +282,7 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
     pairs = admissible_pairs(d, pairs_count, r_max=r_max)
     rows = []
     for h in h_list:
-        M = int(round(box / h))
-        lat = Lattice(h=h, d=d, M=M)
+        lat = Lattice.for_box(h, d, box)
         u0 = from_function(lat, profile)
         cfg = NlsConfig(lam=lam, p=p, dt=dt, T=T, snapshot_stride=snapshot_stride)
         traj = evolve(u0, cfg)
@@ -297,7 +296,7 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
             bound = _focusing_bound(e0, m0, gn_constant, p, d)
         else:
             bound = float("nan")
-        rows.append([h, M, m0, e0, s1, h1_sup, bound])
+        rows.append([h, lat.M, m0, e0, s1, h1_sup, bound])
     return scan_result("uniform_bound", ["h", "M", "mass0", "energy0", "s1", "h1_sup", "h1_bound"], rows,
                        {"d": d, "box": box, "lam": lam, "p": p, "dt": dt, "T": T,
                         "pairs_count": pairs_count, "r_max": r_max,

@@ -36,6 +36,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "CONSTANT_KINDS",
     "AdmissiblePair",
     "admissible_pairs",
     "DecayFit",
@@ -263,8 +264,11 @@ def scan_result(kind: str, columns: list[str], rows: list[list], metadata: dict,
 
     ``fits`` maps a fit name to the column it fits.  Fits need at least two
     rows, and a column holding a non-positive or NaN value (a degenerate
-    minimum of a one-sided scan, say) has no log-log fit and is skipped.
+    minimum of a one-sided scan, say) has no log-log fit and is skipped.  A
+    scan with no rows (an empty spacing list) is a configuration error.
     """
+    if not rows:
+        raise ConfigurationError(f"{kind} scan has no cells: pass at least one spacing")
     result = ScanResult(kind=kind, columns=columns, rows=rows, metadata=metadata)
     if len(rows) >= 2:
         inv_h = 1.0 / result.column("h")
@@ -295,8 +299,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"unknown data kind {data!r}")
     rows = []
     for h in h_list:
-        M = int(round(box / h))
-        lat = Lattice(h=h, d=pair.d, M=M)
+        lat = Lattice.for_box(h, pair.d, box)
         u0 = point_mass(lat) if data == "point" else gaussian(lat, width if width is not None else box / 16.0)
         u0 = u0 * (1.0 / lp_norm(u0, 2))
         T = horizon_fraction * box * h
@@ -308,7 +311,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
             weighted = bessel_derivative(fractional_derivative(u0, 1.0 / 3.0), 1.0)
         rhs_with = lp_norm(weighted, 2)
         rhs_without = lp_norm(u0, 2)
-        rows.append([h, M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without])
+        rows.append([h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without])
     return scan_result(
         "uniformity",
         ["h", "M", "T", "strichartz", "rhs_with", "rhs_without", "ratio_with", "ratio_without"],
@@ -375,8 +378,13 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
 # ---------------------------------------------------------------------------
 # inequality constant scans
 
+CONSTANT_KINDS = ("bernstein", "gagliardo_nirenberg", "sobolev_endpoint", "norm_equivalence", "square_function")
+
+
 def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
                                s: float | None, theta: float | None) -> None:
+    if kind not in CONSTANT_KINDS:
+        raise ConfigurationError(f"unknown scan kind {kind!r}")
     if kind == "bernstein":
         if q is None or not (1 <= p <= q):
             raise ConfigurationError("bernstein needs 1 <= p <= q")
@@ -403,8 +411,6 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
     elif kind == "square_function":
         if not (1 < p) or math.isinf(p):
             raise ConfigurationError("square_function needs 1 < p < inf")
-    else:
-        raise ConfigurationError(f"unknown scan kind {kind!r}")
 
 
 def _square_function(f: GridFunction) -> GridFunction:
@@ -429,8 +435,8 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     _validate_constants_config(kind, d, p, q, s, theta)
 
     def cell(idx: int, h: float) -> list:
-        M = int(round(box / h))
-        lat = Lattice(h=h, d=d, M=M)
+        lat = Lattice.for_box(h, d, box)
+        M = lat.M
         fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
         ratios = []
         for f in fields:
@@ -532,6 +538,9 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     d = pair.d
     if d not in (1, 2):
         raise ConfigurationError("the sharpness experiment is implemented for d in {1, 2}")
+    if not (n_t >= 2 and 0 < u_window < math.inf and 0 < x_window < math.inf):
+        raise ConfigurationError("the right-side quadrature needs n_t >= 2 and finite u_window, x_window > 0")
+    lat = Lattice(h=h, d=d, M=M)
     if epsilon <= 0 or epsilon / h**2 > np.pi / 2.0 + 1e-12:
         raise ValueError("constraint violated: need 0 < epsilon <= pi * h^2 / 2")
     qp, rp = pair.q_conjugate, pair.r_conjugate
@@ -540,7 +549,6 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     if rp <= 1.0:
         raise ConfigurationError("right-side spatial norm diverges at r = inf (r' = 1)")
 
-    lat = Lattice(h=h, d=d, M=M)
     # left side: indicator of the block intersected with the dispersion surface
     axis_xi = lat.axis_frequencies()
     y = 0.5 * h * axis_xi

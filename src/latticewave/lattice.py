@@ -52,6 +52,15 @@ class Lattice:
         if self.M < 4 or self.M % 2 != 0:
             raise ValueError("M must be an even integer >= 4")
 
+    @classmethod
+    def for_box(cls, h: float, d: int, box: float) -> "Lattice":
+        """The lattice of spacing ``h`` whose periodic box is nearest ``box``: M = round(box / h)."""
+        if not h > 0:
+            raise ValueError("lattice spacing h must be positive")
+        if not 0 < box < math.inf:
+            raise ValueError("box length must be positive and finite")
+        return cls(h=h, d=d, M=int(round(box / h)))
+
     @property
     def shape(self) -> tuple[int, ...]:
         return (self.M,) * self.d

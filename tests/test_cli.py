@@ -1,7 +1,10 @@
 import json
 import math
 
+import pytest
+
 from latticewave.cli import run
+from latticewave.harness import CONSTANT_KINDS
 
 
 def read_csv(path):
@@ -20,6 +23,66 @@ def test_unknown_command_exits_one(capsys):
 def test_no_args_prints_usage(capsys):
     assert run([]) == 1
     assert "usage" in capsys.readouterr().out
+
+
+# each command with its required flags (plus small sizes for speed) and the config keys it records
+TABLE_CASES = {
+    "pairs": ([], "d count r_max"),
+    "decay": (["--M", "64", "--full", "--t-max", "4", "--n-t", "4"],
+              "kind d h M box data width full N t_min t_max n_t"),
+    "strichartz": (["--q", "inf", "--r", "2"], "kind d h M box q r T n_t data width"),
+    "uniformity": (["--h-list", "1", "--q", "inf", "--r", "2"],
+                   "kind d h_list q r box data horizon_fraction n_t"),
+    "constants": (["--kind", "square_function", "--h-list", "1", "--box", "8", "--ensemble", "4"],
+                  "kind d h_list box p q s theta ensemble"),
+    "knapp": (["--h", "0.5", "--eps-list", "0.04", "--q", "8", "--r", "8", "--s", "0.125", "--M", "1024",
+               "--n-t", "21", "--u-window", "10", "--x-window", "8"],
+              "d h eps_list q r s M n_t u_window x_window"),
+    "czdemo": (["--M", "16"], "d h M lam"),
+    "dnls": (["--T", "0.05", "--dt", "0.01"], "d h M box lam p dt T amplitude width stride snapshots"),
+    "s1": (["--T", "0.05", "--dt", "0.01"], "d h M box lam p dt T amplitude width stride pairs_count r_max"),
+}
+
+
+@pytest.mark.parametrize("command", list(TABLE_CASES))
+def test_command_table_records_every_flag(command, tmp_path, capsys):
+    argv, keys = TABLE_CASES[command]
+    out = tmp_path / "out.csv"
+    assert run([command, *argv, "--out", str(out)]) == 0
+    meta, _, _ = read_csv(out)
+    assert meta["command"] == command
+    assert set(meta["config"]) == set(keys.split()) | {"seed", "threads"}
+    capsys.readouterr()
+    assert run([command, "--help"]) == 0
+    help_text = capsys.readouterr().out
+    assert help_text.startswith(f"usage: latticewave {command} ")
+    if command == "constants":
+        assert "{" + ",".join(CONSTANT_KINDS) + "}" in help_text
+
+
+KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--h", "0", "--full"],
+    ["uniformity", "--h-list", "0", "--q", "6", "--r", "inf"],
+    ["constants", "--kind", "bernstein", "--h-list", "0", "--q", "inf"],
+    ["strichartz", "--q", "6", "--r", "inf", "--M", "0"],
+    ["decay", "--h", "1", "--M", "4096", "--N", "1/0"],
+    [*KNAPP, "--eps-list", "1/0"],
+    ["uniformity", "--h-list", "", "--q", "6", "--r", "inf"],
+    ["constants", "--kind", "bernstein", "--h-list", "", "--q", "inf"],
+    [*KNAPP, "--eps-list", ""],
+    [*KNAPP, "--eps-list", "0.04", "--n-t", "1"],
+    [*KNAPP, "--eps-list", "0.04", "--u-window", "0"],
+    [*KNAPP, "--eps-list", "0.04", "--x-window", "-5"],
+], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
+        "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
+        "knapp-x-window-negative"])
+def test_rejected_input_exits_two(argv, capsys):
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err or "error: argument" in err
 
 
 def test_pairs_rows_satisfy_identity(tmp_path):

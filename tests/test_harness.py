@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform_bound_experiment
 from latticewave.errors import ConfigurationError, WindowError
 from latticewave.harness import (
     AdmissiblePair,
@@ -155,6 +156,32 @@ def test_scan_result_fits_only_positive_columns():
     assert scan_result("demo", ["h", "up", "degenerate"], rows[:1], {}, {"up": "up"}).fits == {}
 
 
+def test_scan_drivers_reject_empty_spacing_list():
+    with pytest.raises(ConfigurationError, match="no cells"):
+        scan_result("demo", ["h"], [], {}, {})
+    with pytest.raises(ConfigurationError, match="no cells"):
+        uniformity_scan("wave", [], AdmissiblePair(q=6.0, r=math.inf, d=1))
+    with pytest.raises(ConfigurationError, match="no cells"):
+        inequality_constant_scan("bernstein", [], q=math.inf)
+    with pytest.raises(ConfigurationError, match="no cells"):
+        knapp_h_sharpness([], 0.125, AdmissiblePair(q=8.0, r=8.0, d=1))
+    with pytest.raises(ConfigurationError, match="no cells"):
+        uniform_bound_experiment([], continuum_gaussian())
+
+
+def test_spacing_drivers_reject_zero_spacing():
+    drivers = [
+        lambda: uniformity_scan("schrodinger", [0.0], AdmissiblePair(q=6.0, r=math.inf, d=1)),
+        lambda: inequality_constant_scan("bernstein", [0.0], q=math.inf),
+        lambda: interpolation_constant([0.0]),
+        lambda: uniform_bound_experiment([0.0], continuum_gaussian()),
+        lambda: knapp_experiment(0.0, 0.04, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=4096),
+    ]
+    for driver in drivers:
+        with pytest.raises(ValueError, match="spacing h must be positive"):
+            driver()
+
+
 def test_uniformity_scan_rejects_unknown_data():
     pair = AdmissiblePair(q=6.0, r=math.inf, d=1)
     with pytest.raises(ConfigurationError, match="data"):
@@ -231,6 +258,13 @@ def test_knapp_constraint_validation():
         knapp_experiment(0.25, 0.2, 0.125, pair, M=4096)
     with pytest.raises(ConfigurationError):
         knapp_experiment(0.5, 0.02, 1.0 / 6.0, AdmissiblePair(q=6.0, r=math.inf, d=1), M=4096)
+
+
+@pytest.mark.parametrize("window", [{"n_t": 1}, {"u_window": 0.0}, {"x_window": -5.0}, {"x_window": math.inf}])
+def test_knapp_rejects_degenerate_quadrature(window):
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    with pytest.raises(ConfigurationError, match="quadrature"):
+        knapp_experiment(0.5, 0.04, 0.125, pair, M=4096, **window)
 
 
 def test_knapp_report_contents():

@@ -44,6 +44,17 @@ def test_lattice_validation():
         Lattice(h=1.0, d=1, M=2)
 
 
+def test_lattice_for_box_sizing_and_validation():
+    assert Lattice.for_box(0.25, 2, 16.0) == Lattice(h=0.25, d=2, M=64)
+    assert Lattice.for_box(0.3, 1, 6.0).M == 20
+    for h, box in [(0.0, 8.0), (-0.5, 8.0), (math.nan, 8.0)]:
+        with pytest.raises(ValueError, match="spacing h must be positive"):
+            Lattice.for_box(h, 1, box)
+    for box in (0.0, -8.0, math.inf):
+        with pytest.raises(ValueError, match="box length"):
+            Lattice.for_box(0.5, 1, box)
+
+
 def test_site_and_frequency_grids():
     lat = Lattice(h=0.5, d=1, M=8)
     assert list(lat.site_indices()) == [0, 1, 2, 3, -4, -3, -2, -1]
