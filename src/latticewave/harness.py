@@ -220,6 +220,8 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     if t_grid is None:
         if n_t < 64:
             raise ConfigurationError("need n_t >= 64 quadrature nodes")
+        if not 0 < T < math.inf:
+            raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
     t_grid = np.asarray(t_grid, dtype=float)
     rnorms = np.empty(t_grid.size)
@@ -297,6 +299,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     """
     if data not in ("point", "gaussian"):
         raise ConfigurationError(f"unknown data kind {data!r}")
+    if not 0 < horizon_fraction < math.inf:
+        raise ConfigurationError(f"horizon_fraction must be positive and finite, got {horizon_fraction!r}")
     rows = []
     for h in h_list:
         lat = Lattice.for_box(h, pair.d, box)
@@ -507,19 +511,39 @@ class KnappReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _knapp_axis_norm(h: float, d1: float, center: float, rp: float, x_window: float) -> float:
-    """h-weighted l^rp sum of |sin(d1 (x - center)) / (x - center)| over a lattice window.
+def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_window: float) -> np.ndarray:
+    """h-weighted l^rp sums of |sin(d1 (x - c)) / (x - c)| over a lattice window, one per centre c.
 
-    The window spans ``x_window`` main-lobe widths h/eps around the moving
-    centre, so the neglected tail is the same fixed fraction for every epsilon.
+    The window spans ``x_window`` main-lobe widths h/eps around the lattice
+    site nearest each centre, so the neglected tail is the same fixed fraction
+    for every epsilon.  A centre enters only through its sub-lattice offset
+    delta = c - h round(c/h): with x - c = k h - delta, angle addition gives
+    sin(d1 (k h - delta)) from the fixed vectors sin(d1 k h), cos(d1 k h), so
+    each centre costs a few in-place passes over two scratch buffers and no
+    sine.  x - c vanishes only at k = 0 when delta is exactly 0, where the
+    kernel takes its limit d1.
     """
     n_win = int(math.ceil(x_window / (d1 * h)))
-    j_center = round(center / h)
-    x_rel = (j_center + np.arange(-n_win, n_win + 1)) * h - center
-    with np.errstate(invalid="ignore", divide="ignore"):
-        vals = np.abs(np.sin(d1 * x_rel) / np.where(x_rel == 0.0, 1.0, x_rel))
-    vals = np.where(x_rel == 0.0, d1, vals)
-    return float((h * np.sum(vals**rp)) ** (1.0 / rp))
+    xk = np.arange(-n_win, n_win + 1) * h
+    sk = np.sin(d1 * xk)
+    ck = np.cos(d1 * xk)
+    num = np.empty_like(xk)
+    den = np.empty_like(xk)
+    deltas = centers - h * np.round(centers / h)
+    norms = np.empty(deltas.size)
+    with np.errstate(invalid="ignore"):
+        for i, delta in enumerate(deltas):
+            np.multiply(sk, math.cos(d1 * delta), out=num)
+            np.multiply(ck, math.sin(d1 * delta), out=den)
+            np.subtract(num, den, out=num)
+            np.subtract(xk, delta, out=den)
+            np.divide(num, den, out=num)
+            if delta == 0.0:
+                num[n_win] = d1
+            np.abs(num, out=num)
+            np.power(num, rp, out=num)
+            norms[i] = num.sum()
+    return (h * norms) ** (1.0 / rp)
 
 
 def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *,
@@ -542,7 +566,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         raise ConfigurationError("the right-side quadrature needs n_t >= 2 and finite u_window, x_window > 0")
     lat = Lattice(h=h, d=d, M=M)
     if epsilon <= 0 or epsilon / h**2 > np.pi / 2.0 + 1e-12:
-        raise ValueError("constraint violated: need 0 < epsilon <= pi * h^2 / 2")
+        raise ConfigurationError("constraint violated: need 0 < epsilon <= pi * h^2 / 2")
     qp, rp = pair.q_conjugate, pair.r_conjugate
     if qp <= 1.0:
         raise ConfigurationError("right-side time norm diverges at q = inf (q' = 1)")
@@ -576,9 +600,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     with np.errstate(invalid="ignore", divide="ignore"):
         tf = np.abs(np.sin(us) / np.where(us == 0.0, 1.0, ts))
     tf = np.where(us == 0.0, a, tf)
-    xnorms = np.empty(n_t)
-    for i, t in enumerate(ts):
-        xnorms[i] = _knapp_axis_norm(h, d1, 2.0 * t / h, rp, x_window) ** d
+    xnorms = _knapp_axis_norms(h, d1, 2.0 * ts / h, rp, x_window) ** d
     right = float(np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp))
 
     predicted_left = h**s * (epsilon / h) ** (d / 2.0)

@@ -76,9 +76,14 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     [*KNAPP, "--eps-list", "0.04", "--n-t", "1"],
     [*KNAPP, "--eps-list", "0.04", "--u-window", "0"],
     [*KNAPP, "--eps-list", "0.04", "--x-window", "-5"],
+    ["strichartz", "--q", "6", "--r", "inf", "--T", "-1"],
+    ["strichartz", "--q", "6", "--r", "inf", "--T", "0"],
+    ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--horizon-fraction", "0"],
+    ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--horizon-fraction", "-0.1"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
-        "knapp-x-window-negative"])
+        "knapp-x-window-negative", "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
+        "uniformity-horizon-negative"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err

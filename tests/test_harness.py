@@ -7,6 +7,7 @@ from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform
 from latticewave.errors import ConfigurationError, WindowError
 from latticewave.harness import (
     AdmissiblePair,
+    _knapp_axis_norms,
     admissible_pairs,
     decay_data,
     decay_time_grid,
@@ -252,9 +253,53 @@ def test_square_function_scan_two_sided():
 # ---------------------------------------------------------------------------
 # sharpness experiment
 
+def _knapp_axis_norm_reference(h, d1, center, rp, x_window):
+    """Direct sum of the Knapp axis norm at one centre, one sine per lattice point."""
+    n_win = int(math.ceil(x_window / (d1 * h)))
+    j_center = round(center / h)
+    x_rel = (j_center + np.arange(-n_win, n_win + 1)) * h - center
+    with np.errstate(invalid="ignore", divide="ignore"):
+        vals = np.abs(np.sin(d1 * x_rel) / np.where(x_rel == 0.0, 1.0, x_rel))
+    vals = np.where(x_rel == 0.0, d1, vals)
+    return float((h * np.sum(vals**rp)) ** (1.0 / rp))
+
+
+@pytest.mark.parametrize("h, eps, x_window", [(0.5, 0.04, 64.0), (0.3, 0.05, 64.0), (1.0 / 3.0, 0.1, 32.0)])
+@pytest.mark.parametrize("rp", [8.0 / 7.0, 4.0 / 3.0, 2.0])
+def test_knapp_axis_norms_match_direct_sum(h, eps, x_window, rp):
+    d1 = eps / h
+    rng = np.random.default_rng(8)
+    sites = h * np.array([0, 1, -7, 40_000, -123_457])
+    centers = np.concatenate([
+        rng.uniform(-1e4, 1e4, 12),  # off the lattice
+        sites,  # on a site: the x - c = 0 point
+        sites + h / 2.0,
+        sites - h / 2.0,
+    ])
+    on_site = slice(12, 12 + sites.size)
+    assert np.all(centers[on_site] - h * np.round(centers[on_site] / h) == 0.0)
+    expected = [_knapp_axis_norm_reference(h, d1, c, rp, x_window) for c in centers]
+    np.testing.assert_allclose(_knapp_axis_norms(h, d1, centers, rp, x_window), expected, rtol=1e-12, atol=0)
+
+
+def test_knapp_right_norm_d2_matches_direct_sum():
+    pair = AdmissiblePair(q=6.0, r=4.0, d=2)
+    h, eps, u_window, n_t, x_window = 0.5, 0.04, 40.0, 81, 16.0
+    rep = knapp_experiment(h, eps, 0.1, pair, M=256, u_window=u_window, n_t=n_t, x_window=x_window)
+    a, d1 = eps**3 / h**2, eps / h
+    us = np.linspace(-u_window, u_window, n_t)
+    ts = us / a
+    tf = np.array([a if u == 0.0 else abs(math.sin(u) / t) for u, t in zip(us, ts)])
+    xnorms = np.array([_knapp_axis_norm_reference(h, d1, 2.0 * t / h, pair.r_conjugate, x_window) ** 2
+                       for t in ts])
+    qp = pair.q_conjugate
+    expected = np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp)
+    assert rep.right_norm == pytest.approx(expected, rel=1e-12)
+
+
 def test_knapp_constraint_validation():
     pair = AdmissiblePair(q=8.0, r=8.0, d=1)
-    with pytest.raises(ValueError, match="constraint"):
+    with pytest.raises(ConfigurationError, match="constraint"):
         knapp_experiment(0.25, 0.2, 0.125, pair, M=4096)
     with pytest.raises(ConfigurationError):
         knapp_experiment(0.5, 0.02, 1.0 / 6.0, AdmissiblePair(q=6.0, r=math.inf, d=1), M=4096)
