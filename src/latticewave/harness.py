@@ -22,7 +22,7 @@ from .lattice import (
     lp_norm,
     point_mass,
 )
-from .propagators import klein_gordon_flow, schrodinger_flow
+from .propagators import flow
 from .spectral import (
     band_projection,
     band_scales,
@@ -158,15 +158,11 @@ def decay_data(lattice: Lattice, kind: str = "point", width: float | None = None
 
 
 def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
+    if n_t < 2 or not 0 < t_min < t_max < math.inf:
+        raise ConfigurationError(
+            f"decay times need n_t >= 2 and 0 < t_min < t_max < inf, got n_t={n_t}, "
+            f"t_min={t_min!r}, t_max={t_max!r}")
     return np.geomspace(t_min, t_max, n_t)
-
-
-def _flow(kind: str, f: GridFunction, t: float) -> GridFunction:
-    if kind == "schrodinger":
-        return schrodinger_flow(f, t)
-    if kind == "klein_gordon":
-        return klein_gordon_flow(f, t)
-    raise ConfigurationError(f"unknown flow kind {kind!r}")
 
 
 def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
@@ -180,13 +176,18 @@ def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
     contaminates the box.
     """
     t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
+            or t_grid[0] <= 0 or np.any(np.diff(t_grid) <= 0)):
+        raise ConfigurationError("the decay time grid must be 1-D with at least 2 finite, positive, "
+                                 "strictly increasing times")
     f = data * (1.0 / lp_norm(data, 1))
     if N is not None:
         f = band_projection(f, N)
+    spectrum = np.fft.fftn(f.values)
     sups = np.empty(t_grid.size)
     largest_ok: float | None = None
     for i, t in enumerate(t_grid):
-        u = _flow(kind, f, float(t))
+        u = flow(kind, spectrum, f.lattice, float(t))
         if boundary_mass_fraction(u, boundary_width) > BOUNDARY_THRESHOLD:
             raise WindowError(
                 f"solution reached the boundary at t={t:g}; largest admissible t is "
@@ -224,10 +225,11 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
     t_grid = np.asarray(t_grid, dtype=float)
+    spectrum = np.fft.fftn(u0.values)
     rnorms = np.empty(t_grid.size)
     largest_ok: float | None = None
     for i, t in enumerate(t_grid):
-        u = _flow(kind, u0, float(t))
+        u = flow(kind, spectrum, u0.lattice, float(t))
         if check_window and boundary_mass_fraction(u) > BOUNDARY_THRESHOLD:
             raise WindowError(
                 f"solution reached the boundary at t={t:g}; largest admissible |t| is "

@@ -8,6 +8,7 @@ boundary (see :func:`latticewave.lattice.boundary_mass_fraction`).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ from .spectral import BumpProfile, apply_multiplier, band_projection, default_bu
 __all__ = [
     "FLOW_KINDS",
     "PhaseSpec",
+    "flow",
     "schrodinger_flow",
     "localized_flow",
     "klein_gordon_flow",
@@ -47,9 +49,27 @@ class PhaseSpec:
             raise ConfigurationError("the half-wave flow is implemented for d = 1 only")
 
     def multiplier_grid(self) -> np.ndarray:
+        """exp(-i t symbol) (Schrodinger) or exp(i t symbol) (half-wave) on the dual grid.
+
+        The symbol is a sum over axes, so the phase is the outer product of d
+        one-axis phases: M*d exponentials instead of M^d.
+        """
+        h = self.lattice.h
+        sym = (4.0 / h**2) * np.sin(0.5 * h * self.lattice.axis_frequencies()) ** 2
         if self.kind == "schrodinger":
-            return np.exp(-1j * self.t * laplacian_symbol_grid(self.lattice))
-        return np.exp(1j * self.t * kg_dispersion_grid(self.lattice))
+            phase = np.exp(-1j * self.t * sym)
+        else:
+            phase = np.exp(1j * self.t * np.sqrt(1.0 + sym))
+        return functools.reduce(np.multiply.outer, [phase] * self.lattice.d)
+
+
+def flow(kind: str, spectrum: np.ndarray, lattice: Lattice, t: float) -> GridFunction:
+    """The ``kind`` flow at time t of the datum whose forward transform is ``spectrum``.
+
+    Time loops transform their datum once with ``np.fft.fftn`` and call this
+    per sample, so each sample costs one inverse transform.
+    """
+    return GridFunction(lattice, np.fft.ifftn(spectrum * PhaseSpec(kind, t, lattice).multiplier_grid()))
 
 
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:

@@ -80,10 +80,17 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     ["strichartz", "--q", "6", "--r", "inf", "--T", "0"],
     ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--horizon-fraction", "0"],
     ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--horizon-fraction", "-0.1"],
+    ["decay", "--full", "--t-min", "-1"],
+    ["decay", "--full", "--t-min", "nan"],
+    ["decay", "--full", "--t-max", "inf"],
+    ["decay", "--full", "--t-min", "0"],
+    ["decay", "--full", "--t-min", "10", "--t-max", "1"],
+    ["decay", "--full", "--n-t", "1"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
-        "uniformity-horizon-negative"])
+        "uniformity-horizon-negative", "decay-t-min-negative", "decay-t-min-nan", "decay-t-max-inf",
+        "decay-t-min-0", "decay-t-reversed", "decay-n_t-1"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err

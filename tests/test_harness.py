@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +21,12 @@ from latticewave.harness import (
     random_ensemble,
     scan_result,
     strichartz_norm,
+    symmetric_time_grid,
     uniformity_scan,
 )
 from latticewave.lattice import GridFunction, Lattice, gaussian, lp_norm, point_mass
+from latticewave.propagators import kg_dispersion_grid
+from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid
 
 
 # ---------------------------------------------------------------------------
@@ -127,6 +131,106 @@ def test_strichartz_finite_on_random_mean_zero():
     S = strichartz_norm(u0, pair, T=1.0, n_t=64, check_window=False)
     rhs = lp_norm(fractional_derivative(u0, 1.0 / 6.0), 2)
     assert np.isfinite(S / rhs) and S / rhs > 0
+
+
+# ---------------------------------------------------------------------------
+# time loops against the per-sample path: one full-grid phase and FFT pair per t
+
+def _per_sample_flow(kind, f, t):
+    if kind == "schrodinger":
+        return apply_multiplier(np.exp(-1j * t * laplacian_symbol_grid(f.lattice)), f)
+    return apply_multiplier(np.exp(1j * t * kg_dispersion_grid(f.lattice)), f)
+
+
+def _oracle_decay_sups(kind, data, t_grid, N):
+    f = data * (1.0 / lp_norm(data, 1))
+    if N is not None:
+        f = band_projection(f, N)
+    return np.array([lp_norm(_per_sample_flow(kind, f, float(t)), math.inf) for t in t_grid])
+
+
+def _oracle_strichartz(kind, u0, pair, t_grid):
+    rnorms = np.array([lp_norm(_per_sample_flow(kind, u0, float(t)), pair.r) for t in t_grid])
+    if math.isinf(pair.q):
+        return float(rnorms.max())
+    return float(np.trapezoid(rnorms**pair.q, t_grid) ** (1.0 / pair.q))
+
+
+def _moving_complex_gaussian(lat, width, x0, k0):
+    """Off-centre and with a momentum: no reflection or conjugation symmetry."""
+    arg = sum(-((x - x0) ** 2) / (2.0 * width**2) + 1j * k0 * x for x in lat.coordinate_grids())
+    return GridFunction(lat, np.exp(arg))
+
+
+FLOW_LOOP_CASES = {
+    # kind, lattice, datum, N, decay grid, (q, r), T
+    "schrodinger-d1": ("schrodinger", Lattice(h=1.0, d=1, M=256), point_mass, None, (1.0, 20.0, 8), (12.0, 4.0), 4.0),
+    "schrodinger-d2": ("schrodinger", Lattice(h=1.0, d=2, M=64), point_mass, None, (1.0, 6.0, 6), (6.0, 4.0), 2.0),
+    "half-wave-N": ("klein_gordon", Lattice(h=1.0, d=1, M=1024), point_mass, 0.25, (5.0, 100.0, 8),
+                    (6.0, math.inf), 20.0),
+    "h=0.3": ("schrodinger", Lattice(h=0.3, d=1, M=512), lambda lat: gaussian(lat, 2.0), None, (0.5, 4.0, 8),
+              (12.0, 4.0), 1.0),
+    "complex-d2": ("schrodinger", Lattice(h=0.5, d=2, M=64), lambda lat: _moving_complex_gaussian(lat, 2.0, 1.3, 0.8),
+                   None, (0.5, 2.0, 6), (6.0, 4.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(FLOW_LOOP_CASES))
+def test_time_loops_match_per_sample_flow(case):
+    kind, lat, datum, N, (t_min, t_max, n_t), (q, r), T = FLOW_LOOP_CASES[case]
+    u0 = datum(lat)
+    grid = decay_time_grid(t_min, t_max, n_t)
+    fit = dispersive_decay_scan(kind, u0, grid, N=N)
+    np.testing.assert_allclose(fit.sup_norms, _oracle_decay_sups(kind, u0, grid, N), rtol=1e-12, atol=0)
+    pair = AdmissiblePair(q=q, r=r, d=lat.d)
+    t_grid = symmetric_time_grid(T, 16, T / 64.0)
+    value = strichartz_norm(u0, pair, T, t_grid=t_grid, kind=kind)
+    assert value == pytest.approx(_oracle_strichartz(kind, u0, pair, t_grid), rel=1e-12, abs=0)
+
+
+def _count_transforms(monkeypatch):
+    counts = {"fftn": 0, "ifftn": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+def test_time_loops_transform_the_datum_once(monkeypatch):
+    counts = _count_transforms(monkeypatch)
+    lat = Lattice(h=1.0, d=2, M=32)
+    dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
+    assert counts == {"fftn": 1, "ifftn": 7}
+    counts.update(fftn=0, ifftn=0)
+    u0 = point_mass(lat)
+    t_grid = symmetric_time_grid(1.0, 5, 0.1)
+    strichartz_norm(u0, AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
+    assert counts == {"fftn": 1, "ifftn": t_grid.size}
+
+
+@pytest.mark.parametrize("grid", [[4.0, 2.0, 1.0], [1.0, 1.0], [1.0], [[1.0, 2.0]], [0.0, 1.0], [-1.0, 1.0],
+                                  [1.0, np.nan], [1.0, np.inf]],
+                         ids=["decreasing", "repeated", "single", "2-D", "zero", "negative", "nan", "inf"])
+def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
+    counts = _count_transforms(monkeypatch)
+    lat = Lattice(h=1.0, d=1, M=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="time grid"):
+            dispersive_decay_scan("schrodinger", decay_data(lat), np.array(grid), N=0.25)
+    assert counts == {"fftn": 0, "ifftn": 0}
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("t_min,t_max,n_t", [(-1.0, 100.0, 25), (math.nan, 100.0, 25), (1.0, math.inf, 25),
+                                             (0.0, 100.0, 25), (10.0, 1.0, 25), (5.0, 5.0, 25), (1.0, 100.0, 1)])
+def test_decay_time_grid_rejects_degenerate_range(t_min, t_max, n_t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="decay times"):
+            decay_time_grid(t_min, t_max, n_t)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from latticewave.propagators import (
     localized_flow,
     schrodinger_flow,
 )
-from latticewave.spectral import band_projection
+from latticewave.spectral import band_projection, laplacian_symbol_grid
 
 
 def random_field(lat, seed):
@@ -95,6 +95,28 @@ def test_phase_spec_checks_against_flow_kinds():
         PhaseSpec("wave", 1.0, lat)
     with pytest.raises(ConfigurationError, match="d = 1"):
         PhaseSpec("klein_gordon", 1.0, Lattice(h=1.0, d=2, M=8))
+
+
+@pytest.mark.parametrize("kind,d", [("schrodinger", 1), ("schrodinger", 2), ("schrodinger", 3),
+                                    ("klein_gordon", 1)])
+@pytest.mark.parametrize("h", [1.0, 0.3])
+@pytest.mark.parametrize("t", [0.0, 0.7, -0.7, 3e4])
+def test_separable_phase_matches_full_grid_exp(kind, d, h, t):
+    """The per-axis outer product against the exponential of the summed symbol."""
+    lat = Lattice(h=h, d=d, M=16)
+    if kind == "schrodinger":
+        sym = laplacian_symbol_grid(lat)
+        oracle = np.exp(-1j * t * sym)
+    else:
+        sym = kg_dispersion_grid(lat)
+        oracle = np.exp(1j * t * sym)
+    phase = PhaseSpec(kind, t, lat).multiplier_grid()
+    assert phase.shape == lat.shape
+    if d == 1:
+        assert np.array_equal(phase, oracle)
+    else:
+        atol = 16 * np.finfo(float).eps * (1.0 + abs(t) * sym.max())
+        np.testing.assert_allclose(phase, oracle, rtol=0, atol=atol)
 
 
 def test_degenerate_points_schrodinger():
