@@ -138,6 +138,8 @@ def _knapp(args):
 
 
 def _czdemo(args):
+    if not 0 < args.lam < math.inf:
+        raise ConfigurationError(f"--lam must be positive and finite, got {args.lam!r}")
     lat = Lattice(h=args.h, d=args.d, M=args.M)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
     f = GridFunction(lat, rng.exponential(scale=args.lam, size=lat.shape).astype(complex))

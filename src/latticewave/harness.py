@@ -157,6 +157,17 @@ def decay_data(lattice: Lattice, kind: str = "point", width: float | None = None
     return f * (1.0 / lp_norm(f, 1))
 
 
+def _checked_time_grid(t_grid, positive: bool) -> np.ndarray:
+    """``t_grid`` as a float array, or ConfigurationError unless it is 1-D with at least 2
+    finite, strictly increasing (and, if ``positive``, positive) times."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
+            or (positive and t_grid[0] <= 0) or np.any(np.diff(t_grid) <= 0)):
+        raise ConfigurationError(f"the time grid must be 1-D with at least 2 finite, "
+                                 f"{'positive, ' if positive else ''}strictly increasing times")
+    return t_grid
+
+
 def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
     if n_t < 2 or not 0 < t_min < t_max < math.inf:
         raise ConfigurationError(
@@ -175,11 +186,7 @@ def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
     and the scan aborts (reporting the largest admissible t) once wraparound
     contaminates the box.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if (t_grid.ndim != 1 or t_grid.size < 2 or not np.all(np.isfinite(t_grid))
-            or t_grid[0] <= 0 or np.any(np.diff(t_grid) <= 0)):
-        raise ConfigurationError("the decay time grid must be 1-D with at least 2 finite, positive, "
-                                 "strictly increasing times")
+    t_grid = _checked_time_grid(t_grid, positive=True)
     f = data * (1.0 / lp_norm(data, 1))
     if N is not None:
         f = band_projection(f, N)
@@ -216,7 +223,9 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     """Truncated mixed norm: trapezoid in t over [-T, T] of the spatial r-norm to the q.
 
     For q = inf the supremum over the sampled grid is returned; with the pair
-    (inf, 2) that equals the conserved L^2 norm exactly up to roundoff.
+    (inf, 2) that equals the conserved L^2 norm exactly up to roundoff.  A
+    caller's ``t_grid`` must be 1-D, finite and strictly increasing (negative
+    times allowed); it is checked before any transform.
     """
     if t_grid is None:
         if n_t < 64:
@@ -224,7 +233,7 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
         if not 0 < T < math.inf:
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
-    t_grid = np.asarray(t_grid, dtype=float)
+    t_grid = _checked_time_grid(t_grid, positive=False)
     spectrum = np.fft.fftn(u0.values)
     rnorms = np.empty(t_grid.size)
     largest_ok: float | None = None

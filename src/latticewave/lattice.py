@@ -11,6 +11,7 @@ with the physical box held fixed.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "Lattice",
     "GridFunction",
     "DyadicCube",
+    "CZBadParts",
     "CZDecomposition",
     "lp_norm",
     "weak_lp_norm",
@@ -302,12 +304,40 @@ class DyadicCube:
         return self.scale * self.h
 
 
+class CZBadParts(Sequence[GridFunction]):
+    """Read-only sequence of CZ bad parts, each built on access.
+
+    The selected cubes are disjoint, so one residual array ``f - good`` (zero
+    off the covered set) holds every bad part: part ``i`` is that residual
+    restricted to cube ``i``.  Memory stays O(M^d) however many cubes there are.
+    """
+
+    def __init__(self, lattice: Lattice, residual: np.ndarray, cubes: tuple[DyadicCube, ...]):
+        residual.flags.writeable = False
+        self._lattice = lattice
+        self._residual = residual
+        self._cubes = cubes
+
+    def __len__(self) -> int:
+        return len(self._cubes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        cube = self._cubes[index]
+        M = self._lattice.M
+        block = tuple(slice(c % M, c % M + cube.scale) for c in cube.corner)
+        b = np.zeros(self._lattice.shape, dtype=complex)
+        b[block] = self._residual[block]
+        return GridFunction(self._lattice, b)
+
+
 @dataclass
 class CZDecomposition:
     """Split f = good + sum(bads) at threshold lambda over maximal dyadic cubes."""
 
     good: GridFunction
-    bads: list[GridFunction]
+    bads: Sequence[GridFunction]
     cubes: list[DyadicCube]
     lam: float
 
@@ -318,14 +348,17 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
     Selected cubes are the maximal dyadic cubes whose average exceeds ``lam``
     while every strictly larger containing dyadic cube has average <= ``lam``.
     On each selected cube the good part equals the cube average and the bad
-    part carries the mean-zero remainder; off the cubes good = f <= lam.
+    part carries the mean-zero remainder; off the cubes good = f <= lam.  The
+    bad parts are built on access from one residual array (see
+    :class:`CZBadParts`).
 
-    Requires a power-of-two M so the chain of parent cubes reaches the full
-    grid, and a global average <= lam so maximal cubes exist strictly inside.
+    Requires a finite ``lam > 0``, a power-of-two M so the chain of parent
+    cubes reaches the full grid, and a global average <= lam so maximal cubes
+    exist strictly inside.
     """
     lat = f.lattice
-    if lam <= 0:
-        raise ValueError("threshold lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise ValueError(f"threshold lambda must be positive and finite, got {lam!r}")
     v = f.values
     if np.any(v.imag != 0):
         raise ValueError("decomposition requires a real-valued input")
@@ -338,10 +371,9 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
         raise ValueError("threshold too small for truncation: global average exceeds lambda")
 
     site_idx = lat.site_indices()
-    good = v.astype(float).copy()
+    good = v.astype(float)
     covered = np.zeros(lat.shape, dtype=bool)
     cubes: list[DyadicCube] = []
-    bads: list[GridFunction] = []
 
     N = lat.M // 2
     while N >= 1:
@@ -352,15 +384,12 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
             sel_up = _upsample(select, N)
             good = np.where(sel_up, _upsample(avg, N), good)
             covered |= sel_up
-            for coarse in np.argwhere(select):
-                block = tuple(slice(int(c) * N, (int(c) + 1) * N) for c in coarse)
-                b = np.zeros(lat.shape, dtype=complex)
-                b[block] = v[block] - avg[tuple(coarse)]
-                bads.append(GridFunction(lat, b))
-                corner = tuple(int(site_idx[int(c) * N]) for c in coarse)
-                cubes.append(DyadicCube(corner=corner, scale=N, h=lat.h))
+            corners = site_idx[np.argwhere(select) * N].tolist()
+            cubes.extend(DyadicCube(corner=tuple(c), scale=N, h=lat.h) for c in corners)
         N //= 2
 
+    # off the covered set good = v, so the residual there is exactly 0
+    bads = CZBadParts(lat, v - good, tuple(cubes))
     return CZDecomposition(good=GridFunction(lat, good.astype(complex)), bads=bads, cubes=cubes, lam=lam)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from latticewave.cli import run
@@ -86,15 +87,28 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     ["decay", "--full", "--t-min", "0"],
     ["decay", "--full", "--t-min", "10", "--t-max", "1"],
     ["decay", "--full", "--n-t", "1"],
+    ["czdemo", "--lam", "-1"],
+    ["czdemo", "--lam", "nan"],
+    ["czdemo", "--lam", "inf"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
         "uniformity-horizon-negative", "decay-t-min-negative", "decay-t-min-nan", "decay-t-max-inf",
-        "decay-t-min-0", "decay-t-reversed", "decay-n_t-1"])
+        "decay-t-min-0", "decay-t-reversed", "decay-n_t-1", "czdemo-lam-negative", "czdemo-lam-nan",
+        "czdemo-lam-inf"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err or "error: argument" in err
+
+
+@pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])
+def test_czdemo_checks_lam_before_sampling(lam, capsys, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking --lam")
+    monkeypatch.setattr(np.random, "default_rng", no_sampling)
+    assert run(["czdemo", "--lam", lam]) == 2
+    assert "configuration error: --lam must be positive and finite" in capsys.readouterr().err
 
 
 def test_pairs_rows_satisfy_identity(tmp_path):

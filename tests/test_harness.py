@@ -224,6 +224,20 @@ def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch
     assert "RuntimeWarning" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [[1.0, 0.5, 0.0, -0.5, -1.0], [0.0, 0.0], [0.0], [[-1.0, 1.0]],
+                                  [-1.0, np.nan], [-np.inf, 1.0]],
+                         ids=["decreasing", "repeated", "single", "2-D", "nan", "inf"])
+def test_strichartz_norm_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
+    counts = _count_transforms(monkeypatch)
+    lat = Lattice(h=1.0, d=1, M=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match="time grid"):
+            strichartz_norm(point_mass(lat), AdmissiblePair(6.0, math.inf, 1), 1.0, t_grid=np.array(grid))
+    assert counts == {"fftn": 0, "ifftn": 0}
+    assert "RuntimeWarning" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("t_min,t_max,n_t", [(-1.0, 100.0, 25), (math.nan, 100.0, 25), (1.0, math.inf, 25),
                                              (0.0, 100.0, 25), (10.0, 1.0, 25), (5.0, 5.0, 25), (1.0, 100.0, 1)])
 def test_decay_time_grid_rejects_degenerate_range(t_min, t_max, n_t):

@@ -1,7 +1,12 @@
 import math
+import tracemalloc
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latticewave.lattice import (
     GridFunction,
@@ -367,10 +372,130 @@ def test_cz_properties_fuzz():
             np.testing.assert_allclose(rec, f.values, atol=1e-12 * max(1.0, np.abs(f.values).max()))
 
 
+def dense_cz_bads(values, lam):
+    """Oracle: the dense per-cube construction, one full M^d array per selected cube."""
+    v = values.real
+    d, M = v.ndim, v.shape[0]
+    covered = np.zeros(v.shape, dtype=bool)
+    bads = []
+    N = M // 2
+    while N >= 1:
+        avg = v.reshape([M // N, N] * d).mean(axis=tuple(range(1, 2 * d, 2)))
+        select = (avg > lam) & ~covered[(slice(0, None, N),) * d]
+        for coarse in np.argwhere(select):
+            block = tuple(slice(c * N, (c + 1) * N) for c in coarse)
+            b = np.zeros(v.shape, dtype=complex)
+            b[block] = v[block] - avg[tuple(coarse)]
+            covered[block] = True
+            bads.append(b)
+        N //= 2
+    return bads
+
+
+@pytest.mark.parametrize("d,M", [(1, 64), (2, 32), (3, 8)])
+def test_cz_bad_parts_match_dense_oracle(d, M):
+    lat = Lattice(h=0.5, d=d, M=M)
+    rng = np.random.default_rng(11 + d)
+    for trial in range(6):
+        v = rng.exponential(size=lat.shape) if trial % 2 else rng.uniform(size=lat.shape) ** 4
+        f = GridFunction(lat, v.astype(complex))
+        lam = float(v.mean()) * rng.uniform(1.0, 4.0)
+        dec = cz_decompose(f, lam)
+        dense = dense_cz_bads(f.values, lam)
+        assert len(dec.bads) == len(dense) == len(dec.cubes)
+        for i, expected in enumerate(dense):
+            assert np.array_equal(dec.bads[i].values, expected)
+
+
+def test_cz_bad_parts_sequence():
+    lat = Lattice(h=1.0, d=2, M=16)
+    f = GridFunction(lat, np.random.default_rng(5).exponential(size=lat.shape).astype(complex))
+    dec = cz_decompose(f, 2.0 * float(f.values.real.mean()))
+    dense = dense_cz_bads(f.values, dec.lam)
+    n = len(dec.bads)
+    assert isinstance(dec.bads, Sequence) and n == len(dense) >= 4
+    assert [b.values.tolist() for b in dec.bads] == [b.tolist() for b in dense]
+    assert np.array_equal(dec.bads[-1].values, dense[-1])
+    assert np.array_equal(dec.bads[-n].values, dense[0])
+    for sl in (slice(1, 4), slice(None, None, -2), slice(n, None), slice(-3, None)):
+        got = dec.bads[sl]
+        assert isinstance(got, list)
+        assert len(got) == len(dense[sl])
+        assert all(np.array_equal(g.values, e) for g, e in zip(got, dense[sl]))
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            dec.bads[i]
+    with pytest.raises(TypeError):
+        dec.bads[0] = dec.good
+    # each access builds a fresh array, so editing one part changes no other
+    dec.bads[0].values[:] = 7.0
+    assert np.array_equal(dec.bads[0].values, dense[0])
+
+
+def test_cz_memory_stays_within_a_few_grids():
+    lat = Lattice(h=1.0, d=2, M=64)
+    f = GridFunction(lat, np.random.default_rng(8).exponential(size=lat.shape).astype(complex))
+    lam = 2.0 * float(f.values.real.mean())
+    tracemalloc.start()
+    try:
+        dec = cz_decompose(f, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(dec.cubes) > 100
+    # one dense complex grid per cube would be len(cubes) * M^d * 16 B
+    assert peak < 16 * lat.site_count * 16
+
+
+_CZ_SIZES = {1: (4, 8, 16, 32, 64), 2: (4, 8, 16), 3: (4, 8)}
+
+
+@st.composite
+def cz_inputs(draw):
+    """A nonnegative field on a small lattice and a threshold in (mean, 4 mean]."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    M = draw(st.sampled_from(_CZ_SIZES[d]))
+    values = draw(hnp.arrays(np.float64, (M,) * d,
+                             elements=st.one_of(st.just(0.0), st.floats(1e-3, 1e3))))
+    mean = float(values.mean())
+    assume(mean > 0)
+    lam = mean * draw(st.floats(1.0, 4.0, exclude_min=True))
+    return GridFunction(Lattice(h=0.5, d=d, M=M), values.astype(complex)), lam
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(cz_inputs())
+def test_cz_decomposition_properties(case):
+    f, lam = case
+    lat = f.lattice
+    v = f.values.real
+    dec = cz_decompose(f, lam)
+    assert len(dec.bads) == len(dec.cubes)
+    hits = np.zeros(lat.shape, dtype=int)
+    total = dec.good.values.copy()
+    for cube, bad in zip(dec.cubes, dec.bads):
+        raw = tuple(slice(c % lat.M, c % lat.M + cube.scale) for c in cube.corner)
+        hits[raw] += 1
+        outside = bad.values.copy()
+        outside[raw] = 0.0
+        assert not outside.any()  # lives only on its cube
+        assert abs(bad.values.sum()) <= 1e-12 * float(v.sum())  # mean zero
+        avg = dec.good.values[raw].real  # the average the stopping rule compared with lam
+        assert np.all(avg == avg.flat[0])
+        assert avg.flat[0] == pytest.approx(float(v[raw].mean()), rel=1e-12)
+        assert lam < avg.flat[0] <= 2**lat.d * lam * (1 + 1e-12)
+        total += bad.values
+    assert hits.max() <= 1  # disjoint cubes
+    np.testing.assert_allclose(total, f.values, rtol=0, atol=1e-12 * float(v.max()))
+
+
 def test_cz_rejects_bad_input():
     lat = Lattice(h=1.0, d=1, M=8)
     with pytest.raises(ValueError):
         cz_decompose(GridFunction(lat, -np.ones(8, dtype=complex)), 1.0)
+    for lam in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="threshold lambda"):
+            cz_decompose(GridFunction(lat, 0.1 * np.ones(8, dtype=complex)), lam)
     with pytest.raises(ValueError, match="threshold too small"):
         cz_decompose(GridFunction(lat, 5.0 * np.ones(8, dtype=complex)), 1.0)
     lat12 = Lattice(h=1.0, d=1, M=12)
