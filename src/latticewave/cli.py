@@ -142,9 +142,13 @@ def _czdemo(args):
         raise ConfigurationError(f"--lam must be positive and finite, got {args.lam!r}")
     lat = Lattice(h=args.h, d=args.d, M=args.M)
     rng = np.random.default_rng(np.random.SeedSequence([args.seed]))
-    f = GridFunction(lat, rng.exponential(scale=args.lam, size=lat.shape).astype(complex))
+    samples = rng.exponential(scale=args.lam, size=lat.shape)
     threshold = 2.0 * args.lam
-    dec = cz_decompose(f, threshold)
+    with np.errstate(over="ignore"):  # the samples are >= 0: a finite sum means every sample is finite
+        total = samples.sum()
+    if not (threshold < math.inf and total < math.inf):
+        raise ConfigurationError(f"--lam {args.lam!r} is too large: 2*lam or the sampled field's sum overflows")
+    dec = cz_decompose(GridFunction(lat, samples.astype(complex)), threshold)
     rows = []
     for cube in dec.cubes:
         raw = tuple(c % lat.M for c in cube.corner)

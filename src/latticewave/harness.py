@@ -24,9 +24,9 @@ from .lattice import (
 )
 from .propagators import flow
 from .spectral import (
+    band_bank,
     band_projection,
     band_scales,
-    band_symbol,
     bessel_derivative,
     forward_difference,
     fractional_derivative,
@@ -351,7 +351,8 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
     out: list[GridFunction] = []
-    scales = band_scales(lattice)
+    # row k keeps every band at or below the k-th scale, summed in ascending order
+    lowpass = np.cumsum(band_bank(lattice), axis=0)
 
     def normalize(v: np.ndarray) -> GridFunction | None:
         if mean_zero:
@@ -378,13 +379,8 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
 
     while len(out) < size:
         noise = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        N = scales[rng.integers(max(1, len(scales) // 2), len(scales))]
-        # low-pass: keep all bands at or below the drawn scale
-        sym = np.zeros(lattice.shape)
-        for Nn in scales:
-            if Nn <= N:
-                sym += band_symbol(lattice, Nn)
-        g = normalize(np.fft.ifftn(sym * np.fft.fftn(noise)))
+        k = rng.integers(max(1, len(lowpass) // 2), len(lowpass))
+        g = normalize(np.fft.ifftn(lowpass[k] * np.fft.fftn(noise)))
         if g is not None:
             out.append(g)
     return out[:size]
@@ -428,10 +424,12 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
             raise ConfigurationError("square_function needs 1 < p < inf")
 
 
-def _square_function(f: GridFunction) -> GridFunction:
+def _square_function(f: GridFunction, bank: np.ndarray) -> GridFunction:
+    """(sum over the bank's bands of |band part of f|^2)^(1/2): one forward FFT, one inverse per band."""
+    spectrum = np.fft.fftn(f.values)
     acc = np.zeros(f.lattice.shape)
-    for N in band_scales(f.lattice):
-        acc += np.abs(band_projection(f, N).values) ** 2
+    for sym in bank:
+        acc += np.abs(GridFunction(f.lattice, np.fft.ifftn(sym * spectrum)).values) ** 2
     return GridFunction(f.lattice, np.sqrt(acc))
 
 
@@ -453,15 +451,17 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
         lat = Lattice.for_box(h, d, box)
         M = lat.M
         fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
+        bank = band_bank(lat) if kind in ("bernstein", "square_function") else None
         ratios = []
         for f in fields:
             if kind == "bernstein":
                 best = 0.0
                 denom = lp_norm(f, p)
-                for N in band_scales(lat):
+                spectrum = np.fft.fftn(f.values)
+                for N, sym in zip(band_scales(lat), bank):
                     if N * M < 4:  # keep bands with solid dual-grid support
                         continue
-                    lhs = lp_norm(band_projection(f, N), q)
+                    lhs = lp_norm(GridFunction(lat, np.fft.ifftn(sym * spectrum)), q)
                     rhs = (N / h) ** (d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))) * denom
                     if rhs > 0:
                         best = max(best, lhs / rhs)
@@ -484,7 +484,7 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
             elif kind == "square_function":
                 denom = lp_norm(f, p)
                 if denom > 0:
-                    ratios.append(lp_norm(_square_function(f), p) / denom)
+                    ratios.append(lp_norm(_square_function(f, bank), p) / denom)
         if kind == "norm_equivalence":
             r1 = [a for a, _ in ratios]
             r2 = [b for _, b in ratios]

@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
+    "MAX_SITES",
     "Lattice",
     "GridFunction",
     "DyadicCube",
@@ -38,6 +41,11 @@ __all__ = [
 ]
 
 
+MAX_SITES = 2**22
+"""Cap on the site count M^d: 16 times the largest lattice the experiments use (512^2 in d=2),
+so a tiny spacing fails with a named error before any grid is allocated."""
+
+
 @dataclass(frozen=True)
 class Lattice:
     """Uniform periodic grid: spacing ``h``, dimension ``d``, ``M`` sites per axis."""
@@ -53,6 +61,8 @@ class Lattice:
             raise ValueError("dimension d must be 1, 2 or 3")
         if self.M < 4 or self.M % 2 != 0:
             raise ValueError("M must be an even integer >= 4")
+        if int(self.M) ** self.d > MAX_SITES:
+            raise ConfigurationError(f"site count M^d = {self.M}^{self.d} exceeds MAX_SITES = {MAX_SITES}")
 
     @classmethod
     def for_box(cls, h: float, d: int, box: float) -> "Lattice":
@@ -61,7 +71,10 @@ class Lattice:
             raise ValueError("lattice spacing h must be positive")
         if not 0 < box < math.inf:
             raise ValueError("box length must be positive and finite")
-        return cls(h=h, d=d, M=int(round(box / h)))
+        M = box / h
+        if M > MAX_SITES:  # over the cap in every d; also keeps an infinite box / h from round()
+            raise ConfigurationError(f"site count: box / h = {M:.3g} sites per axis exceeds MAX_SITES = {MAX_SITES}")
+        return cls(h=h, d=d, M=int(round(M)))
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -26,6 +26,7 @@ __all__ = [
     "apply_multiplier",
     "band_scales",
     "band_symbol",
+    "band_bank",
     "band_projection",
     "widened_band_projection",
     "fractional_derivative",
@@ -144,6 +145,11 @@ def band_symbol(lattice: Lattice, N: float, bump: BumpProfile = default_bump) ->
     u = np.fft.fftfreq(lattice.M) / N  # h*xi/(2*pi*N) along one axis
     grids = np.meshgrid(*([u] * lattice.d), indexing="ij", sparse=True)
     return np.broadcast_to(bump.varphi(*grids), lattice.shape).astype(float)
+
+
+def band_bank(lattice: Lattice) -> np.ndarray:
+    """Every ``band_symbol`` of ``band_scales(lattice)``, stacked in that order along axis 0."""
+    return np.stack([band_symbol(lattice, N) for N in band_scales(lattice)])
 
 
 def band_projection(f: GridFunction, N: float, bump: BumpProfile = default_bump) -> GridFunction:

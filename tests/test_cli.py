@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -90,16 +91,31 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     ["czdemo", "--lam", "-1"],
     ["czdemo", "--lam", "nan"],
     ["czdemo", "--lam", "inf"],
+    ["czdemo", "--lam", "1e308"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
         "uniformity-horizon-negative", "decay-t-min-negative", "decay-t-min-nan", "decay-t-max-inf",
         "decay-t-min-0", "decay-t-reversed", "decay-n_t-1", "czdemo-lam-negative", "czdemo-lam-nan",
-        "czdemo-lam-inf"])
+        "czdemo-lam-inf", "czdemo-lam-overflow"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert "configuration error:" in err or "error: argument" in err
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["czdemo", "--lam", "1e308"], "--lam"),
+    (["czdemo", "--d", "2", "--M", "128", "--lam", "1e305"], "--lam"),
+    (["decay", "--h", "1e-300", "--full"], "site count"),
+    (["strichartz", "--q", "6", "--r", "inf", "--d", "2", "--M", "4096"], "site count"),
+], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap"])
+def test_overflowing_input_names_its_cause(argv, named, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and named in err
 
 
 @pytest.mark.parametrize("lam", ["-1", "0", "nan", "inf"])

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from latticewave import harness, spectral
 from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform_bound_experiment
 from latticewave.errors import ConfigurationError, WindowError
 from latticewave.harness import (
@@ -26,7 +27,7 @@ from latticewave.harness import (
 )
 from latticewave.lattice import GridFunction, Lattice, gaussian, lp_norm, point_mass
 from latticewave.propagators import kg_dispersion_grid
-from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid
+from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +367,107 @@ def test_square_function_scan_two_sided():
     hi = scan.column("max_ratio")
     lo = scan.column("min_ratio")
     assert np.all((lo > 0) & (hi >= lo) & (hi < 2.0))
+
+
+# ---------------------------------------------------------------------------
+# band filter bank against the per-band path: one symbol build and FFT pair per band and field
+
+def _random_ensemble_reference(lattice, size, seed, cell_key=0, mean_zero=True):
+    """The ensemble with its per-member low-pass loop: one band_symbol per kept band and member."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
+    scales = band_scales(lattice)
+    out = []
+
+    def normalize(v):
+        if mean_zero:
+            v = v - v.mean()
+        scale = float(np.abs(v).max())
+        if scale > 0.0:
+            out.append(GridFunction(lattice, v / scale))
+
+    normalize(point_mass(lattice).values.astype(complex))
+    F = np.zeros(lattice.shape, dtype=complex)
+    kc, w = lattice.M // 4, max(1, lattice.M // 16)
+    F[tuple([slice(kc - w // 2, kc + w // 2 + 1)] * lattice.d)] = 1.0
+    normalize(np.fft.ifftn(F))
+    while len(out) < size:
+        noise = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+        N = scales[rng.integers(max(1, len(scales) // 2), len(scales))]
+        sym = np.zeros(lattice.shape)
+        for Nn in scales:
+            if Nn <= N:
+                sym += band_symbol(lattice, Nn)
+        normalize(np.fft.ifftn(sym * np.fft.fftn(noise)))
+    return out[:size]
+
+
+def _constants_row_reference(kind, lat, fields, p, q):
+    """One bernstein or square_function scan row with a band_projection per band and field."""
+    ratios = []
+    for f in fields:
+        denom = lp_norm(f, p)
+        if kind == "bernstein":
+            best = 0.0
+            for N in band_scales(lat):
+                if N * lat.M < 4:
+                    continue
+                lhs = lp_norm(band_projection(f, N), q)
+                rhs = (N / lat.h) ** (lat.d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))) * denom
+                if rhs > 0:
+                    best = max(best, lhs / rhs)
+            ratios.append(best)
+        elif denom > 0:
+            acc = np.zeros(lat.shape)
+            for N in band_scales(lat):
+                acc += np.abs(band_projection(f, N).values) ** 2
+            ratios.append(lp_norm(GridFunction(lat, np.sqrt(acc)), p) / denom)
+    return [lat.h, lat.M, max(ratios), min(ratios)]
+
+
+@pytest.mark.parametrize("d,M", [(1, 64), (2, 16)])
+@pytest.mark.parametrize("mean_zero", [True, False])
+def test_random_ensemble_matches_per_band_low_pass(d, M, mean_zero):
+    lat = Lattice(h=0.5, d=d, M=M)
+    for seed, key in [(0, 0), (3, 1), (11, 4)]:
+        got = random_ensemble(lat, 12, seed, cell_key=key, mean_zero=mean_zero)
+        want = _random_ensemble_reference(lat, 12, seed, cell_key=key, mean_zero=mean_zero)
+        assert len(got) == len(want) == 12
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("kind,d,p,q", [("bernstein", 1, 2.0, math.inf), ("bernstein", 2, 1.5, 4.0),
+                                        ("square_function", 1, 2.0, None), ("square_function", 2, 3.0, None)])
+def test_band_scan_rows_match_per_band_path(kind, d, p, q):
+    h_list, box, ensemble, seed = [1.0, 0.5, 0.25], 16.0 if d == 1 else 8.0, 10, 5
+    scan = inequality_constant_scan(kind, h_list, box=box, d=d, p=p, q=q, ensemble=ensemble, seed=seed)
+    for idx, (h, row) in enumerate(zip(h_list, scan.rows)):
+        lat = Lattice.for_box(h, d, box)
+        fields = _random_ensemble_reference(lat, ensemble, seed, cell_key=idx)
+        assert row == _constants_row_reference(kind, lat, fields, p, q)
+
+
+@pytest.mark.parametrize("kind,q", [("bernstein", math.inf), ("square_function", None)])
+def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkeypatch):
+    built = {"band_symbol": 0, "band_bank": 0}
+    for module, name in [(spectral, "band_symbol"), (harness, "band_bank")]:
+        def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
+            built[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    counts = _count_transforms(monkeypatch)
+    lat, ensemble = Lattice.for_box(0.5, 2, 16.0), 9
+    scales = band_scales(lat)
+    random_ensemble(lat, ensemble, 1, cell_key=0)
+    assert built == {"band_symbol": len(scales), "band_bank": 1}
+    in_ensemble = dict(counts)
+    built.update(band_symbol=0, band_bank=0)
+    counts.update(fftn=0, ifftn=0)
+    inequality_constant_scan(kind, [0.5], box=16.0, d=2, p=2.0, q=q, ensemble=ensemble, seed=1)
+    assert built["band_bank"] == 2  # the ensemble's low-pass and the band loop
+    assert built["band_symbol"] <= built["band_bank"] * len(scales)
+    kept = len(scales) if kind == "square_function" else sum(N * lat.M >= 4 for N in scales)
+    assert counts == {"fftn": in_ensemble["fftn"] + ensemble, "ifftn": in_ensemble["ifftn"] + ensemble * kept}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from latticewave.errors import ConfigurationError
 from latticewave.lattice import (
+    MAX_SITES,
     GridFunction,
     Lattice,
     boundary_mass_fraction,
@@ -58,6 +60,21 @@ def test_lattice_for_box_sizing_and_validation():
     for box in (0.0, -8.0, math.inf):
         with pytest.raises(ValueError, match="box length"):
             Lattice.for_box(0.5, 1, box)
+
+
+def test_lattice_site_count_cap():
+    # the largest lattices the experiments use stay well inside the cap
+    assert Lattice(h=1.0, d=1, M=65536).site_count * 16 <= MAX_SITES
+    assert Lattice(h=1.0, d=2, M=512).site_count * 16 <= MAX_SITES
+    assert Lattice(h=1.0, d=1, M=MAX_SITES).site_count == MAX_SITES
+    for d, M in [(1, MAX_SITES + 2), (2, 2050), (3, 162), (2, 2**15), (3, 10**100)]:
+        with pytest.raises(ConfigurationError, match="site count"):
+            Lattice(h=1.0, d=d, M=M)
+    for h in (1e-3, 1e-300, 5e-324):  # box / h large, astronomically large, infinite
+        with pytest.raises(ConfigurationError, match="site count"):
+            Lattice.for_box(h, 2, 4096.0)
+    with pytest.raises(ConfigurationError, match="site count"):
+        Lattice.for_box(1.0, 1, 1e308)
 
 
 def test_site_and_frequency_grids():

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave, point_mass
 from latticewave.spectral import (
     BumpProfile,
     Symbol,
     apply_multiplier,
+    band_bank,
     band_projection,
     band_scales,
     band_symbol,
@@ -155,6 +158,39 @@ def test_band_partition_of_unity(d, M):
         nz |= (k != 0).reshape(sh)
     assert np.abs(total[nz] - 1.0).max() < 1e-12
     assert total[(0,) * d] == 0.0
+
+
+_BANK_MAX_HALF_M = {1: 256, 2: 24, 3: 8}
+
+
+@st.composite
+def bank_lattices(draw):
+    """A small lattice with even M >= 4 (power of two or not) and a spacing h > 0."""
+    d = draw(st.sampled_from((1, 2, 3)))
+    M = 2 * draw(st.integers(2, _BANK_MAX_HALF_M[d]))
+    h = draw(st.floats(1e-3, 1e3))
+    return Lattice(h=h, d=d, M=M)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(bank_lattices())
+def test_band_bank_properties(lat):
+    scales = band_scales(lat)
+    bank = band_bank(lat)
+    assert bank.shape == (len(scales), *lat.shape)
+    total = np.zeros(lat.shape)
+    for N, row, cumulative in zip(scales, bank, np.cumsum(bank, axis=0)):
+        np.testing.assert_array_equal(row, band_symbol(lat, N))
+        total += band_symbol(lat, N)
+        np.testing.assert_array_equal(cumulative, total)
+    # |k|_inf per site: the bank tiles every frequency at or above the smallest scale
+    k = np.abs(np.rint(np.fft.fftfreq(lat.M) * lat.M))
+    kmax = np.maximum.reduce(np.meshgrid(*([k] * lat.d), indexing="ij"))
+    covered = kmax >= lat.M * scales[0]
+    assert np.abs(total[covered] - 1.0).max() < 1e-12
+    assert total[(0,) * lat.d] == 0.0
+    if lat.M & (lat.M - 1) == 0:  # a power of two: smallest scale 1/M, so that is every nonzero frequency
+        assert np.array_equal(covered, kmax > 0)
 
 
 def test_band_projection_fixes_interior_plane_wave():
