@@ -130,6 +130,7 @@ def _knapp(args):
     reports = [knapp_experiment(args.h, eps, args.s, pair, M=args.M, u_window=args.u_window,
                                 n_t=args.n_t, x_window=args.x_window)
                for eps in args.eps_list]
+    args.M = reports[0].metadata["M"]  # the config records the M used, d-dependent when --M is not given
     rows = [[r.h, r.epsilon, r.s, r.q, r.r, r.left_norm, r.right_norm,
              r.predicted_left_scaling, r.predicted_right_scaling] for r in reports]
     fits = knapp_eps_exponents(reports) if len(reports) >= 2 else {}
@@ -206,8 +207,8 @@ COMMANDS = {
         ("--box", float, 16.0), ("--p", _float_or_inf, 2.0), ("--q", _float_or_inf, None),
         ("--s", float, None), ("--theta", float, None), ("--ensemble", int, 64)]),
     "knapp": (_knapp, [
-        _D, ("--h", float, REQUIRED), ("--eps-list", _float_list, REQUIRED), *_PAIR,
-        ("--s", float, REQUIRED), ("--M", int, 2**15), ("--n-t", int, 1501),
+        _D, ("--h", float, REQUIRED), ("--eps-list", _float_list, REQUIRED), *_PAIR, ("--s", float, REQUIRED),
+        ("--M", int, None, "sites per axis (default: 2^15 in d=1, 2^10 in d=2)"), ("--n-t", int, 1501),
         ("--u-window", float, 300.0), ("--x-window", float, 512.0)]),
     "czdemo": (_czdemo, [_D, ("--h", float, 1.0), ("--M", int, 64), ("--lam", float, 1.0)]),
     "dnls": (_dnls, [*_NLS, ("--stride", int, 16),

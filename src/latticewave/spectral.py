@@ -130,12 +130,15 @@ def _require_dyadic_leq_one(N: float) -> None:
 
 
 def band_scales(lattice: Lattice) -> list[float]:
-    """Dyadic scales N <= 1 whose frequency annulus meets the dual grid, ascending."""
-    scales = []
-    N = 1.0
-    while N * lattice.M >= 1.0:
-        scales.append(N)
-        N /= 2.0
+    """Dyadic scales N <= 1 whose frequency annulus meets the dual grid, ascending.
+
+    The bands telescope to phi(u) - phi(2u / N_min), which is 1 at every
+    nonzero dual-grid frequency (|u|_inf >= 1/M) exactly when N_min <= 1/M;
+    the smallest scale is the largest such dyadic.
+    """
+    scales = [1.0]
+    while scales[-1] * lattice.M > 1.0:
+        scales.append(scales[-1] / 2.0)
     return scales[::-1]
 
 

@@ -1,11 +1,19 @@
-"""Shared fixtures: the fixed-point integral-equation oracle, built once per session."""
+"""Shared fixtures: the fixed-point integral-equation oracle, built once per session.
+
+Also the one ``hypothesis`` profile every property test runs under: derandomized,
+no example database, no deadline.  Tests set only ``max_examples``.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from latticewave.dnls import continuum_gaussian
 from latticewave.lattice import GridFunction, Lattice, from_function
 from latticewave.propagators import schrodinger_flow
+
+settings.register_profile("latticewave", derandomize=True, database=None, deadline=None)
+settings.load_profile("latticewave")
 
 
 def picard_solution(u0, lam, p, T, n_s, tol=1e-12, max_iter=300):

@@ -224,6 +224,15 @@ def test_knapp_command_fits_exponents(tmp_path):
     assert "left" in meta["fits"] and "right" in meta["fits"]
 
 
+def test_knapp_d2_runs_at_its_default_M(tmp_path):
+    out = tmp_path / "k2.csv"
+    assert run(["knapp", "--d", "2", "--q", "6", "--r", "4", "--h", "0.5", "--eps-list", "0.04",
+                "--s", "0.1", "--out", str(out)]) == 0
+    meta, header, rows = read_csv(out)
+    assert meta["config"]["M"] == 1024
+    assert float(rows[0][header.index("left_norm")]) > 0 and float(rows[0][header.index("right_norm")]) > 0
+
+
 def test_knapp_constraint_violation_exits_two(tmp_path):
     assert run(["knapp", "--h", "0.25", "--eps-list", "0.2", "--q", "8", "--r", "8",
                 "--s", "0.125"]) == 2

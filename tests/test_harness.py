@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latticewave import harness, spectral
 from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform_bound_experiment
@@ -502,19 +504,64 @@ def test_knapp_axis_norms_match_direct_sum(h, eps, x_window, rp):
     np.testing.assert_allclose(_knapp_axis_norms(h, d1, centers, rp, x_window), expected, rtol=1e-12, atol=0)
 
 
+@st.composite
+def knapp_fold_cases(draw):
+    """h, d1 = eps/h with eps admissible, rp in (1, 2], x_window, and centres on, half-way and off the sites."""
+    h = draw(st.floats(0.05, 2.0))
+    eps = draw(st.floats(0.02, 1.0)) * math.pi * h * h / 2.0
+    rp = draw(st.sampled_from((8.0 / 7.0, 4.0 / 3.0, 2.0)) | st.floats(1.01, 2.0))
+    offsets = st.sampled_from((0.0, 0.5, -0.5)) | st.floats(-0.5, 0.5)
+    centres = st.tuples(st.integers(-10**4, 10**4), offsets).map(lambda jo: (jo[0] + jo[1]) * h)
+    centers = np.array(draw(st.lists(centres, min_size=1, max_size=6)))
+    return h, eps / h, centers, rp, draw(st.floats(4.0, 32.0))
+
+
+@settings(max_examples=100)
+@given(knapp_fold_cases())
+def test_knapp_axis_norms_are_even_in_the_centre(case):
+    h, d1, centers, rp, x_window = case
+    both = np.concatenate([centers, -centers])
+    norms = _knapp_axis_norms(h, d1, both, rp, x_window)
+    np.testing.assert_allclose(norms[:centers.size], norms[centers.size:], rtol=1e-13, atol=0)
+    expected = [_knapp_axis_norm_reference(h, d1, c, rp, x_window) for c in both]
+    np.testing.assert_allclose(norms, expected, rtol=1e-12, atol=0)
+    # repeated centres, shuffled: each result lands at its own input position
+    order = np.random.default_rng(centers.size).permutation(2 * both.size) % both.size
+    singles = [_knapp_axis_norms(h, d1, both[i:i + 1], rp, x_window)[0] for i in order]
+    np.testing.assert_array_equal(_knapp_axis_norms(h, d1, both[order], rp, x_window), singles)
+
+
 def test_knapp_right_norm_d2_matches_direct_sum():
     pair = AdmissiblePair(q=6.0, r=4.0, d=2)
-    h, eps, u_window, n_t, x_window = 0.5, 0.04, 40.0, 81, 16.0
-    rep = knapp_experiment(h, eps, 0.1, pair, M=256, u_window=u_window, n_t=n_t, x_window=x_window)
-    a, d1 = eps**3 / h**2, eps / h
-    us = np.linspace(-u_window, u_window, n_t)
-    ts = us / a
-    tf = np.array([a if u == 0.0 else abs(math.sin(u) / t) for u, t in zip(us, ts)])
-    xnorms = np.array([_knapp_axis_norm_reference(h, d1, 2.0 * t / h, pair.r_conjugate, x_window) ** 2
-                       for t in ts])
-    qp = pair.q_conjugate
-    expected = np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp)
-    assert rep.right_norm == pytest.approx(expected, rel=1e-12)
+    h, eps, x_window = 0.5, 0.04, 16.0
+    a, d1, qp = eps**3 / h**2, eps / h, pair.q_conjugate
+    # linspace leaves the second grid slightly asymmetric; the experiment antisymmetrises it
+    for u_window, n_t, symmetric in [(40.0, 81, True), (7.3, 1001, False)]:
+        rep = knapp_experiment(h, eps, 0.1, pair, M=256, u_window=u_window, n_t=n_t, x_window=x_window)
+        us = np.linspace(-u_window, u_window, n_t)
+        assert np.array_equal(us, -us[::-1]) == symmetric
+        us = 0.5 * (us - us[::-1])
+        ts = us / a
+        tf = np.array([a if u == 0.0 else abs(math.sin(u) / t) for u, t in zip(us, ts)])
+        xnorms = np.array([_knapp_axis_norm_reference(h, d1, 2.0 * t / h, pair.r_conjugate, x_window) ** 2
+                           for t in ts])
+        expected = np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp)
+        assert rep.right_norm == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n_t", [1001, 1000])
+def test_knapp_time_grid_pairs_every_centre(n_t, monkeypatch):
+    seen = []
+    kernel = harness._knapp_axis_norms
+
+    def recording(h, d1, centers, *rest):
+        seen.append(centers)
+        return kernel(h, d1, centers, *rest)
+
+    monkeypatch.setattr(harness, "_knapp_axis_norms", recording)
+    knapp_experiment(0.5, 0.04, 0.1, AdmissiblePair(q=6.0, r=4.0, d=2), M=256, u_window=7.3, n_t=n_t, x_window=8.0)
+    (centers,) = seen
+    assert np.unique(np.abs(centers)).size == (n_t + 1) // 2  # the axis kernel runs once per +-c pair
 
 
 def test_knapp_constraint_validation():
@@ -530,6 +577,13 @@ def test_knapp_rejects_degenerate_quadrature(window):
     pair = AdmissiblePair(q=8.0, r=8.0, d=1)
     with pytest.raises(ConfigurationError, match="quadrature"):
         knapp_experiment(0.5, 0.04, 0.125, pair, M=4096, **window)
+
+
+@pytest.mark.parametrize("pair, M", [(AdmissiblePair(q=8.0, r=8.0, d=1), 2**15),
+                                     (AdmissiblePair(q=6.0, r=4.0, d=2), 2**10)])
+def test_knapp_default_M_depends_on_d(pair, M):
+    rep = knapp_experiment(0.5, 0.04, 0.1, pair, n_t=21, u_window=10.0, x_window=8.0)
+    assert rep.metadata["M"] == M and rep.metadata["surface_points"] > 0
 
 
 def test_knapp_report_contents():

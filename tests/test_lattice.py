@@ -480,7 +480,7 @@ def cz_inputs(draw):
     return GridFunction(Lattice(h=0.5, d=d, M=M), values.astype(complex)), lam
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(cz_inputs())
 def test_cz_decomposition_properties(case):
     f, lam = case
