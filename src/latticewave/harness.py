@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, WindowError
 from .lattice import (
+    MAX_SITES,
     GridFunction,
     Lattice,
     boundary_mass_fraction,
@@ -168,6 +169,31 @@ def _checked_time_grid(t_grid, positive: bool) -> np.ndarray:
     return t_grid
 
 
+def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
+                  boundary_width: int | None = None, check_window: bool = True) -> np.ndarray:
+    """The l^p norm of the ``kind`` flow of ``u0`` at each time of ``t_grid``, each field window-checked.
+
+    A real datum is flowed once per distinct |t|, |t| ascending, and the norms
+    are scattered back (see :func:`strichartz_norm`); a complex one at every time.
+    """
+    real = not np.any(u0.values.imag)
+    times, inverse = np.unique(np.abs(t_grid) if real else t_grid, return_inverse=True)
+    spectrum = np.fft.fftn(u0.values)
+    norms = np.empty(times.size)
+    largest_ok: float | None = None
+    for i, t in enumerate(times):
+        u = flow(kind, spectrum, u0.lattice, float(t))
+        if check_window and boundary_mass_fraction(u, boundary_width) > BOUNDARY_THRESHOLD:
+            raise WindowError(
+                f"solution reached the boundary at t={t:g}; largest admissible |t| is "
+                f"{largest_ok if largest_ok is not None else 'none'}",
+                largest_valid_t=largest_ok,
+            )
+        largest_ok = max(largest_ok or 0.0, abs(float(t)))
+        norms[i] = lp_norm(u, p)
+    return norms[inverse]
+
+
 def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
     if n_t < 2 or not 0 < t_min < t_max < math.inf:
         raise ConfigurationError(
@@ -183,26 +209,14 @@ def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
 
     ``N`` selects a dyadic frequency band first; ``None`` evolves the full
     spectrum.  Each sampled time is checked against the boundary-mass monitor
-    and the scan aborts (reporting the largest admissible t) once wraparound
+    and the scan aborts (reporting the largest admissible |t|) once wraparound
     contaminates the box.
     """
     t_grid = _checked_time_grid(t_grid, positive=True)
     f = data * (1.0 / lp_norm(data, 1))
     if N is not None:
         f = band_projection(f, N)
-    spectrum = np.fft.fftn(f.values)
-    sups = np.empty(t_grid.size)
-    largest_ok: float | None = None
-    for i, t in enumerate(t_grid):
-        u = flow(kind, spectrum, f.lattice, float(t))
-        if boundary_mass_fraction(u, boundary_width) > BOUNDARY_THRESHOLD:
-            raise WindowError(
-                f"solution reached the boundary at t={t:g}; largest admissible t is "
-                f"{largest_ok if largest_ok is not None else 'none'}",
-                largest_valid_t=largest_ok,
-            )
-        largest_ok = float(t)
-        sups[i] = lp_norm(u, math.inf)
+    sups = _time_samples(kind, f, t_grid, math.inf, boundary_width)
     fit = loglog_fit(t_grid, sups)
     return DecayFit(times=t_grid, sup_norms=sups,
                     slope=fit["slope"], intercept=fit["intercept"], r_squared=fit["r_squared"])
@@ -226,6 +240,12 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     (inf, 2) that equals the conserved L^2 norm exactly up to roundoff.  A
     caller's ``t_grid`` must be 1-D, finite and strictly increasing (negative
     times allowed); it is checked before any transform.
+
+    A real datum is folded in time: its flow at -t is the conjugate of its
+    flow at t, so each distinct |t| is flowed, window-checked and normed once
+    (6 flows instead of 11 on ``symmetric_time_grid(T, 5, t_min)``), walking
+    |t| upwards; a window failure then names the largest admissible |t|.  A
+    complex datum is flowed at every node of the grid.
     """
     if t_grid is None:
         if n_t < 64:
@@ -234,20 +254,7 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
     t_grid = _checked_time_grid(t_grid, positive=False)
-    spectrum = np.fft.fftn(u0.values)
-    rnorms = np.empty(t_grid.size)
-    largest_ok: float | None = None
-    for i, t in enumerate(t_grid):
-        u = flow(kind, spectrum, u0.lattice, float(t))
-        if check_window and boundary_mass_fraction(u) > BOUNDARY_THRESHOLD:
-            raise WindowError(
-                f"solution reached the boundary at t={t:g}; largest admissible |t| is "
-                f"{largest_ok if largest_ok is not None else 'none'}",
-                largest_valid_t=largest_ok,
-            )
-        if largest_ok is None or abs(t) > largest_ok:
-            largest_ok = abs(float(t))
-        rnorms[i] = lp_norm(u, pair.r)
+    rnorms = _time_samples(kind, u0, t_grid, pair.r, check_window=check_window)
     if math.isinf(pair.q):
         return float(rnorms.max())
     return float(np.trapezoid(rnorms**pair.q, t_grid) ** (1.0 / pair.q))
@@ -582,9 +589,16 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         M = 2**15 if d == 1 else 2**10
     if not (n_t >= 2 and 0 < u_window < math.inf and 0 < x_window < math.inf):
         raise ConfigurationError("the right-side quadrature needs n_t >= 2 and finite u_window, x_window > 0")
+    if n_t > MAX_SITES:
+        raise ConfigurationError(f"n_t = {n_t} right-side time samples exceeds MAX_SITES = {MAX_SITES}")
     lat = Lattice(h=h, d=d, M=M)
-    if epsilon <= 0 or epsilon / h**2 > np.pi / 2.0 + 1e-12:
+    if not (epsilon > 0 and epsilon / h**2 <= np.pi / 2.0 + 1e-12):  # NaN fails too
         raise ConfigurationError("constraint violated: need 0 < epsilon <= pi * h^2 / 2")
+    d1 = epsilon / h
+    half_window = x_window / (d1 * h)  # sites either side of a centre, as _knapp_axis_norms sizes its window
+    if not half_window <= (MAX_SITES - 1) // 2:  # 2 * ceil(half_window) + 1 sites at most MAX_SITES
+        raise ConfigurationError(f"x_window = {x_window:g} spans {2.0 * half_window + 1.0:.3g} right-side "
+                                 f"window sites at eps = {epsilon:g}, over MAX_SITES = {MAX_SITES}")
     qp, rp = pair.q_conjugate, pair.r_conjugate
     if qp <= 1.0:
         raise ConfigurationError("right-side time norm diverges at q = inf (q' = 1)")
@@ -612,7 +626,6 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
 
     # right side: |f(t, x)| = |sin(a t)/t| * prod_i |sin(d1 (x_i - 2t/h)) / (x_i - 2t/h)|
     a = epsilon**3 / h**2
-    d1 = epsilon / h
     us = np.linspace(-u_window, u_window, n_t)
     us = 0.5 * (us - us[::-1])  # exactly antisymmetric, so the centres +-c pair up in the axis norms
     ts = us / a

@@ -4,6 +4,11 @@ Time evolution is applied as a unimodular Fourier multiplier, so there is no
 integrator error: t enters only through symbol evaluation.  Decay experiments
 that consume these flows must keep the solution's mass away from the periodic
 boundary (see :func:`latticewave.lattice.boundary_mass_fraction`).
+
+Every symbol in ``FLOW_KINDS`` is real and even in the frequency, so the flow
+of a real datum satisfies u(-t) = conj u(t).  The space-time norm loop in
+:mod:`latticewave.harness` relies on this to flow a real datum once per
+distinct |t|, so a flow kind added there must keep this invariant.
 """
 
 from __future__ import annotations

@@ -78,6 +78,9 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     [*KNAPP, "--eps-list", "0.04", "--n-t", "1"],
     [*KNAPP, "--eps-list", "0.04", "--u-window", "0"],
     [*KNAPP, "--eps-list", "0.04", "--x-window", "-5"],
+    [*KNAPP, "--eps-list", "0.04", "--x-window", "1e15"],
+    [*KNAPP, "--eps-list", "0.04", "--n-t", "10000000000"],
+    [*KNAPP, "--eps-list", "nan"],
     ["strichartz", "--q", "6", "--r", "inf", "--T", "-1"],
     ["strichartz", "--q", "6", "--r", "inf", "--T", "0"],
     ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--horizon-fraction", "0"],
@@ -94,7 +97,8 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     ["czdemo", "--lam", "1e308"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
-        "knapp-x-window-negative", "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
+        "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
+        "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
         "uniformity-horizon-negative", "decay-t-min-negative", "decay-t-min-nan", "decay-t-max-inf",
         "decay-t-min-0", "decay-t-reversed", "decay-n_t-1", "czdemo-lam-negative", "czdemo-lam-nan",
         "czdemo-lam-inf", "czdemo-lam-overflow"])
@@ -109,7 +113,11 @@ def test_rejected_input_exits_two(argv, capsys):
     (["czdemo", "--d", "2", "--M", "128", "--lam", "1e305"], "--lam"),
     (["decay", "--h", "1e-300", "--full"], "site count"),
     (["strichartz", "--q", "6", "--r", "inf", "--d", "2", "--M", "4096"], "site count"),
-], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap"])
+    ([*KNAPP, "--eps-list", "0.04", "--x-window", "1e15"], "x_window = 1e+15"),
+    ([*KNAPP, "--eps-list", "0.04", "--n-t", "10000000000"], "n_t = 10000000000"),
+    ([*KNAPP, "--eps-list", "nan"], "epsilon"),
+], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
+        "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -91,6 +91,7 @@ def test_decay_scan_window_violation():
     with pytest.raises(WindowError) as err:
         dispersive_decay_scan("schrodinger", decay_data(lat), grid)
     assert err.value.largest_valid_t is not None
+    assert f"largest admissible |t| is {err.value.largest_valid_t}" in str(err.value)
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +135,13 @@ def test_strichartz_finite_on_random_mean_zero():
     S = strichartz_norm(u0, pair, T=1.0, n_t=64, check_window=False)
     rhs = lp_norm(fractional_derivative(u0, 1.0 / 6.0), 2)
     assert np.isfinite(S / rhs) and S / rhs > 0
+
+
+def test_strichartz_window_error_names_largest_admissible_abs_t():
+    # the fold walks |t| upwards, so the error names the last |t| that passed, not the first node -T
+    with pytest.raises(WindowError, match=r"at t=10\.5922; largest admissible \|t\| is 9\.87678") as err:
+        strichartz_norm(point_mass(Lattice(1.0, 1, 64)), AdmissiblePair(6.0, math.inf, 1), 40.0)
+    assert err.value.largest_valid_t == pytest.approx(9.876783269277269, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +199,31 @@ def test_time_loops_match_per_sample_flow(case):
     assert value == pytest.approx(_oracle_strichartz(kind, u0, pair, t_grid), rel=1e-12, abs=0)
 
 
+def _chirped_gaussian(lat):
+    """A Gaussian with a quadratic phase: it focuses one way in time and spreads the other."""
+    chirp = np.exp(0.05j * sum(x**2 for x in lat.coordinate_grids()))
+    return GridFunction(lat, gaussian(lat, 2.0).values * chirp)
+
+
+FOLD_DATA = {"point": point_mass, "gaussian": lambda lat: gaussian(lat, 2.0), "complex": _chirped_gaussian}
+
+
+@pytest.mark.parametrize("kind,d,q,r", [("schrodinger", 1, 6.0, math.inf), ("schrodinger", 1, 12.0, 4.0),
+                                        ("schrodinger", 2, 3.0, math.inf), ("schrodinger", 2, 6.0, 4.0),
+                                        ("klein_gordon", 1, 6.0, math.inf), ("klein_gordon", 1, 12.0, 4.0)])
+@pytest.mark.parametrize("data", list(FOLD_DATA))
+def test_time_reversal_fold_matches_unfolded_loop(data, kind, d, q, r):
+    lat = Lattice.for_box(0.5, d, 32)
+    u0 = FOLD_DATA[data](lat)
+    pair = AdmissiblePair(q=q, r=r, d=d)
+    t_grid = symmetric_time_grid(2.4, 16, 1.0 / 64.0)
+    value = strichartz_norm(u0, pair, 2.4, t_grid=t_grid, kind=kind)
+    assert value == pytest.approx(_oracle_strichartz(kind, u0, pair, t_grid), rel=1e-12, abs=0)
+    if data == "complex":  # folding this datum would be wrong: its norms at -t and t differ
+        ends = [lp_norm(_per_sample_flow(kind, u0, t), r) for t in (-2.4, 2.4)]
+        assert abs(ends[0] - ends[1]) > 1e-3 * ends[1]
+
+
 def _count_transforms(monkeypatch):
     counts = {"fftn": 0, "ifftn": 0}
     for name in counts:
@@ -210,6 +243,10 @@ def test_time_loops_transform_the_datum_once(monkeypatch):
     u0 = point_mass(lat)
     t_grid = symmetric_time_grid(1.0, 5, 0.1)
     strichartz_norm(u0, AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
+    # a real datum is flowed once per distinct |t|: 0 and the 5 positive nodes of the 11
+    assert counts == {"fftn": 1, "ifftn": 6}
+    counts.update(fftn=0, ifftn=0)
+    strichartz_norm(_chirped_gaussian(lat), AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
     assert counts == {"fftn": 1, "ifftn": t_grid.size}
 
 

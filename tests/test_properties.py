@@ -69,6 +69,17 @@ def test_flows_are_unitary_groups(case):
     assert lp_norm(flow(kind, np.fft.fftn(ft.values), lat, -t) - f, 2) <= tol
 
 
+@settings(max_examples=80)
+@given(flow_cases())
+def test_flows_of_real_data_are_time_reversal_symmetric(case):
+    # the invariant the space-time norm's time fold rests on: u(-t) = conj u(t) for a real datum
+    kind, f, _, t = case
+    spectrum = np.fft.fftn(f.values.real)
+    backward = flow(kind, spectrum, f.lattice, -t).values
+    forward = flow(kind, spectrum, f.lattice, t).values
+    np.testing.assert_allclose(backward, np.conj(forward), rtol=0, atol=1e-12)
+
+
 @settings(max_examples=60)
 @given(fields(), st.floats(-5.0, 5.0), st.floats(1.0, 7.0, exclude_min=True), st.floats(1e-3, 1.0))
 def test_strang_step_conserves_mass(f, lam, p, dt):
