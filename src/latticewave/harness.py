@@ -18,9 +18,11 @@ from .lattice import (
     MAX_SITES,
     GridFunction,
     Lattice,
-    boundary_mass_fraction,
+    boundary_mask,
+    density_mass_fraction,
     gaussian,
     lp_norm,
+    modulus_lp_norm,
     point_mass,
 )
 from .propagators import flow
@@ -173,24 +175,34 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
                   boundary_width: int | None = None, check_window: bool = True) -> np.ndarray:
     """The l^p norm of the ``kind`` flow of ``u0`` at each time of ``t_grid``, each field window-checked.
 
-    A real datum is flowed once per distinct |t|, |t| ascending, and the norms
-    are scattered back (see :func:`strichartz_norm`); a complex one at every time.
+    Times are walked in ascending |t| and the norms are scattered back.  A
+    real datum is flowed once per distinct |t| (see :func:`strichartz_norm`),
+    a complex one at every time (a stable sort keeps -t before t).  A window
+    failure names the largest |t| below the failing one at which every
+    sample passed.  Each sample takes the modulus once, for both the
+    boundary-mass check and the norm, against an edge mask built once.
     """
-    real = not np.any(u0.values.imag)
-    times, inverse = np.unique(np.abs(t_grid) if real else t_grid, return_inverse=True)
+    lat = u0.lattice
+    if not np.any(u0.values.imag):
+        times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
+    else:
+        order = np.argsort(np.abs(t_grid), kind="stable")
+        times, inverse = t_grid[order], np.argsort(order)
+    mask = boundary_mask(lat, boundary_width) if check_window else None
     spectrum = np.fft.fftn(u0.values)
     norms = np.empty(times.size)
-    largest_ok: float | None = None
     for i, t in enumerate(times):
-        u = flow(kind, spectrum, u0.lattice, float(t))
-        if check_window and boundary_mass_fraction(u, boundary_width) > BOUNDARY_THRESHOLD:
+        a = np.abs(flow(kind, spectrum, lat, float(t)).values)
+        if check_window and density_mass_fraction(np.square(a), mask) > BOUNDARY_THRESHOLD:
+            passed = np.abs(times[:i])
+            passed = passed[passed < abs(t)]
+            largest_ok = float(passed[-1]) if passed.size else None
             raise WindowError(
                 f"solution reached the boundary at t={t:g}; largest admissible |t| is "
                 f"{largest_ok if largest_ok is not None else 'none'}",
                 largest_valid_t=largest_ok,
             )
-        largest_ok = max(largest_ok or 0.0, abs(float(t)))
-        norms[i] = lp_norm(u, p)
+        norms[i] = modulus_lp_norm(a, lat, p)
     return norms[inverse]
 
 

@@ -26,6 +26,7 @@ __all__ = [
     "CZBadParts",
     "CZDecomposition",
     "lp_norm",
+    "modulus_lp_norm",
     "weak_lp_norm",
     "inner_product",
     "convolve",
@@ -37,6 +38,8 @@ __all__ = [
     "plane_wave",
     "gaussian",
     "from_function",
+    "boundary_mask",
+    "density_mass_fraction",
     "boundary_mass_fraction",
 ]
 
@@ -201,10 +204,14 @@ def lp_norm(f: GridFunction, p: float) -> float:
     """h-weighted lattice p-norm: (h^d sum |f|^p)^(1/p), sup norm for p = inf."""
     if not p >= 1:
         raise ValueError("p must satisfy p >= 1")
-    a = np.abs(f.values)
+    return modulus_lp_norm(np.abs(f.values), f.lattice, p)
+
+
+def modulus_lp_norm(a: np.ndarray, lattice: Lattice, p: float) -> float:
+    """:func:`lp_norm` of a field on ``lattice`` from its modulus ``a`` = |f|, p >= 1."""
     if math.isinf(p):
         return float(a.max()) if a.size else 0.0
-    return float((f.lattice.cell_volume * np.sum(a**p)) ** (1.0 / p))
+    return float((lattice.cell_volume * np.sum(a**p)) ** (1.0 / p))
 
 
 def weak_lp_norm(f: GridFunction, p: float) -> float:
@@ -409,6 +416,31 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
 # ---------------------------------------------------------------------------
 # boundary monitor
 
+def boundary_mask(lattice: Lattice, width: int | None = None) -> np.ndarray:
+    """Boolean grid of the sites within ``width`` layers of the box edge (default max(1, M/16)).
+
+    Loops that monitor many fields on one lattice build this once.
+    """
+    if width is None:
+        width = max(1, lattice.M // 16)
+    n = lattice.site_indices()
+    near = (n >= lattice.M // 2 - width) | (n < -lattice.M // 2 + width)
+    mask = np.zeros(lattice.shape, dtype=bool)
+    for ax in range(lattice.d):
+        sh = [1] * lattice.d
+        sh[ax] = lattice.M
+        mask |= near.reshape(sh)
+    return mask
+
+
+def density_mass_fraction(density: np.ndarray, mask: np.ndarray) -> float:
+    """Share of the total of ``density`` = |f|^2 that sits on ``mask``; 0 for a zero field."""
+    total = float(density.sum())
+    if total == 0.0:
+        return 0.0
+    return float(density[mask].sum()) / total
+
+
 def boundary_mass_fraction(f: GridFunction, width: int | None = None) -> float:
     """Fraction of the L^2 mass sitting within ``width`` site layers of the box edge.
 
@@ -416,18 +448,4 @@ def boundary_mass_fraction(f: GridFunction, width: int | None = None) -> float:
     small threshold (default elsewhere: 1e-6); past that, periodic wraparound
     contaminates sup norms.
     """
-    lat = f.lattice
-    if width is None:
-        width = max(1, lat.M // 16)
-    n = lat.site_indices()
-    near = (n >= lat.M // 2 - width) | (n < -lat.M // 2 + width)
-    mask = np.zeros(lat.shape, dtype=bool)
-    for ax in range(lat.d):
-        sh = [1] * lat.d
-        sh[ax] = lat.M
-        mask |= near.reshape(sh)
-    dens = np.abs(f.values) ** 2
-    total = float(dens.sum())
-    if total == 0.0:
-        return 0.0
-    return float(dens[mask].sum()) / total
+    return density_mass_fraction(np.square(np.abs(f.values)), boundary_mask(f.lattice, width))

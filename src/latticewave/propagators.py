@@ -57,14 +57,18 @@ class PhaseSpec:
         """exp(-i t symbol) (Schrodinger) or exp(i t symbol) (half-wave) on the dual grid.
 
         The symbol is a sum over axes, so the phase is the outer product of d
-        one-axis phases: M*d exponentials instead of M^d.
+        one-axis phases: M*d exponentials instead of M^d.  The one-axis symbol
+        is exactly even in FFT order (sym[k] == sym[M-k]: the frequencies are
+        exact negatives and sine is odd), so the phase is evaluated on the
+        first M/2+1 entries and mirrored onto the rest.
         """
-        h = self.lattice.h
-        sym = (4.0 / h**2) * np.sin(0.5 * h * self.lattice.axis_frequencies()) ** 2
+        h, M = self.lattice.h, self.lattice.M
+        sym = (4.0 / h**2) * np.sin(0.5 * h * self.lattice.axis_frequencies()[: M // 2 + 1]) ** 2
         if self.kind == "schrodinger":
-            phase = np.exp(-1j * self.t * sym)
+            half = np.exp(-1j * self.t * sym)
         else:
-            phase = np.exp(1j * self.t * np.sqrt(1.0 + sym))
+            half = np.exp(1j * self.t * np.sqrt(1.0 + sym))
+        phase = np.concatenate([half, half[M // 2 - 1 : 0 : -1]])
         return functools.reduce(np.multiply.outer, [phase] * self.lattice.d)
 
 
@@ -72,9 +76,17 @@ def flow(kind: str, spectrum: np.ndarray, lattice: Lattice, t: float) -> GridFun
     """The ``kind`` flow at time t of the datum whose forward transform is ``spectrum``.
 
     Time loops transform their datum once with ``np.fft.fftn`` and call this
-    per sample, so each sample costs one inverse transform.
+    per sample, so each sample costs one inverse transform, written into the
+    product it transforms (no further M^d allocation).
+
+    Keep the product expression as written.  For operands of 256 KiB or more
+    numpy elides the temporary phase grid and multiplies into it with the
+    operands swapped, and complex products can differ in the last bit with
+    the operand order; ``np.multiply(spectrum, phase, out=...)`` would move
+    sup norms by ~1e-17 against every earlier result.
     """
-    return GridFunction(lattice, np.fft.ifftn(spectrum * PhaseSpec(kind, t, lattice).multiplier_grid()))
+    product = spectrum * PhaseSpec(kind, t, lattice).multiplier_grid()
+    return GridFunction(lattice, np.fft.ifftn(product, out=product))
 
 
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:

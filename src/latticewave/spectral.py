@@ -79,9 +79,13 @@ def inverse_transform(F: SpectralFunction) -> GridFunction:
 
 
 def apply_multiplier(m: Symbol | np.ndarray, f: GridFunction) -> GridFunction:
-    """Transform, multiply pointwise in frequency, transform back."""
+    """Transform, multiply pointwise in frequency, transform back into the product.
+
+    The product expression stays as written (see :func:`latticewave.propagators.flow`).
+    """
     grid = m.on_grid(f.lattice) if isinstance(m, Symbol) else m
-    return GridFunction(f.lattice, np.fft.ifftn(grid * np.fft.fftn(f.values)))
+    product = grid * np.fft.fftn(f.values)
+    return GridFunction(f.lattice, np.fft.ifftn(product, out=product))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from latticewave import dnls
 from latticewave.dnls import (
     NlsConfig,
     continuum_gaussian,
@@ -16,7 +17,15 @@ from latticewave.dnls import (
 )
 from latticewave.errors import ConfigurationError, DivergenceError, WindowError
 from latticewave.harness import AdmissiblePair, admissible_pairs
-from latticewave.lattice import GridFunction, Lattice, from_function, lp_norm, plane_wave, point_mass
+from latticewave.lattice import (
+    GridFunction,
+    Lattice,
+    boundary_mass_fraction,
+    from_function,
+    lp_norm,
+    plane_wave,
+    point_mass,
+)
 from latticewave.propagators import schrodinger_flow
 from latticewave.spectral import bessel_derivative
 
@@ -173,6 +182,21 @@ def test_evolve_boundary_monitor():
     lat = Lattice(h=1.0, d=1, M=16)
     with pytest.raises(WindowError):
         evolve(point_mass(lat), NlsConfig(lam=0.0, p=2.0, dt=0.25, T=20.0))
+
+
+def test_evolve_builds_the_boundary_mask_once(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=dnls.boundary_mask, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(dnls, "boundary_mask", counted)
+    lat = Lattice(h=0.5, d=2, M=64)
+    traj = evolve(smooth_data(lat), NlsConfig(lam=1.0, p=3.0, dt=0.02, T=0.2, snapshot_stride=1, boundary_width=3))
+    assert len(calls) == 1
+    # the monitor series is the per-call boundary_mass_fraction of every state, bit for bit
+    assert traj.monitors["boundary_mass"].tolist() == [boundary_mass_fraction(u, 3) for u in traj.states]
 
 
 def test_config_validation():

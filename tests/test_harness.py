@@ -28,7 +28,7 @@ from latticewave.harness import (
     uniformity_scan,
 )
 from latticewave.lattice import GridFunction, Lattice, gaussian, lp_norm, point_mass
-from latticewave.propagators import kg_dispersion_grid
+from latticewave.propagators import flow, kg_dispersion_grid
 from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
 
 
@@ -144,6 +144,19 @@ def test_strichartz_window_error_names_largest_admissible_abs_t():
     assert err.value.largest_valid_t == pytest.approx(9.876783269277269, rel=1e-12)
 
 
+@pytest.mark.parametrize("chirp,t_fail", [(0.3, r"1\.71574"), (-0.3, r"-1\.71574")])
+def test_complex_window_error_names_largest_abs_t_below_the_failure(chirp, t_fail):
+    # walked in grid order, the +0.3 chirp failed at t=1.71574 and named 2.4 (the |t| of the first
+    # node, -2.4), and its conjugate, which spreads in negative time, failed at -2.4 and named none
+    lat = Lattice.for_box(0.5, 1, 32)
+    u0 = GridFunction(lat, gaussian(lat, 2.0).values * np.exp(1j * chirp * lat.coordinate_grids()[0] ** 2))
+    t_grid = symmetric_time_grid(2.4, 16, 1.0 / 64.0)
+    for pair in (AdmissiblePair(6.0, math.inf, 1), AdmissiblePair(12.0, 4.0, 1)):
+        with pytest.raises(WindowError, match=rf"at t={t_fail}; largest admissible \|t\| is 1\.22657") as err:
+            strichartz_norm(u0, pair, 2.4, t_grid=t_grid)
+        assert err.value.largest_valid_t == pytest.approx(1.2265702108053849, rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # time loops against the per-sample path: one full-grid phase and FFT pair per t
 
@@ -199,6 +212,21 @@ def test_time_loops_match_per_sample_flow(case):
     assert value == pytest.approx(_oracle_strichartz(kind, u0, pair, t_grid), rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("case", list(FLOW_LOOP_CASES))
+def test_time_samples_equal_per_sample_flow_norms_exactly(case):
+    """One modulus pass per sample changes no norm: each equals lp_norm of the flow at that time
+    (at |t| for a real datum, which the loop flows once per distinct |t|)."""
+    kind, lat, datum, N, (t_min, t_max, n_t), (q, r), T = FLOW_LOOP_CASES[case]
+    u0 = datum(lat)
+    decay_datum = u0 if N is None else band_projection(u0, N)
+    for f, t_grid, p in [(decay_datum, decay_time_grid(t_min, t_max, n_t), math.inf),
+                         (u0, symmetric_time_grid(T, 16, T / 64.0), r)]:
+        spectrum = np.fft.fftn(f.values)
+        real = not np.any(f.values.imag)
+        oracle = [lp_norm(flow(kind, spectrum, lat, abs(float(t)) if real else float(t)), p) for t in t_grid]
+        assert np.array_equal(harness._time_samples(kind, f, t_grid, p), oracle)
+
+
 def _chirped_gaussian(lat):
     """A Gaussian with a quadratic phase: it focuses one way in time and spreads the other."""
     chirp = np.exp(0.05j * sum(x**2 for x in lat.coordinate_grids()))
@@ -225,36 +253,51 @@ def test_time_reversal_fold_matches_unfolded_loop(data, kind, d, q, r):
 
 
 def _count_transforms(monkeypatch):
+    """Count ``np.fft.fftn``/``ifftn`` calls; the list records, per ``ifftn`` call, whether it wrote
+    into its input (``out is args[0]``), i.e. allocated no result array."""
     counts = {"fftn": 0, "ifftn": 0}
+    in_place = []
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
+            if _name == "ifftn":
+                in_place.append(kwargs.get("out") is args[0])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    return counts
+    return counts, in_place
 
 
 def test_time_loops_transform_the_datum_once(monkeypatch):
-    counts = _count_transforms(monkeypatch)
+    counts, in_place = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=2, M=32)
     dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
     assert counts == {"fftn": 1, "ifftn": 7}
+    assert in_place == [True] * 7
     counts.update(fftn=0, ifftn=0)
+    in_place.clear()
     u0 = point_mass(lat)
     t_grid = symmetric_time_grid(1.0, 5, 0.1)
     strichartz_norm(u0, AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
     # a real datum is flowed once per distinct |t|: 0 and the 5 positive nodes of the 11
     assert counts == {"fftn": 1, "ifftn": 6}
+    assert in_place == [True] * 6
     counts.update(fftn=0, ifftn=0)
+    in_place.clear()
     strichartz_norm(_chirped_gaussian(lat), AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
     assert counts == {"fftn": 1, "ifftn": t_grid.size}
+    assert in_place == [True] * t_grid.size
+    # a band-projected decay datum: the projection's inverse transform writes in place too
+    in_place.clear()
+    dispersive_decay_scan("klein_gordon", decay_data(Lattice(h=1.0, d=1, M=1024)), decay_time_grid(5.0, 50.0, 4),
+                          N=0.25)
+    assert in_place == [True] * 5
 
 
 @pytest.mark.parametrize("grid", [[4.0, 2.0, 1.0], [1.0, 1.0], [1.0], [[1.0, 2.0]], [0.0, 1.0], [-1.0, 1.0],
                                   [1.0, np.nan], [1.0, np.inf]],
                          ids=["decreasing", "repeated", "single", "2-D", "zero", "negative", "nan", "inf"])
 def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
-    counts = _count_transforms(monkeypatch)
+    counts, _ = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=1, M=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -268,7 +311,7 @@ def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch
                                   [-1.0, np.nan], [-np.inf, 1.0]],
                          ids=["decreasing", "repeated", "single", "2-D", "nan", "inf"])
 def test_strichartz_norm_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
-    counts = _count_transforms(monkeypatch)
+    counts, _ = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=1, M=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -494,7 +537,7 @@ def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkey
             built[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    counts = _count_transforms(monkeypatch)
+    counts, _ = _count_transforms(monkeypatch)
     lat, ensemble = Lattice.for_box(0.5, 2, 16.0), 9
     scales = band_scales(lat)
     random_ensemble(lat, ensemble, 1, cell_key=0)

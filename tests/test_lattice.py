@@ -13,6 +13,7 @@ from latticewave.lattice import (
     MAX_SITES,
     GridFunction,
     Lattice,
+    boundary_mask,
     boundary_mass_fraction,
     convolve,
     cz_decompose,
@@ -530,3 +531,10 @@ def test_boundary_mass_fraction():
     edge = point_mass(lat, site=15)
     assert boundary_mass_fraction(edge) == 1.0
     assert boundary_mass_fraction(GridFunction(lat, np.zeros(32))) == 0.0
+
+
+def test_boundary_mask_counts_edge_layers():
+    assert boundary_mask(Lattice(h=1.0, d=1, M=32)).sum() == 4  # max(1, 32 // 16) layers at each end
+    assert boundary_mask(Lattice(h=1.0, d=2, M=32), width=3).sum() == 32**2 - 26**2
+    mask = boundary_mask(Lattice(h=1.0, d=1, M=8))
+    assert mask.tolist() == [False, False, False, True, True, False, False, False]  # FFT order: sites 3, -4

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from latticewave.errors import ConfigurationError
-from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave
+from latticewave.lattice import GridFunction, Lattice, gaussian, lp_norm, plane_wave, point_mass
 from latticewave.propagators import (
     FLOW_KINDS,
     PhaseSpec,
     degenerate_points,
+    flow,
     hessian_cosine_product_min,
     kg_dispersion_grid,
     kg_phase_curvature,
@@ -16,7 +17,7 @@ from latticewave.propagators import (
     localized_flow,
     schrodinger_flow,
 )
-from latticewave.spectral import band_projection, laplacian_symbol_grid
+from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid
 
 
 def random_field(lat, seed):
@@ -117,6 +118,41 @@ def test_separable_phase_matches_full_grid_exp(kind, d, h, t):
     else:
         atol = 16 * np.finfo(float).eps * (1.0 + abs(t) * sym.max())
         np.testing.assert_allclose(phase, oracle, rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+@pytest.mark.parametrize("t", [0.0, 1.3, -1.3, 3e4])
+def test_half_axis_phase_equals_full_axis_formula(kind, t):
+    """The phase mirrored from its first M/2+1 entries is the full-axis exponential, bit for bit."""
+    # every even M up to 1024, then every 30th even M (none a power of two) and the powers 2048, 4096
+    for M in [*range(4, 1025, 2), *range(1026, 4096, 60), 2048, 4096]:
+        lat = Lattice(h=0.3, d=1, M=M)
+        sym = (4.0 / lat.h**2) * np.sin(0.5 * lat.h * lat.axis_frequencies()) ** 2
+        full = np.exp(-1j * t * sym) if kind == "schrodinger" else np.exp(1j * t * np.sqrt(1.0 + sym))
+        assert np.array_equal(PhaseSpec(kind, t, lat).multiplier_grid(), full), M
+
+
+ELISION_CASES = {
+    # 1 MiB complex grids, above numpy's 256 KiB temporary-elision threshold
+    "klein_gordon-d1-M65536": ("klein_gordon", Lattice(h=1.0, d=1, M=65536),
+                               lambda lat: band_projection(point_mass(lat), 0.25), 300.0),
+    "schrodinger-d2-M256": ("schrodinger", Lattice(h=0.5, d=2, M=256), lambda lat: gaussian(lat, 4.0), 2.5),
+}
+
+
+@pytest.mark.parametrize("case", list(ELISION_CASES))
+def test_in_place_inverse_transform_is_bit_identical(case):
+    """flow and apply_multiplier transform into their product and still equal the plain expression."""
+    kind, lat, datum, t = ELISION_CASES[case]
+    f = datum(lat)
+    spectrum = np.fft.fftn(f.values)
+    grid = PhaseSpec(kind, t, lat).multiplier_grid()
+    # the oracles stay out of the asserts: pytest's assertion rewriting keeps the temporaries alive,
+    # which switches numpy's elision off
+    expected_flow = np.fft.ifftn(spectrum * PhaseSpec(kind, t, lat).multiplier_grid())
+    expected_multiplier = np.fft.ifftn(grid * np.fft.fftn(f.values))
+    assert np.array_equal(flow(kind, spectrum, lat, t).values, expected_flow)
+    assert np.array_equal(apply_multiplier(grid, f).values, expected_multiplier)
 
 
 def test_degenerate_points_schrodinger():
