@@ -119,6 +119,8 @@ def _uniformity(args):
 
 
 def _constants(args):
+    if args.ensemble < 1:
+        raise ConfigurationError(f"--ensemble must be at least 1, got {args.ensemble}")
     scan = inequality_constant_scan(args.kind, args.h_list, box=args.box, d=args.d,
                                     p=args.p, q=args.q, s=args.s, theta=args.theta,
                                     ensemble=args.ensemble, seed=args.seed)

@@ -68,8 +68,10 @@ class NlsConfig:
     def __post_init__(self):
         if not self.p > 1:
             raise ConfigurationError("nonlinearity power must satisfy p > 1")
-        if not self.dt > 0 or not self.T > 0:
-            raise ConfigurationError("dt and T must be positive")
+        if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
+            raise ConfigurationError(f"dt and T must be positive and finite, got dt={self.dt!r}, T={self.T!r}")
+        if not math.isfinite(self.lam):
+            raise ConfigurationError(f"the coupling lam must be finite, got {self.lam!r}")
         unknown = set(self.monitors) - set(KNOWN_MONITORS)
         if unknown:
             raise ConfigurationError(f"unknown monitors: {sorted(unknown)}")

@@ -295,9 +295,10 @@ def scan_result(kind: str, columns: list[str], rows: list[list], metadata: dict,
     """Wrap the rows of a spacing scan and fit each named column against 1/h.
 
     ``fits`` maps a fit name to the column it fits.  Fits need at least two
-    rows, and a column holding a non-positive or NaN value (a degenerate
-    minimum of a one-sided scan, say) has no log-log fit and is skipped.  A
-    scan with no rows (an empty spacing list) is a configuration error.
+    rows, and a column holding a value that is not finite and positive (a
+    degenerate minimum of a one-sided scan, or an infinite or NaN ratio) has
+    no log-log fit and is skipped.  A scan with no rows (an empty spacing
+    list) is a configuration error.
     """
     if not rows:
         raise ConfigurationError(f"{kind} scan has no cells: pass at least one spacing")
@@ -306,7 +307,7 @@ def scan_result(kind: str, columns: list[str], rows: list[list], metadata: dict,
         inv_h = 1.0 / result.column("h")
         for name, column in fits.items():
             y = result.column(column)
-            if np.all(y > 0):
+            if np.all(np.isfinite(y) & (y > 0)):
                 result.fits[name] = loglog_fit(inv_h, y)
     return result
 
@@ -553,8 +554,11 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     sine.  x - c vanishes only at k = 0 when delta is exactly 0, where the
     kernel takes its limit d1.  The summand is even in x - c and the window is
     symmetric about the nearest site (np.round is symmetric, so delta(-c) =
-    -delta(c) exactly), so the norm at -c is the norm at c: the kernel runs
-    once per distinct |c|.
+    -delta(c) exactly), so the norm at -c is the norm at c.  The distinct |c|
+    are then folded by their delta, since magnitudes sharing a delta give the
+    kernel identical inputs: the kernel runs once per distinct delta (28 for
+    the 751 magnitudes of a criterion 08 cell, whose centres step by whole
+    sites).
     """
     n_win = int(math.ceil(x_window / (d1 * h)))
     xk = np.arange(-n_win, n_win + 1) * h
@@ -563,7 +567,8 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     num = np.empty_like(xk)
     den = np.empty_like(xk)
     magnitudes, inverse = np.unique(np.abs(centers), return_inverse=True)
-    deltas = magnitudes - h * np.round(magnitudes / h)
+    deltas, by_delta = np.unique(magnitudes - h * np.round(magnitudes / h), return_inverse=True)
+    inverse = by_delta[inverse]
     norms = np.empty(deltas.size)
     with np.errstate(invalid="ignore"):
         for i, delta in enumerate(deltas):
@@ -586,13 +591,14 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     """Evaluate both sides of the dual space-time bound on the frequency-block example.
 
     The left side is exact on the dual grid: the block's space-time transform
-    restricted to the dispersion surface, weighted by |xi|^(-s), summed with
-    the dual-grid quadrature.  The right side takes the closed-form modulus of
-    the block in physical variables (a product of Dirichlet-type kernels whose
-    first factor scales the time axis by eps^3/h^2) and quadratures the mixed
-    norm with conjugate exponents.  Truncations are fixed in the scaled
-    variables, so they cancel from fitted epsilon-exponents.  ``M`` defaults
-    to 2^15 sites per axis in d = 1 and 2^10 in d = 2.
+    restricted to the dispersion surface, weighted by |xi|^(-s) with xi = 0
+    dropped, summed with the dual-grid quadrature.  The right side takes the
+    closed-form modulus of the block in physical variables (a product of
+    Dirichlet-type kernels whose first factor scales the time axis by
+    eps^3/h^2) and quadratures the mixed norm with conjugate exponents.
+    Truncations are fixed in the scaled variables, so they cancel from fitted
+    epsilon-exponents.  ``M`` defaults to 2^15 sites per axis in d = 1 and
+    2^10 in d = 2.
     """
     d = pair.d
     if d not in (1, 2):
@@ -601,6 +607,8 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         M = 2**15 if d == 1 else 2**10
     if not (n_t >= 2 and 0 < u_window < math.inf and 0 < x_window < math.inf):
         raise ConfigurationError("the right-side quadrature needs n_t >= 2 and finite u_window, x_window > 0")
+    if not math.isfinite(s):
+        raise ConfigurationError(f"the derivative weight s must be finite, got {s!r}")
     if n_t > MAX_SITES:
         raise ConfigurationError(f"n_t = {n_t} right-side time samples exceeds MAX_SITES = {MAX_SITES}")
     lat = Lattice(h=h, d=d, M=M)
@@ -632,8 +640,9 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         block &= block_axis.reshape(sh)
     K = block & (np.abs(arg) < 1.0)
     r2 = np.broadcast_to(sum(g**2 for g in grids), lat.shape)
+    weighted = K & (r2 > 0)  # the homogeneous weight drops xi = 0
     wgt = np.zeros(lat.shape)
-    wgt[K] = r2[K] ** (-s)
+    wgt[weighted] = r2[weighted] ** (-s)
     left = float(np.sqrt(np.sum(wgt)) / (h * M) ** (d / 2.0))
 
     # right side: |f(t, x)| = |sin(a t)/t| * prod_i |sin(d1 (x_i - 2t/h)) / (x_i - 2t/h)|

@@ -95,13 +95,18 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     ["czdemo", "--lam", "nan"],
     ["czdemo", "--lam", "inf"],
     ["czdemo", "--lam", "1e308"],
+    [*KNAPP, "--eps-list", "0.04,0.02", "--s", "nan"],
+    ["dnls", "--T", "inf"],
+    ["dnls", "--lam", "nan"],
+    ["constants", "--kind", "bernstein", "--h-list", "1,0.5", "--q", "inf", "--ensemble", "0"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
         "strichartz-T-negative", "strichartz-T0", "uniformity-horizon-0",
         "uniformity-horizon-negative", "decay-t-min-negative", "decay-t-min-nan", "decay-t-max-inf",
         "decay-t-min-0", "decay-t-reversed", "decay-n_t-1", "czdemo-lam-negative", "czdemo-lam-nan",
-        "czdemo-lam-inf", "czdemo-lam-overflow"])
+        "czdemo-lam-inf", "czdemo-lam-overflow", "knapp-s-nan", "dnls-T-inf", "dnls-lam-nan",
+        "constants-ensemble-0"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -116,8 +121,13 @@ def test_rejected_input_exits_two(argv, capsys):
     ([*KNAPP, "--eps-list", "0.04", "--x-window", "1e15"], "x_window = 1e+15"),
     ([*KNAPP, "--eps-list", "0.04", "--n-t", "10000000000"], "n_t = 10000000000"),
     ([*KNAPP, "--eps-list", "nan"], "epsilon"),
+    ([*KNAPP, "--eps-list", "0.04,0.02", "--s", "nan"], "weight s"),
+    (["dnls", "--T", "inf"], "T=inf"),
+    (["dnls", "--lam", "nan"], "lam"),
+    (["constants", "--kind", "bernstein", "--h-list", "1,0.5", "--q", "inf", "--ensemble", "0"], "--ensemble"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
-        "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan"])
+        "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
+        "dnls-lam-nan", "constants-ensemble-0"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -239,6 +249,17 @@ def test_knapp_d2_runs_at_its_default_M(tmp_path):
     meta, header, rows = read_csv(out)
     assert meta["config"]["M"] == 1024
     assert float(rows[0][header.index("left_norm")]) > 0 and float(rows[0][header.index("right_norm")]) > 0
+
+
+def test_knapp_block_holding_zero_frequency_has_a_finite_left_side(tmp_path):
+    out = tmp_path / "k0.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["knapp", "--h", "1", "--eps-list", "1.4,0.7", "--q", "8", "--r", "8", "--s", "0.125",
+                    "--M", "4096", "--out", str(out)]) == 0
+    meta, header, rows = read_csv(out)
+    assert all(math.isfinite(float(row[header.index("left_norm")])) for row in rows)
+    assert math.isfinite(meta["fits"]["left"]["slope"])
 
 
 def test_knapp_constraint_violation_exits_two(tmp_path):

@@ -208,6 +208,13 @@ def test_config_validation():
         NlsConfig(lam=1.0, p=3.0, dt=0.1, T=1.0, monitors=frozenset({"vorticity"}))
 
 
+@pytest.mark.parametrize("bad", [{"T": math.inf}, {"T": math.nan}, {"dt": math.inf}, {"dt": math.nan},
+                                 {"lam": math.nan}, {"lam": math.inf}, {"lam": -math.inf}])
+def test_config_rejects_non_finite_values(bad):
+    with pytest.raises(ConfigurationError, match="finite"):
+        NlsConfig(**{"lam": 1.0, "p": 3.0, "dt": 0.1, "T": 1.0, **bad})
+
+
 # ---------------------------------------------------------------------------
 # space-time norm of trajectories
 

@@ -358,6 +358,15 @@ def test_scan_result_fits_only_positive_columns():
     assert scan_result("demo", ["h", "up", "degenerate"], rows[:1], {}, {"up": "up"}).fits == {}
 
 
+def test_scan_result_skips_non_finite_columns():
+    rows = [[1.0, 2.0, math.inf, math.nan], [0.5, 4.0, 1.0, 1.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = scan_result("demo", ["h", "up", "infinite", "nan"], rows, {},
+                           {"up": "up", "infinite": "infinite", "nan": "nan"})
+    assert set(scan.fits) == {"up"}
+
+
 def test_scan_drivers_reject_empty_spacing_list():
     with pytest.raises(ConfigurationError, match="no cells"):
         scan_result("demo", ["h"], [], {}, {})
@@ -629,6 +638,110 @@ def test_knapp_right_norm_d2_matches_direct_sum():
         assert rep.right_norm == pytest.approx(expected, rel=1e-12)
 
 
+def _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window):
+    """The axis-norm kernel folded by |c| alone, one pass per distinct |c|: the oracle for the offset fold."""
+    n_win = int(math.ceil(x_window / (d1 * h)))
+    xk = np.arange(-n_win, n_win + 1) * h
+    sk = np.sin(d1 * xk)
+    ck = np.cos(d1 * xk)
+    num = np.empty_like(xk)
+    den = np.empty_like(xk)
+    magnitudes, inverse = np.unique(np.abs(centers), return_inverse=True)
+    deltas = magnitudes - h * np.round(magnitudes / h)
+    norms = np.empty(deltas.size)
+    with np.errstate(invalid="ignore"):
+        for i, delta in enumerate(deltas):
+            np.multiply(sk, math.cos(d1 * delta), out=num)
+            np.multiply(ck, math.sin(d1 * delta), out=den)
+            np.subtract(num, den, out=num)
+            np.subtract(xk, delta, out=den)
+            np.divide(num, den, out=num)
+            if delta == 0.0:
+                num[n_win] = d1
+            np.abs(num, out=num)
+            np.power(num, rp, out=num)
+            norms[i] = num.sum()
+    return (h * norms[inverse]) ** (1.0 / rp)
+
+
+class _CountingMath:
+    """Stands in for ``math`` inside the harness; the axis kernel takes one cosine per pass."""
+
+    def __init__(self):
+        self.cos_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def cos(self, x):
+        self.cos_calls += 1
+        return math.cos(x)
+
+
+def _knapp_kernel_calls(monkeypatch, experiment):
+    """Run ``experiment``; return each axis-kernel call's arguments and the kernel passes it made."""
+    counting = _CountingMath()
+    calls = []
+    kernel = harness._knapp_axis_norms
+
+    def recording(*args):
+        before = counting.cos_calls
+        result = kernel(*args)
+        calls.append((args, counting.cos_calls - before))
+        return result
+
+    monkeypatch.setattr(harness, "math", counting)
+    monkeypatch.setattr(harness, "_knapp_axis_norms", recording)
+    experiment()
+    monkeypatch.undo()
+    return calls
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+def test_knapp_kernel_runs_once_per_distinct_offset(eps, monkeypatch):
+    # criterion 08's cell: the centre step 0.8/eps^3 is a whole number of sites
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    ((args, passes),) = _knapp_kernel_calls(monkeypatch, lambda: knapp_experiment(0.5, eps, 0.125, pair, M=2**15))
+    centers = args[2]
+    assert np.unique(np.abs(centers)).size == 751 and passes == 28
+    np.testing.assert_array_equal(_knapp_axis_norms(*args), _knapp_axis_norms_by_magnitude(*args))
+
+
+def test_knapp_offset_fold_is_exact_at_generic_eps(monkeypatch):
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    calls = _knapp_kernel_calls(monkeypatch, lambda: knapp_h_sharpness([0.5, 0.25, 0.125], 0.125, pair))
+    assert len(calls) == 3
+    for args, passes in calls:
+        assert passes == np.unique(np.abs(args[2])).size == 751  # no two magnitudes share an offset
+        np.testing.assert_array_equal(_knapp_axis_norms(*args), _knapp_axis_norms_by_magnitude(*args))
+
+
+@st.composite
+def knapp_shared_offset_cases(draw):
+    """Centres j*h + o for several j and one o; h and o are dyadic, so every c > 0 has offset o exactly."""
+    h = draw(st.sampled_from((1.0, 0.5, 0.25, 0.125)))
+    eps = draw(st.floats(0.02, 1.0)) * math.pi * h * h / 2.0
+    rp = draw(st.sampled_from((8.0 / 7.0, 4.0 / 3.0, 2.0)) | st.floats(1.01, 2.0))
+    offset = draw(st.integers(-31, 31)) * h / 64.0
+    js = draw(st.lists(st.integers(-10**4, 10**4), min_size=3, max_size=8, unique=True))
+    return h, eps / h, np.array(js) * h + offset, rp, draw(st.floats(4.0, 32.0))
+
+
+@settings(max_examples=50)
+@given(knapp_shared_offset_cases())
+def test_knapp_centres_sharing_an_offset_share_one_pass(case):
+    h, d1, centers, rp, x_window = case
+    magnitudes = np.unique(np.abs(centers))
+    offsets = np.unique(magnitudes - h * np.round(magnitudes / h))
+    assert offsets.size < magnitudes.size and offsets.size <= 2  # o for c > 0, -o for c < 0
+    counting = _CountingMath()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "math", counting)
+        norms = _knapp_axis_norms(h, d1, centers, rp, x_window)
+    assert counting.cos_calls == offsets.size
+    np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
+
+
 @pytest.mark.parametrize("n_t", [1001, 1000])
 def test_knapp_time_grid_pairs_every_centre(n_t, monkeypatch):
     seen = []
@@ -642,6 +755,33 @@ def test_knapp_time_grid_pairs_every_centre(n_t, monkeypatch):
     knapp_experiment(0.5, 0.04, 0.1, AdmissiblePair(q=6.0, r=4.0, d=2), M=256, u_window=7.3, n_t=n_t, x_window=8.0)
     (centers,) = seen
     assert np.unique(np.abs(centers)).size == (n_t + 1) // 2  # the axis kernel runs once per +-c pair
+
+
+def test_knapp_left_side_drops_zero_frequency():
+    # at eps near pi h^2 / 2 the block holds xi = 0 (|0 - pi/4| < eps) and it lies on the surface
+    h, eps = 1.0, 1.4
+    assert abs(math.pi / 4.0) < eps and abs((2.0 - math.pi) / eps**3) < 1.0
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = [knapp_experiment(h, eps, s, pair, M=4096, n_t=21, u_window=10.0, x_window=8.0) for s in (0.0, 0.125)]
+    # weight 1 at s = 0: the sum counts every surface point but xi = 0
+    assert reps[0].left_norm**2 * h * 4096 == pytest.approx(reps[0].metadata["surface_points"] - 1, rel=1e-12)
+    assert math.isfinite(reps[1].left_norm) and reps[1].left_norm > 0
+
+
+def test_knapp_h_sharpness_at_the_largest_eps_is_finite():
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scan = knapp_h_sharpness([1.0, 0.5, 0.25], 0.125, pair)
+    assert np.all(np.isfinite(scan.column("ratio"))) and math.isfinite(scan.fits["ratio"]["slope"])
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_knapp_rejects_non_finite_s(s):
+    with pytest.raises(ConfigurationError, match="derivative weight s must be finite"):
+        knapp_experiment(0.5, 0.04, s, AdmissiblePair(q=8.0, r=8.0, d=1), M=4096)
 
 
 def test_knapp_constraint_validation():
