@@ -40,8 +40,6 @@ from .spectral import (
 from .propagators import (
     PhaseSpec,
     degenerate_points,
-    klein_gordon_flow,
-    localized_flow,
     schrodinger_flow,
 )
 from .harness import (

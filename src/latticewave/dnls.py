@@ -66,10 +66,12 @@ class NlsConfig:
     boundary_width: int | None = None
 
     def __post_init__(self):
-        if not self.p > 1:
-            raise ConfigurationError("nonlinearity power must satisfy p > 1")
+        if not 1 < self.p < math.inf:
+            raise ConfigurationError(f"nonlinearity power must satisfy 1 < p < inf, got p={self.p!r}")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ConfigurationError(f"dt and T must be positive and finite, got dt={self.dt!r}, T={self.T!r}")
+        if not self.T / self.dt < math.inf:
+            raise ConfigurationError(f"the step count T/dt must be finite, got T={self.T!r}, dt={self.dt!r}")
         if not math.isfinite(self.lam):
             raise ConfigurationError(f"the coupling lam must be finite, got {self.lam!r}")
         unknown = set(self.monitors) - set(KNOWN_MONITORS)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -171,6 +172,29 @@ def _checked_time_grid(t_grid, positive: bool) -> np.ndarray:
     return t_grid
 
 
+def _axis_factors(u0: GridFunction, kind: str) -> list[GridFunction]:
+    """The d one-axis factors of ``u0`` on ``Lattice(h, 1, M)`` when it is an exact outer product, else [u0].
+
+    The factors are the slices of ``u0`` through its largest-modulus site,
+    all but the first divided by the value there, and are kept only if
+    their outer product rebuilds ``u0`` exactly.  Only the Schrodinger
+    symbol is a sum over axes (see :mod:`latticewave.propagators`), so only
+    its flow of an outer product is the outer product of the one-axis flows.
+    """
+    lat, v = u0.lattice, u0.values
+    if lat.d == 1 or kind != "schrodinger":
+        return [u0]
+    pivot = np.unravel_index(np.argmax(np.abs(v)), v.shape)
+    if v[pivot] == 0:
+        return [u0]
+    slices = [v[pivot[:ax] + (slice(None),) + pivot[ax + 1:]] for ax in range(lat.d)]
+    slices[1:] = [s / v[pivot] for s in slices[1:]]
+    if not np.array_equal(reduce(np.multiply.outer, slices), v):
+        return [u0]
+    axis = Lattice(h=lat.h, d=1, M=lat.M)
+    return [GridFunction(axis, s) for s in slices]
+
+
 def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
                   boundary_width: int | None = None, check_window: bool = True) -> np.ndarray:
     """The l^p norm of the ``kind`` flow of ``u0`` at each time of ``t_grid``, each field window-checked.
@@ -181,6 +205,11 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
     failure names the largest |t| below the failing one at which every
     sample passed.  Each sample takes the modulus once, for both the
     boundary-mass check and the norm, against an edge mask built once.
+
+    The datum is flowed as its :func:`_axis_factors`: an exact outer product
+    (a point mass, say) costs d one-axis transforms of M points per sample
+    and the modulus is the outer product of the factors' moduli; any other
+    datum is its own single factor and is flowed on the full grid.
     """
     lat = u0.lattice
     if not np.any(u0.values.imag):
@@ -189,10 +218,11 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
         order = np.argsort(np.abs(t_grid), kind="stable")
         times, inverse = t_grid[order], np.argsort(order)
     mask = boundary_mask(lat, boundary_width) if check_window else None
-    spectrum = np.fft.fftn(u0.values)
+    factors = [(f.lattice, np.fft.fftn(f.values)) for f in _axis_factors(u0, kind)]
     norms = np.empty(times.size)
     for i, t in enumerate(times):
-        a = np.abs(flow(kind, spectrum, lat, float(t)).values)
+        a = reduce(np.multiply.outer, [np.abs(flow(kind, spectrum, axis, float(t)).values)
+                                       for axis, spectrum in factors])
         if check_window and density_mass_fraction(np.square(a), mask) > BOUNDARY_THRESHOLD:
             passed = np.abs(times[:i])
             passed = passed[passed < abs(t)]
@@ -332,6 +362,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"unknown data kind {data!r}")
     if not 0 < horizon_fraction < math.inf:
         raise ConfigurationError(f"horizon_fraction must be positive and finite, got {horizon_fraction!r}")
+    if n_t < 64:
+        raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
     rows = []
     for h in h_list:
         lat = Lattice.for_box(h, pair.d, box)
@@ -642,8 +674,12 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     r2 = np.broadcast_to(sum(g**2 for g in grids), lat.shape)
     weighted = K & (r2 > 0)  # the homogeneous weight drops xi = 0
     wgt = np.zeros(lat.shape)
-    wgt[weighted] = r2[weighted] ** (-s)
+    with np.errstate(over="ignore"):  # an overflowing weight is rejected below
+        wgt[weighted] = r2[weighted] ** (-s)
     left = float(np.sqrt(np.sum(wgt)) / (h * M) ** (d / 2.0))
+    if not 0 < left < math.inf:
+        raise ConfigurationError(f"the left side is {left!r} at the derivative weight s = {s!r}: "
+                                 f"|xi|^(-2s) underflows or overflows on the block, or the block misses the surface")
 
     # right side: |f(t, x)| = |sin(a t)/t| * prod_i |sin(d1 (x_i - 2t/h)) / (x_i - 2t/h)|
     a = epsilon**3 / h**2

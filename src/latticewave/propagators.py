@@ -9,6 +9,13 @@ Every symbol in ``FLOW_KINDS`` is real and even in the frequency, so the flow
 of a real datum satisfies u(-t) = conj u(t).  The space-time norm loop in
 :mod:`latticewave.harness` relies on this to flow a real datum once per
 distinct |t|, so a flow kind added there must keep this invariant.
+
+The Schrodinger symbol is also additive over the axes, so its flow is the
+tensor product of the one-axis flows and maps an outer product of one-axis
+data to the outer product of their flows.  The same loop relies on this to
+flow such a datum as d one-axis transforms.  The half-wave symbol
+sqrt(1 + sum_j) is not additive, and the loop flows every datum of any other
+kind on the full grid.
 """
 
 from __future__ import annotations
@@ -20,16 +27,13 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lattice import GridFunction, Lattice
-from .spectral import BumpProfile, apply_multiplier, band_projection, default_bump, band_symbol, laplacian_symbol_grid
+from .spectral import BumpProfile, apply_multiplier, band_symbol, default_bump
 
 __all__ = [
     "FLOW_KINDS",
     "PhaseSpec",
     "flow",
     "schrodinger_flow",
-    "localized_flow",
-    "klein_gordon_flow",
-    "kg_dispersion_grid",
     "kg_phase_curvature",
     "degenerate_points",
     "hessian_cosine_product_min",
@@ -92,21 +96,6 @@ def flow(kind: str, spectrum: np.ndarray, lattice: Lattice, t: float) -> GridFun
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:
     """Free flow with multiplier exp(-i t (4/h^2) sum_j sin^2(h xi_j / 2))."""
     return apply_multiplier(PhaseSpec("schrodinger", t, f.lattice).multiplier_grid(), f)
-
-
-def localized_flow(f: GridFunction, t: float, N: float, bump: BumpProfile = default_bump) -> GridFunction:
-    """Free flow applied to the scale-N dyadic band of f."""
-    return schrodinger_flow(band_projection(f, N, bump), t)
-
-
-def kg_dispersion_grid(lattice: Lattice) -> np.ndarray:
-    """sqrt(1 + (4/h^2) sin^2(h xi / 2)) on the dual grid."""
-    return np.sqrt(1.0 + laplacian_symbol_grid(lattice))
-
-
-def klein_gordon_flow(f: GridFunction, t: float) -> GridFunction:
-    """Half-wave flow with multiplier exp(i t sqrt(1 + (4/h^2) sin^2(h xi/2))), d = 1."""
-    return apply_multiplier(PhaseSpec("klein_gordon", t, f.lattice).multiplier_grid(), f)
 
 
 def kg_phase_curvature(xi: np.ndarray, h: float) -> np.ndarray:

@@ -63,6 +63,9 @@ def test_command_table_records_every_flag(command, tmp_path, capsys):
 
 
 KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
+# two small cells, so a rejected --s given after these flags is the only fault
+KNAPP_SMALL = [*KNAPP, "--eps-list", "0.04,0.02", "--M", "4096", "--n-t", "21", "--u-window", "10",
+               "--x-window", "8"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -99,6 +102,11 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
     ["dnls", "--T", "inf"],
     ["dnls", "--lam", "nan"],
     ["constants", "--kind", "bernstein", "--h-list", "1,0.5", "--q", "inf", "--ensemble", "0"],
+    ["dnls", "--T", "1e308", "--dt", "1e-300"],
+    ["dnls", "--p", "inf"],
+    [*KNAPP_SMALL, "--s", "1e308"],
+    [*KNAPP_SMALL, "--s", "-400"],
+    ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--n-t", "1"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
@@ -106,7 +114,8 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
         "uniformity-horizon-negative", "decay-t-min-negative", "decay-t-min-nan", "decay-t-max-inf",
         "decay-t-min-0", "decay-t-reversed", "decay-n_t-1", "czdemo-lam-negative", "czdemo-lam-nan",
         "czdemo-lam-inf", "czdemo-lam-overflow", "knapp-s-nan", "dnls-T-inf", "dnls-lam-nan",
-        "constants-ensemble-0"])
+        "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge", "knapp-s-negative-huge",
+        "uniformity-n_t-1"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -125,9 +134,15 @@ def test_rejected_input_exits_two(argv, capsys):
     (["dnls", "--T", "inf"], "T=inf"),
     (["dnls", "--lam", "nan"], "lam"),
     (["constants", "--kind", "bernstein", "--h-list", "1,0.5", "--q", "inf", "--ensemble", "0"], "--ensemble"),
+    (["dnls", "--T", "1e308", "--dt", "1e-300"], "T/dt"),
+    (["dnls", "--p", "inf"], "p=inf"),
+    ([*KNAPP_SMALL, "--s", "1e308"], "s = 1e+308"),
+    ([*KNAPP_SMALL, "--s", "-400"], "s = -400.0"),
+    (["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--n-t", "1"], "n_t"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
-        "dnls-lam-nan", "constants-ensemble-0"])
+        "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
+        "knapp-s-negative-huge", "uniformity-n_t-1"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

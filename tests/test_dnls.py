@@ -209,10 +209,17 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("bad", [{"T": math.inf}, {"T": math.nan}, {"dt": math.inf}, {"dt": math.nan},
-                                 {"lam": math.nan}, {"lam": math.inf}, {"lam": -math.inf}])
+                                 {"lam": math.nan}, {"lam": math.inf}, {"lam": -math.inf},
+                                 {"T": 1e308, "dt": 1e-300}])
 def test_config_rejects_non_finite_values(bad):
     with pytest.raises(ConfigurationError, match="finite"):
         NlsConfig(**{"lam": 1.0, "p": 3.0, "dt": 0.1, "T": 1.0, **bad})
+
+
+@pytest.mark.parametrize("p", [math.inf, math.nan, 1.0])
+def test_config_requires_a_finite_power_above_one(p):
+    with pytest.raises(ConfigurationError, match="1 < p < inf"):
+        NlsConfig(lam=1.0, p=p, dt=0.1, T=1.0)
 
 
 # ---------------------------------------------------------------------------

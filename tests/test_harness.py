@@ -1,5 +1,6 @@
 import math
 import warnings
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -27,8 +28,8 @@ from latticewave.harness import (
     symmetric_time_grid,
     uniformity_scan,
 )
-from latticewave.lattice import GridFunction, Lattice, gaussian, lp_norm, point_mass
-from latticewave.propagators import flow, kg_dispersion_grid
+from latticewave.lattice import GridFunction, Lattice, boundary_mass_fraction, gaussian, lp_norm, point_mass
+from latticewave.propagators import flow
 from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
 
 
@@ -163,7 +164,7 @@ def test_complex_window_error_names_largest_abs_t_below_the_failure(chirp, t_fai
 def _per_sample_flow(kind, f, t):
     if kind == "schrodinger":
         return apply_multiplier(np.exp(-1j * t * laplacian_symbol_grid(f.lattice)), f)
-    return apply_multiplier(np.exp(1j * t * kg_dispersion_grid(f.lattice)), f)
+    return apply_multiplier(np.exp(1j * t * np.sqrt(1.0 + laplacian_symbol_grid(f.lattice))), f)
 
 
 def _oracle_decay_sups(kind, data, t_grid, N):
@@ -215,15 +216,22 @@ def test_time_loops_match_per_sample_flow(case):
 @pytest.mark.parametrize("case", list(FLOW_LOOP_CASES))
 def test_time_samples_equal_per_sample_flow_norms_exactly(case):
     """One modulus pass per sample changes no norm: each equals lp_norm of the flow at that time
-    (at |t| for a real datum, which the loop flows once per distinct |t|)."""
+    (at |t| for a real datum, which the loop flows once per distinct |t|), or for a point mass in
+    d = 2 lp_norm of the outer product of its one-axis factors' moduli."""
     kind, lat, datum, N, (t_min, t_max, n_t), (q, r), T = FLOW_LOOP_CASES[case]
     u0 = datum(lat)
     decay_datum = u0 if N is None else band_projection(u0, N)
     for f, t_grid, p in [(decay_datum, decay_time_grid(t_min, t_max, n_t), math.inf),
                          (u0, symmetric_time_grid(T, 16, T / 64.0), r)]:
-        spectrum = np.fft.fftn(f.values)
-        real = not np.any(f.values.imag)
-        oracle = [lp_norm(flow(kind, spectrum, lat, abs(float(t)) if real else float(t)), p) for t in t_grid]
+        if case == "schrodinger-d2":  # a point mass: the loop flows its d one-axis factors
+            axis = Lattice(h=lat.h, d=1, M=lat.M)
+            spectrum = np.fft.fftn(point_mass(axis).values)
+            oracle = [lp_norm(GridFunction(lat, reduce(np.multiply.outer, [
+                np.abs(flow(kind, spectrum, axis, abs(float(t))).values)] * lat.d)), p) for t in t_grid]
+        else:
+            spectrum = np.fft.fftn(f.values)
+            real = not np.any(f.values.imag)
+            oracle = [lp_norm(flow(kind, spectrum, lat, abs(float(t)) if real else float(t)), p) for t in t_grid]
         assert np.array_equal(harness._time_samples(kind, f, t_grid, p), oracle)
 
 
@@ -253,39 +261,47 @@ def test_time_reversal_fold_matches_unfolded_loop(data, kind, d, q, r):
 
 
 def _count_transforms(monkeypatch):
-    """Count ``np.fft.fftn``/``ifftn`` calls; the list records, per ``ifftn`` call, whether it wrote
-    into its input (``out is args[0]``), i.e. allocated no result array."""
+    """Count ``np.fft.fftn``/``ifftn`` calls; the first list records, per ``ifftn`` call, whether it
+    wrote into its input (``out is args[0]``), i.e. allocated no result array, and the second the
+    point count of every transform, in call order."""
     counts = {"fftn": 0, "ifftn": 0}
-    in_place = []
+    in_place, sizes = [], []
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
+            sizes.append(np.size(args[0]))
             if _name == "ifftn":
                 in_place.append(kwargs.get("out") is args[0])
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    return counts, in_place
+    return counts, in_place, sizes
 
 
 def test_time_loops_transform_the_datum_once(monkeypatch):
-    counts, in_place = _count_transforms(monkeypatch)
+    counts, in_place, sizes = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=2, M=32)
     dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
-    assert counts == {"fftn": 1, "ifftn": 7}
-    assert in_place == [True] * 7
+    # a point mass is an outer product: each axis factor is transformed once and flowed per sample
+    assert counts == {"fftn": 2, "ifftn": 2 * 7}
+    assert in_place == [True] * 2 * 7
+    assert sizes == [lat.M] * (2 + 2 * 7)
     counts.update(fftn=0, ifftn=0)
     in_place.clear()
+    sizes.clear()
     u0 = point_mass(lat)
     t_grid = symmetric_time_grid(1.0, 5, 0.1)
     strichartz_norm(u0, AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
     # a real datum is flowed once per distinct |t|: 0 and the 5 positive nodes of the 11
-    assert counts == {"fftn": 1, "ifftn": 6}
-    assert in_place == [True] * 6
+    assert counts == {"fftn": 2, "ifftn": 2 * 6}
+    assert in_place == [True] * 2 * 6
+    assert sizes == [lat.M] * (2 + 2 * 6)
     counts.update(fftn=0, ifftn=0)
     in_place.clear()
+    sizes.clear()
     strichartz_norm(_chirped_gaussian(lat), AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
     assert counts == {"fftn": 1, "ifftn": t_grid.size}
     assert in_place == [True] * t_grid.size
+    assert sizes == [lat.site_count] * (1 + t_grid.size)
     # a band-projected decay datum: the projection's inverse transform writes in place too
     in_place.clear()
     dispersive_decay_scan("klein_gordon", decay_data(Lattice(h=1.0, d=1, M=1024)), decay_time_grid(5.0, 50.0, 4),
@@ -293,11 +309,122 @@ def test_time_loops_transform_the_datum_once(monkeypatch):
     assert in_place == [True] * 5
 
 
+# ---------------------------------------------------------------------------
+# axis factors: an exact outer product is flowed as d one-axis data
+
+# entries whose products and quotients are exact in floating point
+DYADIC = st.builds(lambda e, u: u * 2.0**e, st.integers(-8, 8), st.sampled_from((1, -1, 1j, -1j, 1 + 1j, 1 - 1j)))
+
+
+def _kept_whole(f, kind):
+    """Whether :func:`harness._axis_factors` returns ``f`` itself as the single factor."""
+    factors = harness._axis_factors(f, kind)
+    return len(factors) == 1 and factors[0] is f
+
+
+@st.composite
+def rank_one_cases(draw):
+    """A lattice in d = 2 or 3 and d nonzero one-axis vectors of dyadic entries (real or complex)."""
+    d = draw(st.sampled_from((2, 3)))
+    M = draw(st.sampled_from((4, 6, 8)))
+    entries = DYADIC if draw(st.booleans()) else DYADIC.map(lambda z: z.real or z.imag)
+    vectors = [np.array(draw(st.lists(st.just(0.0) | entries, min_size=M, max_size=M)), dtype=complex)
+               for _ in range(d)]
+    for v in vectors:
+        v[draw(st.integers(0, M - 1))] = draw(entries)
+    return Lattice(h=draw(st.sampled_from((1.0, 0.5, 0.3))), d=d, M=M), vectors
+
+
+@settings(max_examples=150)
+@given(rank_one_cases(), st.data())
+def test_axis_factors_rebuild_exact_outer_products(case, data):
+    lat, vectors = case
+    u0 = GridFunction(lat, reduce(np.multiply.outer, vectors))
+    factors = harness._axis_factors(u0, "schrodinger")
+    assert len(factors) == lat.d
+    assert all(g.lattice == Lattice(h=lat.h, d=1, M=lat.M) for g in factors)
+    assert np.array_equal(reduce(np.multiply.outer, [g.values for g in factors]), u0.values)
+    # each factor is its vector up to a constant
+    for g, v in zip(factors, vectors):
+        k = int(np.argmax(np.abs(v)))
+        assert np.array_equal(g.values * v[k], v * g.values[k])
+    # no flow other than the free one is factored, and neither is a d = 1 field
+    assert _kept_whole(u0, "klein_gordon")
+    line = GridFunction(Lattice(h=lat.h, d=1, M=lat.M), vectors[0])
+    assert _kept_whole(line, "schrodinger")
+    # doubling one entry of a tensor with no zero entry leaves no rank-one tensor
+    full = [np.where(v == 0, 1.0, v) for v in vectors]
+    site = tuple(data.draw(st.integers(0, lat.M - 1)) for _ in range(lat.d))
+    changed = reduce(np.multiply.outer, full)
+    changed[site] *= 2.0
+    u1 = GridFunction(lat, changed)
+    assert _kept_whole(u1, "schrodinger")
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_axis_factors_keep_a_zero_field_or_a_gaussian_whole(d):
+    lat = Lattice(h=0.5, d=d, M=16)
+    zero = GridFunction(lat, np.zeros(lat.shape))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no division by a zero pivot
+        assert _kept_whole(zero, "schrodinger")
+    # exp of the summed squares is not the rounded product of the one-axis exponentials
+    blob = gaussian(lat, 2.0)
+    assert _kept_whole(blob, "schrodinger")
+    pm = point_mass(lat, 3, 2.0 - 0.5j)
+    assert _kept_whole(pm, "klein_gordon")
+    assert len(harness._axis_factors(pm, "schrodinger")) == d
+
+
+def _gaussian_outer_product(lat):
+    """One-axis Gaussians multiplied out, the first times 1 + i: an exact outer product with nontrivial
+    factors (each Gaussian is 1 at its centre, so the slices through it are the factors unrounded)."""
+    axis = gaussian(Lattice(h=lat.h, d=1, M=lat.M), 2.0).values
+    return GridFunction(lat, reduce(np.multiply.outer, [axis * (1.0 + 1.0j)] + [axis] * (lat.d - 1)))
+
+
+FACTORED_CASES = {
+    "point-d2": (Lattice(h=1.0, d=2, M=64), point_mass, 4.0),
+    "point-d3-off-centre": (Lattice(h=0.5, d=3, M=32), lambda lat: point_mass(lat, (1, -2, 0), 3.0 - 2.0j), 0.5),
+    "gaussian-product-d2": (Lattice(h=0.5, d=2, M=64), _gaussian_outer_product, 1.0),
+    "gaussian-product-d3": (Lattice(h=0.5, d=3, M=48), _gaussian_outer_product, 1.0),
+}
+
+
+@pytest.mark.parametrize("r", [math.inf, 4.0])
+@pytest.mark.parametrize("case", list(FACTORED_CASES))
+def test_factored_time_loop_matches_the_dense_flow(case, r):
+    lat, datum, T = FACTORED_CASES[case]
+    u0 = datum(lat)
+    assert len(harness._axis_factors(u0, "schrodinger")) == lat.d
+    t_grid = symmetric_time_grid(T, 8, T / 32.0)
+    dense = [lp_norm(_per_sample_flow("schrodinger", u0, float(t)), r) for t in t_grid]
+    np.testing.assert_allclose(harness._time_samples("schrodinger", u0, t_grid, r), dense, rtol=1e-12, atol=0)
+
+
+def test_factored_window_error_matches_the_dense_loop(monkeypatch):
+    u0 = point_mass(Lattice(h=1.0, d=2, M=32))
+    pair = AdmissiblePair(q=3.0, r=math.inf, d=2)
+    with pytest.raises(WindowError) as factored:
+        strichartz_norm(u0, pair, 40.0)
+    with monkeypatch.context() as mp:
+        mp.setattr(harness, "_axis_factors", lambda f, kind: [f])
+        with pytest.raises(WindowError) as dense:
+            strichartz_norm(u0, pair, 40.0)
+    assert str(factored.value) == str(dense.value)
+    assert factored.value.largest_valid_t == dense.value.largest_valid_t is not None
+    # against the monitor on the dense flow: the failing |t| is out of the window, the one named is inside
+    t_fail = float(str(factored.value).split("t=")[1].split(";")[0])
+    assert boundary_mass_fraction(_per_sample_flow("schrodinger", u0, t_fail)) > harness.BOUNDARY_THRESHOLD
+    inside = _per_sample_flow("schrodinger", u0, factored.value.largest_valid_t)
+    assert boundary_mass_fraction(inside) <= harness.BOUNDARY_THRESHOLD
+
+
 @pytest.mark.parametrize("grid", [[4.0, 2.0, 1.0], [1.0, 1.0], [1.0], [[1.0, 2.0]], [0.0, 1.0], [-1.0, 1.0],
                                   [1.0, np.nan], [1.0, np.inf]],
                          ids=["decreasing", "repeated", "single", "2-D", "zero", "negative", "nan", "inf"])
 def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
-    counts, _ = _count_transforms(monkeypatch)
+    counts, _, _ = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=1, M=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -311,7 +438,7 @@ def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch
                                   [-1.0, np.nan], [-np.inf, 1.0]],
                          ids=["decreasing", "repeated", "single", "2-D", "nan", "inf"])
 def test_strichartz_norm_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
-    counts, _ = _count_transforms(monkeypatch)
+    counts, _, _ = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=1, M=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -391,6 +518,14 @@ def test_spacing_drivers_reject_zero_spacing():
     for driver in drivers:
         with pytest.raises(ValueError, match="spacing h must be positive"):
             driver()
+
+
+@pytest.mark.parametrize("n_t", [1, 2, 63])
+def test_uniformity_scan_keeps_the_quadrature_floor(n_t, monkeypatch):
+    counts, _, _ = _count_transforms(monkeypatch)
+    with pytest.raises(ConfigurationError, match="n_t >= 64"):
+        uniformity_scan("schrodinger", [0.5], AdmissiblePair(q=6.0, r=math.inf, d=1), box=32.0, n_t=n_t)
+    assert counts == {"fftn": 0, "ifftn": 0}
 
 
 def test_uniformity_scan_rejects_unknown_data():
@@ -546,7 +681,7 @@ def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkey
             built[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    counts, _ = _count_transforms(monkeypatch)
+    counts, _, _ = _count_transforms(monkeypatch)
     lat, ensemble = Lattice.for_box(0.5, 2, 16.0), 9
     scales = band_scales(lat)
     random_ensemble(lat, ensemble, 1, cell_key=0)
@@ -782,6 +917,15 @@ def test_knapp_h_sharpness_at_the_largest_eps_is_finite():
 def test_knapp_rejects_non_finite_s(s):
     with pytest.raises(ConfigurationError, match="derivative weight s must be finite"):
         knapp_experiment(0.5, 0.04, s, AdmissiblePair(q=8.0, r=8.0, d=1), M=4096)
+
+
+@pytest.mark.parametrize("s,left", [(1e308, "0.0"), (-400.0, "inf")])
+def test_knapp_rejects_a_weight_that_vanishes_or_overflows(s, left):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=rf"left side is {left} at the derivative weight s = "):
+            knapp_experiment(0.5, 0.04, s, AdmissiblePair(q=8.0, r=8.0, d=1), M=4096, n_t=21, u_window=10.0,
+                             x_window=8.0)
 
 
 def test_knapp_constraint_validation():

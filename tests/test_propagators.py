@@ -11,13 +11,27 @@ from latticewave.propagators import (
     degenerate_points,
     flow,
     hessian_cosine_product_min,
-    kg_dispersion_grid,
     kg_phase_curvature,
-    klein_gordon_flow,
-    localized_flow,
     schrodinger_flow,
 )
 from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid
+
+
+# oracles: the half-wave symbol on the full grid, and flows built from it and from band projections
+
+def kg_dispersion_grid(lattice):
+    """sqrt(1 + (4/h^2) sin^2(h xi / 2)) on the dual grid."""
+    return np.sqrt(1.0 + laplacian_symbol_grid(lattice))
+
+
+def klein_gordon_flow(f, t):
+    """Half-wave flow with multiplier exp(i t sqrt(1 + (4/h^2) sin^2(h xi/2))), d = 1."""
+    return apply_multiplier(PhaseSpec("klein_gordon", t, f.lattice).multiplier_grid(), f)
+
+
+def localized_flow(f, t, N):
+    """Free flow applied to the scale-N dyadic band of f."""
+    return schrodinger_flow(band_projection(f, N), t)
 
 
 def random_field(lat, seed):
