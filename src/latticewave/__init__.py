@@ -23,7 +23,6 @@ from .lattice import (
 from .spectral import (
     BumpProfile,
     SpectralFunction,
-    Symbol,
     apply_multiplier,
     band_projection,
     band_scales,
@@ -35,7 +34,6 @@ from .spectral import (
     inverse_transform,
     laplacian_power,
     sobolev_norm,
-    widened_band_projection,
 )
 from .propagators import (
     PhaseSpec,

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .dnls import NlsConfig, continuum_gaussian, evolve, s1_norm
+from .dnls import KNOWN_MONITORS, NlsConfig, continuum_gaussian, evolve, s1_norm
 from .errors import ConfigurationError, DivergenceError, WindowError
 from .harness import (
     CONSTANT_KINDS,
@@ -76,10 +76,10 @@ def _lattice(args) -> Lattice:
     return Lattice(h=args.h, d=args.d, M=args.M)
 
 
-def _trajectory(args):
+def _trajectory(args, monitors: frozenset[str] = frozenset(KNOWN_MONITORS)):
     """The DNLS trajectory of the continuum Gaussian shared by ``dnls`` and ``s1``."""
     u0 = from_function(_lattice(args), continuum_gaussian(args.amplitude, args.width))
-    cfg = NlsConfig(lam=args.lam, p=args.p, dt=args.dt, T=args.T, snapshot_stride=args.stride)
+    cfg = NlsConfig(lam=args.lam, p=args.p, dt=args.dt, T=args.T, monitors=monitors, snapshot_stride=args.stride)
     return evolve(u0, cfg)
 
 
@@ -170,7 +170,7 @@ def _dnls(args):
 
 
 def _s1(args):
-    traj = _trajectory(args)
+    traj = _trajectory(args, monitors=frozenset())  # reads the snapshots only
     value = s1_norm(traj, admissible_pairs(args.d, args.pairs_count, r_max=args.r_max))
     return {}, ["h", "M", "lam", "p", "T", "s1"], [[args.h, traj.lattice.M, args.lam, args.p, args.T, value]]
 

@@ -23,9 +23,10 @@ from .lattice import (
     from_function,
     inner_product,
     lp_norm,
+    modulus_lp_norm,
 )
-from .propagators import PhaseSpec, schrodinger_flow
-from .spectral import bessel_derivative, discrete_laplacian, laplacian_power
+from .propagators import PhaseSpec, schrodinger_flow  # noqa: F401 (bench/selftest.py traces this binding)
+from .spectral import discrete_laplacian, laplacian_power, laplacian_symbol_grid
 
 __all__ = [
     "NlsConfig",
@@ -117,15 +118,32 @@ def nonlinear_phase_flow(u: GridFunction, tau: float, lam: float, p: float) -> G
     return GridFunction(u.lattice, u.values * np.exp(-1j * lam * tau * amp ** (p - 1.0)))
 
 
+def _strang_step(values: np.ndarray, half: np.ndarray, dt: float, lam: float, p: float):
+    """The Strang step on site values, given the half-step multiplier: the new values and their spectrum.
+
+    The last inverse transform leaves the spectrum intact for the monitors; the
+    products stay as written (see :func:`latticewave.propagators.flow`).
+    """
+    product = half * np.fft.fftn(values)
+    values = np.fft.ifftn(product, out=product)
+    values = values * np.exp(-1j * lam * dt * np.abs(values) ** (p - 1.0))
+    spectrum = half * np.fft.fftn(values)
+    return np.fft.ifftn(spectrum), spectrum
+
+
 def step_strang(u: GridFunction, dt: float, cfg: NlsConfig) -> GridFunction:
     """Symmetric composition: half linear flow, full nonlinear phase, half linear flow."""
-    v = schrodinger_flow(u, 0.5 * dt)
-    v = nonlinear_phase_flow(v, dt, cfg.lam, cfg.p)
-    return schrodinger_flow(v, 0.5 * dt)
+    half = PhaseSpec("schrodinger", 0.5 * dt, u.lattice).multiplier_grid()
+    return GridFunction(u.lattice, _strang_step(u.values, half, dt, cfg.lam, cfg.p)[0])
 
 
 def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     """Run the split-step scheme to the horizon, sampling monitors every step.
+
+    Mass, the kinetic part of the energy, ``s1_norm`` and ``kinetic_h1`` are
+    Parseval sums over the spectrum the last half-step already holds, so they
+    cost no transform; the boundary mass and the potential energy are sums
+    over |u|^2 in physical space, taken once per step with the window check.
 
     Raises :class:`DivergenceError` on non-finite values and
     :class:`WindowError` when the boundary-mass monitor trips; both carry the
@@ -137,48 +155,51 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     if "s1_norm" in cfg.monitors:
         series["kinetic_h1"] = []
 
-    # the boundary monitor's edge mask, built once per run
-    mask = boundary_mask(u0.lattice, cfg.boundary_width)
+    # the half-step multiplier, the edge mask and the Parseval weights, built once per run;
+    # h^d sum |u|^2 = c sum |fftn u|^2 with c = h^d / M^d
+    lat = u0.lattice
+    half = PhaseSpec("schrodinger", 0.5 * cfg.dt, lat).multiplier_grid()
+    mask = boundary_mask(lat, cfg.boundary_width)
+    lap = laplacian_symbol_grid(lat)
+    bessel = 1.0 + sum(g**2 for g in lat.frequency_grids())
+    c = lat.cell_volume / lat.site_count
 
-    def boundary_mass(u: GridFunction) -> float:
-        return density_mass_fraction(np.square(np.abs(u.values)), mask)
-
-    def record(u: GridFunction) -> None:
+    def record(density: np.ndarray, fraction: float, spectrum: np.ndarray) -> None:
+        if cfg.monitors & {"mass", "energy", "s1_norm"}:
+            power = np.square(np.abs(spectrum))
+            kinetic = c * float(np.vdot(lap, power))
         if "mass" in cfg.monitors:
-            series["mass"].append(mass(u))
+            series["mass"].append(c * float(power.sum()))
         if "energy" in cfg.monitors:
-            series["energy"].append(energy(u, cfg.lam, cfg.p))
+            potential = lat.cell_volume * float(np.sum(density ** (0.5 * (cfg.p + 1.0))))
+            series["energy"].append(0.5 * kinetic + cfg.lam / (cfg.p + 1.0) * potential)
         if "s1_norm" in cfg.monitors:
-            series["s1_norm"].append(lp_norm(bessel_derivative(u, 1.0), 2))
-            series["kinetic_h1"].append(lp_norm(laplacian_power(u, 1.0), 2))
+            series["s1_norm"].append(math.sqrt(c * float(np.vdot(bessel, power))))
+            series["kinetic_h1"].append(math.sqrt(kinetic))
         if "boundary_mass" in cfg.monitors:
-            series["boundary_mass"].append(boundary_mass(u))
+            series["boundary_mass"].append(fraction)
 
-    # the half-step multiplier of step_strang, built once per run
-    half = PhaseSpec("schrodinger", 0.5 * cfg.dt, u0.lattice).multiplier_grid()
-    u = u0.copy()
-    record(u)
+    values = u0.values
+    density = np.square(np.abs(values))
+    record(density, density_mass_fraction(density, mask), np.fft.fftn(values))
     snapshot_times = [0.0]
-    states = [u.copy()]
+    states = [u0.copy()]
     for k in range(1, n_steps + 1):
-        # inline Strang step; GridFunction construction validates finiteness
-        values = np.fft.ifftn(half * np.fft.fftn(u.values))
-        amp = np.abs(values)
-        values = values * np.exp(-1j * cfg.lam * cfg.dt * amp ** (cfg.p - 1.0))
-        values = np.fft.ifftn(half * np.fft.fftn(values))
+        values, spectrum = _strang_step(values, half, cfg.dt, cfg.lam, cfg.p)
         if not np.all(np.isfinite(values)):
             raise DivergenceError(f"non-finite state at t={times[k]:g}", last_valid_time=float(times[k - 1]))
-        u = GridFunction(u.lattice, values)
-        if boundary_mass(u) > cfg.boundary_threshold:
+        density = np.square(np.abs(values))
+        fraction = density_mass_fraction(density, mask)
+        if fraction > cfg.boundary_threshold:
             raise WindowError(f"boundary-mass monitor tripped at t={times[k]:g}",
                               largest_valid_t=float(times[k - 1]))
-        record(u)
+        record(density, fraction, spectrum)
         if k % cfg.snapshot_stride == 0 or k == n_steps:
             snapshot_times.append(float(times[k]))
-            states.append(u.copy())
+            states.append(GridFunction(lat, values))
 
     return Trajectory(
-        lattice=u0.lattice,
+        lattice=lat,
         config=cfg,
         times=times,
         monitors={name: np.array(vals) for name, vals in series.items()},
@@ -190,20 +211,29 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
 def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
     """sup over pairs of the mixed norm of the (1 - 1/q)-derivative-weighted snapshots.
 
-    The time quadrature runs over the snapshot grid; refine the snapshot
-    stride until the value stops moving (self-convergence) before trusting it.
+    Each snapshot is transformed once and every pair's Bessel weight
+    (1 + |xi|^2)^((1 - 1/q)/2), built once, is applied to that spectrum as
+    :func:`latticewave.spectral.bessel_derivative` applies it.  The time
+    quadrature runs over the snapshot grid; refine the snapshot stride until
+    the value stops moving (self-convergence) before trusting it.
     """
     if not pairs:
         raise ConfigurationError("need a nonempty list of exponent pairs")
-    ts = traj.snapshot_times
+    lat = traj.lattice
+    r2 = sum(g**2 for g in lat.frequency_grids())
+    weights = [(1.0 + r2) ** (0.5 * (1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q))) for pair in pairs]
+    rnorms = np.empty((len(pairs), len(traj.states)))
+    for j, u in enumerate(traj.states):
+        spectrum = np.fft.fftn(u.values)
+        for i, (pair, weight) in enumerate(zip(pairs, weights)):
+            product = weight * spectrum
+            rnorms[i, j] = modulus_lp_norm(np.abs(np.fft.ifftn(product, out=product)), lat, pair.r)
     best = 0.0
-    for pair in pairs:
-        w = 1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q)
-        rnorms = np.array([lp_norm(bessel_derivative(u, w), pair.r) for u in traj.states])
+    for pair, norms in zip(pairs, rnorms):
         if math.isinf(pair.q):
-            val = float(rnorms.max())
+            val = float(norms.max())
         else:
-            val = float(np.trapezoid(rnorms**pair.q, ts) ** (1.0 / pair.q))
+            val = float(np.trapezoid(norms**pair.q, traj.snapshot_times) ** (1.0 / pair.q))
         best = max(best, val)
     return best
 
@@ -295,7 +325,7 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
     for h in h_list:
         lat = Lattice.for_box(h, d, box)
         u0 = from_function(lat, profile)
-        cfg = NlsConfig(lam=lam, p=p, dt=dt, T=T, snapshot_stride=snapshot_stride)
+        cfg = NlsConfig(lam=lam, p=p, dt=dt, T=T, monitors=frozenset({"s1_norm"}), snapshot_stride=snapshot_stride)
         traj = evolve(u0, cfg)
         e0 = energy(u0, lam, p)
         m0 = mass(u0)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -18,7 +17,6 @@ from .lattice import GridFunction, Lattice, lp_norm
 
 __all__ = [
     "SpectralFunction",
-    "Symbol",
     "BumpProfile",
     "default_bump",
     "forward_transform",
@@ -28,7 +26,6 @@ __all__ = [
     "band_symbol",
     "band_bank",
     "band_projection",
-    "widened_band_projection",
     "fractional_derivative",
     "bessel_derivative",
     "discrete_laplacian",
@@ -53,21 +50,6 @@ class SpectralFunction:
         self.coefficients = c
 
 
-@dataclass
-class Symbol:
-    """Scalar frequency-domain function evaluated on broadcastable frequency arrays."""
-
-    evaluator: Callable[..., np.ndarray]
-    label: str = ""
-
-    def on_grid(self, lattice: Lattice) -> np.ndarray:
-        vals = np.broadcast_to(self.evaluator(*lattice.frequency_grids()), lattice.shape)
-        vals = np.asarray(vals, dtype=complex)
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"symbol {self.label!r} is undefined at a dual-grid frequency")
-        return vals
-
-
 def forward_transform(f: GridFunction) -> SpectralFunction:
     """h^d-weighted transform evaluated at the dual-grid frequencies."""
     return SpectralFunction(f.lattice, f.lattice.cell_volume * np.fft.fftn(f.values))
@@ -78,12 +60,11 @@ def inverse_transform(F: SpectralFunction) -> GridFunction:
     return GridFunction(F.lattice, np.fft.ifftn(F.coefficients) / F.lattice.cell_volume)
 
 
-def apply_multiplier(m: Symbol | np.ndarray, f: GridFunction) -> GridFunction:
-    """Transform, multiply pointwise in frequency, transform back into the product.
+def apply_multiplier(grid: np.ndarray, f: GridFunction) -> GridFunction:
+    """Transform, multiply pointwise by the dual-grid symbol ``grid``, transform back into the product.
 
     The product expression stays as written (see :func:`latticewave.propagators.flow`).
     """
-    grid = m.on_grid(f.lattice) if isinstance(m, Symbol) else m
     product = grid * np.fft.fftn(f.values)
     return GridFunction(f.lattice, np.fft.ifftn(product, out=product))
 
@@ -162,18 +143,6 @@ def band_bank(lattice: Lattice) -> np.ndarray:
 def band_projection(f: GridFunction, N: float, bump: BumpProfile = default_bump) -> GridFunction:
     """Smooth projection onto the dyadic frequency band at scale N (N dyadic, <= 1)."""
     return apply_multiplier(band_symbol(f.lattice, N, bump), f)
-
-
-def widened_band_projection(f: GridFunction, N: float, bump: BumpProfile = default_bump) -> GridFunction:
-    """Projection with symbol covering scales N/2, N, 2N (identity on the band at N).
-
-    The 2N term is dropped at the N = 1 edge of the dyadic range.
-    """
-    _require_dyadic_leq_one(N)
-    sym = band_symbol(f.lattice, N, bump) + band_symbol(f.lattice, N / 2.0, bump)
-    if 2.0 * N <= 1.0:
-        sym = sym + band_symbol(f.lattice, 2.0 * N, bump)
-    return apply_multiplier(sym, f)
 
 
 # ---------------------------------------------------------------------------

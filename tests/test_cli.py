@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -5,8 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
+from latticewave import cli
 from latticewave.cli import run
-from latticewave.harness import CONSTANT_KINDS
+from latticewave.dnls import KNOWN_MONITORS, s1_norm
+from latticewave.harness import CONSTANT_KINDS, admissible_pairs
 
 
 def read_csv(path):
@@ -311,6 +314,26 @@ def test_s1_command(tmp_path):
     doc = json.loads(out.read_text())
     s1_col = doc["columns"].index("s1")
     assert doc["rows"][0][s1_col] > 0
+
+
+def test_s1_command_asks_for_no_monitor_series(tmp_path, monkeypatch):
+    calls = []
+    original = cli.evolve
+
+    def recorded(u0, cfg):
+        calls.append((u0, cfg))
+        return original(u0, cfg)
+
+    monkeypatch.setattr(cli, "evolve", recorded)
+    out = tmp_path / "s1.json"
+    assert run(["s1", "--d", "1", "--h", "0.5", "--box", "32", "--lam", "1", "--p", "3",
+                "--dt", "0.05", "--T", "0.3", "--format", "json", "--out", str(out)]) == 0
+    [(u0, cfg)] = calls
+    assert cfg.monitors == frozenset()
+    # the value is the one a fully monitored trajectory gives, bit for bit
+    full = original(u0, dataclasses.replace(cfg, monitors=frozenset(KNOWN_MONITORS)))
+    doc = json.loads(out.read_text())
+    assert doc["rows"][0][doc["columns"].index("s1")] == s1_norm(full, admissible_pairs(1, 6, r_max=100.0))
 
 
 def test_outdir_env_var(tmp_path, monkeypatch):

@@ -27,7 +27,7 @@ from latticewave.lattice import (
     point_mass,
 )
 from latticewave.propagators import schrodinger_flow
-from latticewave.spectral import bessel_derivative
+from latticewave.spectral import bessel_derivative, laplacian_power
 
 
 def smooth_data(lat, amplitude=1.0, width=2.0):
@@ -136,6 +136,94 @@ def test_evolve_snapshots_equal_repeated_step_strang(d):
     assert len(traj.states) == len(expected) == 5
     for got, want in zip(traj.states, expected):
         assert np.array_equal(got.values, want)
+
+
+def _count_transforms(monkeypatch):
+    """Count ``np.fft.fftn``/``ifftn`` calls (the monkeypatch pattern of ``tests/test_harness.py``)."""
+    counts = {"fftn": 0, "ifftn": 0}
+    for name in counts:
+        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return counts
+
+
+# d = 2, M = 128 is a 256 KiB complex grid: numpy elides temporaries from that size on
+PARSEVAL_CASES = [(1, 64, 0.5, 2.0, 1.0), (1, 64, 0.5, 2.0, -1.0), (2, 32, 1.0, 2.0, 1.0),
+                  (2, 128, 0.25, 2.0, 1.0), (3, 16, 1.0, 1.0, 1.0)]
+
+
+@pytest.mark.parametrize("d,M,h,width,lam", PARSEVAL_CASES)
+def test_parseval_monitors_match_their_physical_definitions(d, M, h, width, lam):
+    lat = Lattice(h=h, d=d, M=M)
+    cfg = NlsConfig(lam=lam, p=3.0, dt=0.01, T=0.08, snapshot_stride=1)
+    traj = evolve(smooth_data(lat, width=width), cfg)
+    assert len(traj.states) == traj.times.size == 9
+    # the oracles are computed before the assert (see propagators.flow on temporary elision)
+    oracles = {
+        "mass": [mass(u) for u in traj.states],
+        "energy": [energy(u, cfg.lam, cfg.p) for u in traj.states],
+        "s1_norm": [lp_norm(bessel_derivative(u, 1.0), 2) for u in traj.states],
+        "kinetic_h1": [lp_norm(laplacian_power(u, 1.0), 2) for u in traj.states],
+    }
+    for name, want in oracles.items():
+        got = traj.monitors[name]
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
+
+
+def test_evolve_reads_the_monitors_from_the_step_spectrum(monkeypatch):
+    counts = _count_transforms(monkeypatch)
+    lat = Lattice(h=1.0, d=2, M=32)
+    cfg = NlsConfig(lam=1.0, p=3.0, dt=0.01, T=0.1, snapshot_stride=3)
+    traj = evolve(smooth_data(lat), cfg)
+    n_steps = traj.times.size - 1
+    assert set(traj.monitors) == {"mass", "energy", "s1_norm", "kinetic_h1", "boundary_mass"}
+    # the datum's spectrum once, then four transforms per Strang step and none for the monitors
+    assert counts == {"fftn": 1 + 2 * n_steps, "ifftn": 2 * n_steps}
+    counts.update(fftn=0, ifftn=0)
+    pairs = [*admissible_pairs(2, 4), AdmissiblePair(q=math.inf, r=2.0, d=2)]
+    s1_norm(traj, pairs)
+    assert counts == {"fftn": len(traj.states), "ifftn": len(traj.states) * len(pairs)}
+
+
+def test_evolve_builds_the_parseval_weights_once(monkeypatch):
+    calls = []
+
+    def counted(*args, _fn=dnls.laplacian_symbol_grid, **kwargs):
+        calls.append(args)
+        return _fn(*args, **kwargs)
+
+    monkeypatch.setattr(dnls, "laplacian_symbol_grid", counted)
+    evolve(smooth_data(Lattice(h=0.5, d=1, M=64)), NlsConfig(lam=1.0, p=3.0, dt=0.01, T=0.2))
+    assert len(calls) == 1
+
+
+def _s1_norm_per_pair(traj, pairs):
+    """Oracle: each pair transforms every snapshot again through ``bessel_derivative``."""
+    best = 0.0
+    for pair in pairs:
+        w = 1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q)
+        rnorms = np.array([lp_norm(bessel_derivative(u, w), pair.r) for u in traj.states])
+        if math.isinf(pair.q):
+            val = float(rnorms.max())
+        else:
+            val = float(np.trapezoid(rnorms**pair.q, traj.snapshot_times) ** (1.0 / pair.q))
+        best = max(best, val)
+    return best
+
+
+@pytest.mark.parametrize("d,M,h,width", [(1, 64, 0.5, 2.0), (2, 32, 1.0, 2.0), (2, 128, 0.25, 2.0),
+                                         (3, 16, 1.0, 1.0)])
+def test_s1_norm_equals_the_per_pair_loop_bit_for_bit(d, M, h, width):
+    lat = Lattice(h=h, d=d, M=M)
+    traj = evolve(smooth_data(lat, width=width), NlsConfig(lam=1.0, p=3.0, dt=0.01, T=0.06, snapshot_stride=2,
+                                              monitors=frozenset()))
+    pairs = [*admissible_pairs(d, 5), AdmissiblePair(q=math.inf, r=2.0, d=d)]
+    # each pair alone, since the sup over all of them is usually the q = inf pair's value
+    for chosen in (pairs, pairs[::-1], *([pair] for pair in pairs)):
+        want = _s1_norm_per_pair(traj, chosen)
+        assert s1_norm(traj, chosen) == want
 
 
 def test_evolve_zero_data():
@@ -255,6 +343,24 @@ def test_s1_norm_sup_pair_linear_flow():
     assert s1_norm(traj, [sup_pair]) == pytest.approx(expected, rel=1e-10)
     more = s1_norm(traj, admissible_pairs(1, 5))
     assert more >= s1_norm(traj, [sup_pair]) - 1e-12
+
+
+def test_uniform_bound_experiment_asks_for_the_kinetic_series_only(monkeypatch):
+    configs = []
+    original = dnls.evolve
+
+    def recorded(u0, cfg):
+        configs.append(cfg)
+        return original(u0, cfg)
+
+    monkeypatch.setattr(dnls, "evolve", recorded)
+    scan = uniform_bound_experiment([1.0], continuum_gaussian(1.0, 2.0), d=1, box=32.0, dt=0.01, T=0.1,
+                                    pairs_count=3, snapshot_stride=2)
+    assert [cfg.monitors for cfg in configs] == [frozenset({"s1_norm"})]
+    # the h1_sup column is the kinetic series of the full run
+    full = original(from_function(Lattice.for_box(1.0, 1, 32.0), continuum_gaussian(1.0, 2.0)),
+                    NlsConfig(lam=1.0, p=3.0, dt=0.01, T=0.1, snapshot_stride=2))
+    assert scan.rows[0][scan.columns.index("h1_sup")] == float(full.monitors["kinetic_h1"].max())
 
 
 def test_uniform_bound_experiment_defocusing_smoke():

@@ -1,14 +1,20 @@
-"""Property tests on random small lattices: the transform pair, the free flows, one Strang step."""
+"""Property tests on random small lattices: the transform pair, the free flows, one Strang step, its monitors."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latticewave.dnls import NlsConfig, mass, step_strang
-from latticewave.lattice import GridFunction, Lattice, lp_norm
+from latticewave.dnls import NlsConfig, energy, evolve, mass, step_strang
+from latticewave.lattice import GridFunction, Lattice, inner_product, lp_norm
 from latticewave.propagators import FLOW_KINDS, flow
-from latticewave.spectral import SpectralFunction, forward_transform, inverse_transform, laplacian_symbol_grid
+from latticewave.spectral import (
+    SpectralFunction,
+    discrete_laplacian,
+    forward_transform,
+    inverse_transform,
+    laplacian_symbol_grid,
+)
 
 EPS = np.finfo(float).eps
 _MAX_HALF_M = {1: 64, 2: 12, 3: 6}
@@ -86,3 +92,21 @@ def test_strang_step_conserves_mass(f, lam, p, dt):
     cfg = NlsConfig(lam=lam, p=p, dt=dt, T=dt)
     m0 = mass(f)
     assert abs(mass(step_strang(f, dt, cfg)) - m0) <= 1e-12 * m0
+
+
+@settings(max_examples=60)
+@given(fields(), st.floats(-5.0, 5.0), st.floats(1.0, 7.0, exclude_min=True))
+def test_parseval_monitors_match_physical_sums(f, lam, p):
+    # evolve reads mass and the kinetic energy from the spectrum; these are the physical-space sums
+    lat = f.lattice
+    cfg = NlsConfig(lam=lam, p=p, dt=1e-3, T=1e-3, boundary_threshold=1.0, snapshot_stride=1)
+    traj = evolve(f, cfg)
+    for k, u in enumerate(traj.states):
+        m = mass(u)
+        kinetic = 0.5 * inner_product(-discrete_laplacian(u), u).real
+        potential = lam / (p + 1.0) * lat.cell_volume * float(np.sum(np.abs(u.values) ** (p + 1.0)))
+        # the kinetic energy is at most (2d/h^2) times the mass
+        kinetic_scale = 2.0 * lat.d / lat.h**2 * m
+        assert abs(traj.monitors["mass"][k] - m) <= 1e-12 * m
+        assert abs(traj.monitors["energy"][k] - energy(u, lam, p)) <= 1e-12 * (kinetic_scale + abs(potential))
+        assert abs(0.5 * traj.monitors["kinetic_h1"][k] ** 2 - kinetic) <= 1e-12 * kinetic_scale

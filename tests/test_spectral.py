@@ -1,3 +1,6 @@
+from dataclasses import dataclass
+from typing import Callable
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,6 @@ from hypothesis import strategies as st
 from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave, point_mass
 from latticewave.spectral import (
     BumpProfile,
-    Symbol,
     apply_multiplier,
     band_bank,
     band_projection,
@@ -21,8 +23,33 @@ from latticewave.spectral import (
     laplacian_power,
     laplacian_symbol_grid,
     sobolev_norm,
-    widened_band_projection,
 )
+
+
+@dataclass
+class Symbol:
+    """Oracle: a scalar frequency-domain function evaluated on broadcastable frequency arrays."""
+
+    evaluator: Callable[..., np.ndarray]
+    label: str = ""
+
+    def on_grid(self, lattice: Lattice) -> np.ndarray:
+        vals = np.broadcast_to(self.evaluator(*lattice.frequency_grids()), lattice.shape)
+        vals = np.asarray(vals, dtype=complex)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"symbol {self.label!r} is undefined at a dual-grid frequency")
+        return vals
+
+
+def widened_band_projection(f, N):
+    """Oracle: projection with symbol covering scales N/2, N, 2N (identity on the band at N).
+
+    The 2N term is dropped at the N = 1 edge of the dyadic range; ``band_symbol`` checks N.
+    """
+    sym = band_symbol(f.lattice, N) + band_symbol(f.lattice, N / 2.0)
+    if 2.0 * N <= 1.0:
+        sym = sym + band_symbol(f.lattice, 2.0 * N)
+    return apply_multiplier(sym, f)
 
 
 def random_field(lat, seed, mean_zero=False):
@@ -88,7 +115,7 @@ def test_inverse_linearity():
 def test_identity_multiplier():
     lat = Lattice(h=0.5, d=1, M=16)
     f = random_field(lat, 3)
-    out = apply_multiplier(Symbol(lambda x: np.ones_like(x), "one"), f)
+    out = apply_multiplier(Symbol(lambda x: np.ones_like(x), "one").on_grid(lat), f)
     np.testing.assert_allclose(out.values, f.values, atol=1e-13)
 
 
@@ -97,16 +124,16 @@ def test_multiplier_composition():
     f = random_field(lat, 4)
     m1 = Symbol(lambda x, y: np.cos(x) + 0.5, "m1")
     m2 = Symbol(lambda x, y: 1.0 + 0.2j * y, "m2")
-    lhs = apply_multiplier(m1, apply_multiplier(m2, f))
+    lhs = apply_multiplier(m1.on_grid(lat), apply_multiplier(m2.on_grid(lat), f))
     m12 = Symbol(lambda x, y: (np.cos(x) + 0.5) * (1.0 + 0.2j * y), "m1*m2")
-    rhs = apply_multiplier(m12, f)
+    rhs = apply_multiplier(m12.on_grid(lat), f)
     np.testing.assert_allclose(lhs.values, rhs.values, atol=1e-10)
 
 
 def test_shift_multiplier():
     lat = Lattice(h=0.5, d=1, M=16)
     f = random_field(lat, 5)
-    out = apply_multiplier(Symbol(lambda x: np.exp(1j * lat.h * x), "shift"), f)
+    out = apply_multiplier(Symbol(lambda x: np.exp(1j * lat.h * x), "shift").on_grid(lat), f)
     np.testing.assert_allclose(out.values, np.roll(f.values, -1), atol=1e-12)
 
 
@@ -114,7 +141,7 @@ def test_multiplier_rejects_nan_symbol():
     lat = Lattice(h=0.5, d=1, M=16)
     bad = Symbol(lambda x: np.where(x == 0.0, np.nan, 1.0), "bad")
     with pytest.raises(ValueError, match="undefined"):
-        apply_multiplier(bad, point_mass(lat))
+        apply_multiplier(bad.on_grid(lat), point_mass(lat))
 
 
 # ---------------------------------------------------------------------------
