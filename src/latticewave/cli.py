@@ -105,7 +105,8 @@ def _decay(args):
 def _strichartz(args):
     lat = _lattice(args)
     pair = AdmissiblePair(q=args.q, r=args.r, d=args.d)
-    u0 = point_mass(lat) if args.data == "point" else gaussian(lat, args.width or lat.box_length / 16.0)
+    width = lat.box_length / 16.0 if args.width is None else args.width
+    u0 = point_mass(lat) if args.data == "point" else gaussian(lat, width)
     u0 = u0 * (1.0 / lp_norm(u0, 2))
     value = strichartz_norm(u0, pair, args.T, n_t=args.n_t, kind=args.kind)
     return {}, ["h", "M", "q", "r", "T", "value"], [[args.h, lat.M, pair.q, pair.r, args.T, value]]

@@ -26,7 +26,7 @@ from .lattice import (
     modulus_lp_norm,
 )
 from .propagators import PhaseSpec, schrodinger_flow  # noqa: F401 (bench/selftest.py traces this binding)
-from .spectral import discrete_laplacian, laplacian_power, laplacian_symbol_grid
+from .spectral import continuum_symbol_grid, discrete_laplacian, laplacian_power, laplacian_symbol_grid
 
 __all__ = [
     "NlsConfig",
@@ -161,7 +161,7 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     half = PhaseSpec("schrodinger", 0.5 * cfg.dt, lat).multiplier_grid()
     mask = boundary_mask(lat, cfg.boundary_width)
     lap = laplacian_symbol_grid(lat)
-    bessel = 1.0 + sum(g**2 for g in lat.frequency_grids())
+    bessel = 1.0 + continuum_symbol_grid(lat)
     c = lat.cell_volume / lat.site_count
 
     def record(density: np.ndarray, fraction: float, spectrum: np.ndarray) -> None:
@@ -220,7 +220,7 @@ def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
     if not pairs:
         raise ConfigurationError("need a nonempty list of exponent pairs")
     lat = traj.lattice
-    r2 = sum(g**2 for g in lat.frequency_grids())
+    r2 = continuum_symbol_grid(lat)
     weights = [(1.0 + r2) ** (0.5 * (1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q))) for pair in pairs]
     rnorms = np.empty((len(pairs), len(traj.states)))
     for j, u in enumerate(traj.states):
@@ -240,6 +240,9 @@ def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
 
 def continuum_gaussian(amplitude: float = 1.0, width: float = 2.0):
     """A fixed continuum profile to sample across the spacing scan."""
+    if not (math.isfinite(amplitude) and 0 < width < math.inf):
+        raise ConfigurationError(f"the Gaussian needs a finite amplitude and a positive, finite width, "
+                                 f"got amplitude={amplitude!r}, width={width!r}")
 
     def profile(*coords):
         r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)

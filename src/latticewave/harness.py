@@ -26,14 +26,13 @@ from .lattice import (
     modulus_lp_norm,
     point_mass,
 )
-from .propagators import flow
+from .propagators import DISPERSIONS, dispersion, flow
 from .spectral import (
     band_bank,
     band_projection,
     band_scales,
-    bessel_derivative,
+    continuum_symbol_grid,
     forward_difference,
-    fractional_derivative,
     laplacian_power,
     laplacian_symbol_grid,
     sobolev_norm,
@@ -177,12 +176,12 @@ def _axis_factors(u0: GridFunction, kind: str) -> list[GridFunction]:
 
     The factors are the slices of ``u0`` through its largest-modulus site,
     all but the first divided by the value there, and are kept only if
-    their outer product rebuilds ``u0`` exactly.  Only the Schrodinger
-    symbol is a sum over axes (see :mod:`latticewave.propagators`), so only
-    its flow of an outer product is the outer product of the one-axis flows.
+    their outer product rebuilds ``u0`` exactly.  Only the flow of a kind
+    whose symbol is additive over the axes maps an outer product to the outer
+    product of the one-axis flows (see :mod:`latticewave.propagators`).
     """
     lat, v = u0.lattice, u0.values
-    if lat.d == 1 or kind != "schrodinger":
+    if lat.d == 1 or not DISPERSIONS[kind].additive:
         return [u0]
     pivot = np.unravel_index(np.argmax(np.abs(v)), v.shape)
     if v[pivot] == 0:
@@ -196,7 +195,7 @@ def _axis_factors(u0: GridFunction, kind: str) -> list[GridFunction]:
 
 
 def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
-                  boundary_width: int | None = None, check_window: bool = True) -> np.ndarray:
+                  check_window: bool = True) -> np.ndarray:
     """The l^p norm of the ``kind`` flow of ``u0`` at each time of ``t_grid``, each field window-checked.
 
     Times are walked in ascending |t| and the norms are scattered back.  A
@@ -217,7 +216,7 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
     else:
         order = np.argsort(np.abs(t_grid), kind="stable")
         times, inverse = t_grid[order], np.argsort(order)
-    mask = boundary_mask(lat, boundary_width) if check_window else None
+    mask = boundary_mask(lat) if check_window else None
     factors = [(f.lattice, np.fft.fftn(f.values)) for f in _axis_factors(u0, kind)]
     norms = np.empty(times.size)
     for i, t in enumerate(times):
@@ -245,20 +244,20 @@ def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
 
 
 def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
-                          N: float | None = None,
-                          boundary_width: int | None = None) -> DecayFit:
+                          N: float | None = None) -> DecayFit:
     """Fit the log-log slope of t -> sup norm of the evolved data.
 
     ``N`` selects a dyadic frequency band first; ``None`` evolves the full
     spectrum.  Each sampled time is checked against the boundary-mass monitor
     and the scan aborts (reporting the largest admissible |t|) once wraparound
-    contaminates the box.
+    contaminates the box.  The kind is checked before the band projection.
     """
+    dispersion(kind, data.lattice.d)
     t_grid = _checked_time_grid(t_grid, positive=True)
     f = data * (1.0 / lp_norm(data, 1))
     if N is not None:
         f = band_projection(f, N)
-    sups = _time_samples(kind, f, t_grid, math.inf, boundary_width)
+    sups = _time_samples(kind, f, t_grid, math.inf)
     fit = loglog_fit(t_grid, sups)
     return DecayFit(times=t_grid, sup_norms=sups,
                     slope=fit["slope"], intercept=fit["intercept"], r_squared=fit["r_squared"])
@@ -287,8 +286,10 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     flow at t, so each distinct |t| is flowed, window-checked and normed once
     (6 flows instead of 11 on ``symmetric_time_grid(T, 5, t_min)``), walking
     |t| upwards; a window failure then names the largest admissible |t|.  A
-    complex datum is flowed at every node of the grid.
+    complex datum is flowed at every node of the grid.  The kind is checked
+    before any transform.
     """
+    dispersion(kind, u0.lattice.d)
     if t_grid is None:
         if n_t < 64:
             raise ConfigurationError("need n_t >= 64 quadrature nodes")
@@ -356,7 +357,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     The per-spacing horizon is ``horizon_fraction * box * h`` so the fastest
     band (group speed ~ 2/h) stays inside the box; the tail it cuts is a
     vanishing fraction of the q-th power integral and is recorded in metadata.
-    The flow kind and its dimension are checked by the propagator.
+    The derivative weight is the flow kind's ``weight`` row, read (and the
+    kind and its dimension checked) before the first cell.
     """
     if data not in ("point", "gaussian"):
         raise ConfigurationError(f"unknown data kind {data!r}")
@@ -364,6 +366,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"horizon_fraction must be positive and finite, got {horizon_fraction!r}")
     if n_t < 64:
         raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
+    weight = dispersion(kind, pair.d).weight
     rows = []
     for h in h_list:
         lat = Lattice.for_box(h, pair.d, box)
@@ -372,11 +375,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         T = horizon_fraction * box * h
         grid = symmetric_time_grid(T, n_t, h * h / 16.0)
         S = strichartz_norm(u0, pair, T, t_grid=grid, kind=kind)
-        if kind == "schrodinger":
-            weighted = fractional_derivative(u0, 0.0 if math.isinf(pair.q) else 1.0 / pair.q)
-        else:
-            weighted = bessel_derivative(fractional_derivative(u0, 1.0 / 3.0), 1.0)
-        rhs_with = lp_norm(weighted, 2)
+        rhs_with = lp_norm(weight(u0, pair.q), 2)
         rhs_without = lp_norm(u0, 2)
         rows.append([h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without])
     return scan_result(
@@ -661,9 +660,8 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     axis_xi = lat.axis_frequencies()
     y = 0.5 * h * axis_xi
     block_axis = np.abs((y - np.pi / 4.0) / epsilon) < 1.0
-    grids = lat.frequency_grids()
     om = laplacian_symbol_grid(lat)
-    xi_sum = sum(np.broadcast_to(g, lat.shape) for g in grids)
+    xi_sum = sum(np.broadcast_to(g, lat.shape) for g in lat.frequency_grids())
     arg = (h**2 / epsilon**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * xi_sum)
     block = np.ones(lat.shape, dtype=bool)
     for ax in range(d):
@@ -671,7 +669,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         sh[ax] = M
         block &= block_axis.reshape(sh)
     K = block & (np.abs(arg) < 1.0)
-    r2 = np.broadcast_to(sum(g**2 for g in grids), lat.shape)
+    r2 = continuum_symbol_grid(lat)
     weighted = K & (r2 > 0)  # the homogeneous weight drops xi = 0
     wgt = np.zeros(lat.shape)
     with np.errstate(over="ignore"):  # an overflowing weight is rejected below

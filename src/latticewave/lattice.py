@@ -186,6 +186,8 @@ def plane_wave(lattice: Lattice, k: tuple[int, ...] | int) -> GridFunction:
 
 def gaussian(lattice: Lattice, width: float, amplitude: complex = 1.0) -> GridFunction:
     """Gaussian envelope centred on the site x = 0 (the middle of the periodic box)."""
+    if not 0 < width < math.inf:
+        raise ConfigurationError(f"the Gaussian width must be positive and finite, got width={width!r}")
     coords = lattice.coordinate_grids()
     r2 = sum(np.broadcast_to(c, lattice.shape) ** 2 for c in coords)
     return GridFunction(lattice, amplitude * np.exp(-r2 / (2.0 * width**2)))

@@ -5,32 +5,31 @@ integrator error: t enters only through symbol evaluation.  Decay experiments
 that consume these flows must keep the solution's mass away from the periodic
 boundary (see :func:`latticewave.lattice.boundary_mass_fraction`).
 
-Every symbol in ``FLOW_KINDS`` is real and even in the frequency, so the flow
-of a real datum satisfies u(-t) = conj u(t).  The space-time norm loop in
-:mod:`latticewave.harness` relies on this to flow a real datum once per
-distinct |t|, so a flow kind added there must keep this invariant.
-
-The Schrodinger symbol is also additive over the axes, so its flow is the
-tensor product of the one-axis flows and maps an outer product of one-axis
-data to the outer product of their flows.  The same loop relies on this to
-flow such a datum as d one-axis transforms.  The half-wave symbol
-sqrt(1 + sum_j) is not additive, and the loop flows every datum of any other
-kind on the full grid.
+Each flow kind is one :data:`DISPERSIONS` row, read through the checked
+accessor :func:`dispersion`.  Every symbol in the table is real and even in
+the frequency, so the flow of a real datum satisfies u(-t) = conj u(t); the
+space-time norm loop in :mod:`latticewave.harness` relies on this to flow a
+real datum once per distinct |t|, so a kind added to the table must keep it.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .lattice import GridFunction, Lattice
-from .spectral import BumpProfile, apply_multiplier, band_symbol, default_bump
+from .spectral import apply_multiplier, band_symbol, bessel_derivative, fractional_derivative, lattice_symbol
 
 __all__ = [
+    "Dispersion",
+    "DISPERSIONS",
     "FLOW_KINDS",
+    "dispersion",
     "PhaseSpec",
     "flow",
     "schrodinger_flow",
@@ -40,7 +39,53 @@ __all__ = [
 ]
 
 
-FLOW_KINDS = ("schrodinger", "klein_gordon")
+@dataclass(frozen=True)
+class Dispersion:
+    """One flow kind, in terms of the one-axis lattice symbol s = (4/h^2) sin^2(h xi / 2).
+
+    ``phase(t, s)`` is the multiplier at time t.  ``additive``: the phase of a
+    sum of one-axis symbols is the product of their phases, so the flow maps
+    an outer product of one-axis data to the outer product of their flows; a
+    kind without it runs in d = 1 only.  ``degenerate(h)`` is the positive
+    frequency where the phase loses convexity along an axis, and
+    ``weight(u, q)`` the derivative-weighted datum whose L^2 norm bounds the
+    space-time norm uniformly in h.
+    """
+
+    phase: Callable[[float, np.ndarray], np.ndarray]
+    additive: bool
+    degenerate: Callable[[float], float]
+    weight: Callable[[GridFunction, float], GridFunction]
+
+
+DISPERSIONS = {
+    # the free lattice flow exp(-i t sum_j s_j)
+    "schrodinger": Dispersion(
+        phase=lambda t, s: np.exp(-1j * t * s),
+        additive=True,
+        degenerate=lambda h: np.pi / (2.0 * h),
+        weight=lambda u, q: fractional_derivative(u, 0.0 if math.isinf(q) else 1.0 / q),
+    ),
+    # the d = 1 half-wave flow exp(i t sqrt(1 + s)) of Stefanov-Kevrekidis
+    "klein_gordon": Dispersion(
+        phase=lambda t, s: np.exp(1j * t * np.sqrt(1.0 + s)),
+        additive=False,
+        degenerate=lambda h: np.arccos(((h**2 + 2.0) - h * np.sqrt(h**2 + 4.0)) / 2.0) / h,
+        weight=lambda u, q: bessel_derivative(fractional_derivative(u, 1.0 / 3.0), 1.0),
+    ),
+}
+
+FLOW_KINDS = tuple(DISPERSIONS)
+
+
+def dispersion(kind: str, d: int) -> Dispersion:
+    """The table row of ``kind`` on a d-dimensional lattice; ConfigurationError for an
+    unknown kind, or for a kind that is not additive over the axes at d != 1."""
+    if kind not in DISPERSIONS:
+        raise ConfigurationError(f"unknown flow kind {kind!r}")
+    if not DISPERSIONS[kind].additive and d != 1:
+        raise ConfigurationError(f"the {kind} flow is not additive over the axes and is implemented for d = 1 only")
+    return DISPERSIONS[kind]
 
 
 @dataclass(frozen=True)
@@ -52,26 +97,20 @@ class PhaseSpec:
     lattice: Lattice
 
     def __post_init__(self):
-        if self.kind not in FLOW_KINDS:
-            raise ConfigurationError(f"unknown flow kind {self.kind!r}")
-        if self.kind == "klein_gordon" and self.lattice.d != 1:
-            raise ConfigurationError("the half-wave flow is implemented for d = 1 only")
+        dispersion(self.kind, self.lattice.d)
 
     def multiplier_grid(self) -> np.ndarray:
-        """exp(-i t symbol) (Schrodinger) or exp(i t symbol) (half-wave) on the dual grid.
+        """The kind's phase of the lattice symbol at time t on the dual grid.
 
-        The symbol is a sum over axes, so the phase is the outer product of d
-        one-axis phases: M*d exponentials instead of M^d.  The one-axis symbol
-        is exactly even in FFT order (sym[k] == sym[M-k]: the frequencies are
-        exact negatives and sine is odd), so the phase is evaluated on the
-        first M/2+1 entries and mirrored onto the rest.
+        The phase is the outer product of d one-axis phases (d = 1 for a kind
+        that is not additive): M*d exponentials instead of M^d.  The one-axis
+        symbol is exactly even in FFT order (sym[k] == sym[M-k]: the
+        frequencies are exact negatives and sine is odd), so the phase is
+        evaluated on the first M/2+1 entries and mirrored onto the rest.
         """
         h, M = self.lattice.h, self.lattice.M
-        sym = (4.0 / h**2) * np.sin(0.5 * h * self.lattice.axis_frequencies()[: M // 2 + 1]) ** 2
-        if self.kind == "schrodinger":
-            half = np.exp(-1j * self.t * sym)
-        else:
-            half = np.exp(1j * self.t * np.sqrt(1.0 + sym))
+        sym = lattice_symbol(self.lattice.axis_frequencies()[: M // 2 + 1], h)
+        half = DISPERSIONS[self.kind].phase(self.t, sym)
         phase = np.concatenate([half, half[M // 2 - 1 : 0 : -1]])
         return functools.reduce(np.multiply.outer, [phase] * self.lattice.d)
 
@@ -107,39 +146,32 @@ def kg_phase_curvature(xi: np.ndarray, h: float) -> np.ndarray:
     """
     xi = np.asarray(xi, dtype=float)
     c = np.cos(h * xi)
-    A = 1.0 + (4.0 / h**2) * np.sin(0.5 * h * xi) ** 2
+    A = 1.0 + lattice_symbol(xi, h)
     return (-(c**2) + (h**2 + 2.0) * c - 1.0) / (h**2 * A**1.5)
 
 
 def degenerate_points(kind: str, h: float) -> np.ndarray:
-    """Frequencies where the phase loses convexity, per axis.
+    """Frequencies +-x where the phase loses convexity, per axis, x the kind's ``degenerate(h)``.
 
     For the free flow the Hessian degenerates at xi = +-pi/(2h).  For the
     half-wave the curvature vanishes where cos(h xi) solves
     c^2 - (h^2+2) c + 1 = 0, i.e. c = ((h^2+2) - h sqrt(h^2+4)) / 2; that
     frequency exceeds 1 in absolute value for every h in (0, 1].
     """
+    disp = dispersion(kind, 1)
     if h <= 0:
         raise ValueError("h must be positive")
-    if kind == "schrodinger":
-        x = np.pi / (2.0 * h)
-    elif kind == "klein_gordon":
-        c = ((h**2 + 2.0) - h * np.sqrt(h**2 + 4.0)) / 2.0
-        x = np.arccos(c) / h
-    else:
-        raise ValueError(f"unknown flow kind {kind!r}")
+    x = disp.degenerate(h)
     return np.array([-x, x])
 
 
-def hessian_cosine_product_min(lattice: Lattice, N: float, bump: BumpProfile = default_bump,
-                               support_cutoff: float = 1e-12) -> float:
+def hessian_cosine_product_min(lattice: Lattice, N: float) -> float:
     """min over the scale-N band of |prod_j 2 cos(h xi_j)|.
 
     The phase Hessian of the free flow factors as t^d times this product, so a
     positive, h-stable minimum certifies non-degeneracy on the band.
     """
-    sym = band_symbol(lattice, N, bump)
-    mask = sym > support_cutoff
+    mask = band_symbol(lattice, N) > 1e-12
     if not mask.any():
         raise ValueError(f"band at scale N={N} has no dual-grid support")
     prod = np.ones(lattice.shape, dtype=float)

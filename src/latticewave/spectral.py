@@ -29,7 +29,9 @@ __all__ = [
     "fractional_derivative",
     "bessel_derivative",
     "discrete_laplacian",
+    "lattice_symbol",
     "laplacian_symbol_grid",
+    "continuum_symbol_grid",
     "laplacian_power",
     "forward_difference",
     "sobolev_norm",
@@ -127,12 +129,12 @@ def band_scales(lattice: Lattice) -> list[float]:
     return scales[::-1]
 
 
-def band_symbol(lattice: Lattice, N: float, bump: BumpProfile = default_bump) -> np.ndarray:
+def band_symbol(lattice: Lattice, N: float) -> np.ndarray:
     """Real symbol of the scale-N dyadic band: varphi(h xi / (2 pi N)) on the dual grid."""
     _require_dyadic_leq_one(N)
     u = np.fft.fftfreq(lattice.M) / N  # h*xi/(2*pi*N) along one axis
     grids = np.meshgrid(*([u] * lattice.d), indexing="ij", sparse=True)
-    return np.broadcast_to(bump.varphi(*grids), lattice.shape).astype(float)
+    return np.broadcast_to(default_bump.varphi(*grids), lattice.shape).astype(float)
 
 
 def band_bank(lattice: Lattice) -> np.ndarray:
@@ -140,9 +142,9 @@ def band_bank(lattice: Lattice) -> np.ndarray:
     return np.stack([band_symbol(lattice, N) for N in band_scales(lattice)])
 
 
-def band_projection(f: GridFunction, N: float, bump: BumpProfile = default_bump) -> GridFunction:
+def band_projection(f: GridFunction, N: float) -> GridFunction:
     """Smooth projection onto the dyadic frequency band at scale N (N dyadic, <= 1)."""
-    return apply_multiplier(band_symbol(f.lattice, N, bump), f)
+    return apply_multiplier(band_symbol(f.lattice, N), f)
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +172,12 @@ def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
     """Multiplier |xi|^s; the DC coefficient is dropped, and s < 0 demands mean-zero input."""
     if s < 0:
         _check_mean_zero(f)
-    freqs = f.lattice.frequency_grids()
-    r2 = np.broadcast_to(sum(g**2 for g in freqs), f.lattice.shape)
-    return apply_multiplier(_radial_power_grid(f.lattice, r2, s), f)
+    return apply_multiplier(_radial_power_grid(f.lattice, continuum_symbol_grid(f.lattice), s), f)
 
 
 def bessel_derivative(f: GridFunction, s: float) -> GridFunction:
     """Multiplier (1 + |xi|^2)^(s/2)."""
-    freqs = f.lattice.frequency_grids()
-    r2 = sum(g**2 for g in freqs)
-    return apply_multiplier(np.broadcast_to((1.0 + r2) ** (0.5 * s), f.lattice.shape), f)
+    return apply_multiplier((1.0 + continuum_symbol_grid(f.lattice)) ** (0.5 * s), f)
 
 
 def discrete_laplacian(f: GridFunction) -> GridFunction:
@@ -191,13 +189,22 @@ def discrete_laplacian(f: GridFunction) -> GridFunction:
     return GridFunction(f.lattice, out / f.lattice.h**2)
 
 
+def lattice_symbol(xi: np.ndarray, h: float) -> np.ndarray:
+    """One-axis symbol of the negated second difference at the frequencies xi: (4/h^2) sin^2(h xi / 2)."""
+    return (4.0 / h**2) * np.sin(0.5 * h * xi) ** 2
+
+
 def laplacian_symbol_grid(lattice: Lattice) -> np.ndarray:
-    """Symbol of the negated second-difference operator: (4/h^2) sum_j sin^2(h xi_j / 2)."""
-    h = lattice.h
+    """Symbol of the negated second-difference operator: the sum over axes of :func:`lattice_symbol`."""
     out = np.zeros(lattice.shape, dtype=float)
     for g in lattice.frequency_grids():
-        out = out + (4.0 / h**2) * np.sin(0.5 * h * g) ** 2
+        out = out + lattice_symbol(g, lattice.h)
     return out
+
+
+def continuum_symbol_grid(lattice: Lattice) -> np.ndarray:
+    """Symbol of the continuum negated Laplacian on the dual grid: |xi|^2 = sum_j xi_j^2, full shape."""
+    return sum(g**2 for g in lattice.frequency_grids())
 
 
 def laplacian_power(f: GridFunction, s: float) -> GridFunction:

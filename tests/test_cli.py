@@ -110,6 +110,11 @@ KNAPP_SMALL = [*KNAPP, "--eps-list", "0.04,0.02", "--M", "4096", "--n-t", "21", 
     [*KNAPP_SMALL, "--s", "1e308"],
     [*KNAPP_SMALL, "--s", "-400"],
     ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--n-t", "1"],
+    ["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian", "--width", "0"],
+    ["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian", "--width", "-4"],
+    ["decay", "--full", "--data", "gaussian", "--width", "0"],
+    ["dnls", "--width", "0"],
+    ["s1", "--amplitude", "inf"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
@@ -118,7 +123,8 @@ KNAPP_SMALL = [*KNAPP, "--eps-list", "0.04,0.02", "--M", "4096", "--n-t", "21", 
         "decay-t-min-0", "decay-t-reversed", "decay-n_t-1", "czdemo-lam-negative", "czdemo-lam-nan",
         "czdemo-lam-inf", "czdemo-lam-overflow", "knapp-s-nan", "dnls-T-inf", "dnls-lam-nan",
         "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge", "knapp-s-negative-huge",
-        "uniformity-n_t-1"])
+        "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative", "decay-width-0", "dnls-width-0",
+        "s1-amplitude-inf"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -142,10 +148,16 @@ def test_rejected_input_exits_two(argv, capsys):
     ([*KNAPP_SMALL, "--s", "1e308"], "s = 1e+308"),
     ([*KNAPP_SMALL, "--s", "-400"], "s = -400.0"),
     (["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--n-t", "1"], "n_t"),
+    (["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian", "--width", "0"], "width=0.0"),
+    (["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian", "--width", "-4"], "width=-4.0"),
+    (["decay", "--full", "--data", "gaussian", "--width", "0"], "width=0.0"),
+    (["dnls", "--width", "0"], "width=0.0"),
+    (["s1", "--amplitude", "inf"], "amplitude=inf"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
-        "knapp-s-negative-huge", "uniformity-n_t-1"])
+        "knapp-s-negative-huge", "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative",
+        "decay-width-0", "dnls-width-0", "s1-amplitude-inf"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

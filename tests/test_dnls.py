@@ -373,3 +373,10 @@ def test_uniform_bound_experiment_defocusing_smoke():
         bound = row[cols.index("h1_bound")]
         assert h1_sup <= bound * (1 + 1e-6)
     assert "s1" in scan.fits
+
+
+@pytest.mark.parametrize("amplitude,width", [(1.0, 0.0), (1.0, -2.0), (1.0, math.inf), (1.0, math.nan),
+                                             (math.inf, 2.0), (math.nan, 2.0)])
+def test_continuum_gaussian_rejects_non_finite_amplitude_or_bad_width(amplitude, width):
+    with pytest.raises(ConfigurationError, match=f"amplitude={amplitude!r}, width={width!r}"):
+        continuum_gaussian(amplitude, width)

@@ -29,7 +29,7 @@ from latticewave.harness import (
     uniformity_scan,
 )
 from latticewave.lattice import GridFunction, Lattice, boundary_mass_fraction, gaussian, lp_norm, point_mass
-from latticewave.propagators import flow
+from latticewave.propagators import PhaseSpec, degenerate_points, flow
 from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
 
 
@@ -477,6 +477,24 @@ def test_uniformity_scan_half_wave_mode():
         uniformity_scan("klein_gordon", [0.5], AdmissiblePair(q=3.0, r=math.inf, d=2), box=16.0)
 
 
+# oracle: the derivative loss of each kind's uniform bound, as the uniformity scan wrote it per kind
+STATED_WEIGHTS = {
+    "schrodinger": lambda u, q: spectral.fractional_derivative(u, 0.0 if math.isinf(q) else 1.0 / q),
+    "klein_gordon": lambda u, q: spectral.bessel_derivative(spectral.fractional_derivative(u, 1.0 / 3.0), 1.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(STATED_WEIGHTS))
+@pytest.mark.parametrize("q,r", [(6.0, math.inf), (math.inf, 2.0)])
+def test_uniformity_scan_weights_each_kind_by_its_stated_derivative_loss(kind, q, r):
+    pair = AdmissiblePair(q=q, r=r, d=1)
+    scan = uniformity_scan(kind, [1.0, 0.5], pair, box=32.0, horizon_fraction=0.1, n_t=64)
+    for h, rhs_with in zip(scan.column("h"), scan.column("rhs_with")):
+        u0 = point_mass(Lattice.for_box(h, 1, 32.0))
+        u0 = u0 * (1.0 / lp_norm(u0, 2))
+        assert rhs_with == lp_norm(STATED_WEIGHTS[kind](u0, q), 2)
+
+
 def test_scan_result_fits_only_positive_columns():
     rows = [[1.0, 2.0, 0.0], [0.5, 4.0, 1.0]]
     scan = scan_result("demo", ["h", "up", "degenerate"], rows, {}, {"up": "up", "flat": "degenerate"})
@@ -498,6 +516,8 @@ def test_scan_drivers_reject_empty_spacing_list():
     with pytest.raises(ConfigurationError, match="no cells"):
         scan_result("demo", ["h"], [], {}, {})
     with pytest.raises(ConfigurationError, match="no cells"):
+        uniformity_scan("schrodinger", [], AdmissiblePair(q=6.0, r=math.inf, d=1))
+    with pytest.raises(ConfigurationError, match="unknown flow kind"):  # the kind is checked first
         uniformity_scan("wave", [], AdmissiblePair(q=6.0, r=math.inf, d=1))
     with pytest.raises(ConfigurationError, match="no cells"):
         inequality_constant_scan("bernstein", [], q=math.inf)
@@ -525,6 +545,31 @@ def test_uniformity_scan_keeps_the_quadrature_floor(n_t, monkeypatch):
     counts, _, _ = _count_transforms(monkeypatch)
     with pytest.raises(ConfigurationError, match="n_t >= 64"):
         uniformity_scan("schrodinger", [0.5], AdmissiblePair(q=6.0, r=math.inf, d=1), box=32.0, n_t=n_t)
+    assert counts == {"fftn": 0, "ifftn": 0}
+
+
+# every entry point that takes a flow kind reads it through propagators.dispersion, before any transform
+KIND_ENTRY_POINTS = {
+    "PhaseSpec": lambda kind, lat: PhaseSpec(kind, 1.0, lat),
+    "degenerate_points": lambda kind, lat: degenerate_points(kind, lat.h),
+    "strichartz_norm": lambda kind, lat: strichartz_norm(point_mass(lat), AdmissiblePair(q=math.inf, r=2.0, d=lat.d),
+                                                         1.0, kind=kind),
+    "dispersive_decay_scan": lambda kind, lat: dispersive_decay_scan(kind, decay_data(lat),
+                                                                     decay_time_grid(1.0, 2.0, 3), N=0.25),
+    "uniformity_scan": lambda kind, lat: uniformity_scan(kind, [1.0], AdmissiblePair(q=math.inf, r=2.0, d=lat.d),
+                                                         box=16.0),
+}
+# degenerate_points is per axis and takes no dimension, so only the unknown kind applies to it
+KIND_CASES = [(entry, "wave", 1, "unknown flow kind") for entry in KIND_ENTRY_POINTS] + [
+    (entry, "klein_gordon", 2, "d = 1") for entry in KIND_ENTRY_POINTS if entry != "degenerate_points"]
+
+
+@pytest.mark.parametrize("entry,kind,d,message", KIND_CASES,
+                         ids=[f"{entry}-{kind}-d{d}" for entry, kind, d, _ in KIND_CASES])
+def test_flow_kind_entry_points_reject_bad_kinds_before_any_transform(entry, kind, d, message, monkeypatch):
+    counts, _, _ = _count_transforms(monkeypatch)
+    with pytest.raises(ConfigurationError, match=message):
+        KIND_ENTRY_POINTS[entry](kind, Lattice(h=1.0, d=d, M=16))
     assert counts == {"fftn": 0, "ifftn": 0}
 
 

@@ -20,6 +20,7 @@ from latticewave.lattice import (
     dyadic_average,
     dyadic_maximal,
     dyadic_site_scales,
+    gaussian,
     inner_product,
     lp_norm,
     point_mass,
@@ -538,3 +539,9 @@ def test_boundary_mask_counts_edge_layers():
     assert boundary_mask(Lattice(h=1.0, d=2, M=32), width=3).sum() == 32**2 - 26**2
     mask = boundary_mask(Lattice(h=1.0, d=1, M=8))
     assert mask.tolist() == [False, False, False, True, True, False, False, False]  # FFT order: sites 3, -4
+
+
+@pytest.mark.parametrize("width", [0.0, -4.0, math.nan, math.inf])
+def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(width):
+    with pytest.raises(ConfigurationError, match=f"width={width!r}"):
+        gaussian(Lattice(h=1.0, d=1, M=16), width)

@@ -6,15 +6,17 @@ import pytest
 from latticewave.errors import ConfigurationError
 from latticewave.lattice import GridFunction, Lattice, gaussian, lp_norm, plane_wave, point_mass
 from latticewave.propagators import (
+    DISPERSIONS,
     FLOW_KINDS,
     PhaseSpec,
     degenerate_points,
+    dispersion,
     flow,
     hessian_cosine_product_min,
     kg_phase_curvature,
     schrodinger_flow,
 )
-from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid
+from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid, lattice_symbol
 
 
 # oracles: the half-wave symbol on the full grid, and flows built from it and from band projections
@@ -110,6 +112,32 @@ def test_phase_spec_checks_against_flow_kinds():
         PhaseSpec("wave", 1.0, lat)
     with pytest.raises(ConfigurationError, match="d = 1"):
         PhaseSpec("klein_gordon", 1.0, Lattice(h=1.0, d=2, M=8))
+
+
+def test_dispersion_accessor_checks_the_kind_and_its_dimension():
+    assert FLOW_KINDS == tuple(DISPERSIONS) == ("schrodinger", "klein_gordon")
+    for kind in FLOW_KINDS:
+        assert dispersion(kind, 1) is DISPERSIONS[kind]
+        for d in (2, 3):
+            if DISPERSIONS[kind].additive:
+                assert dispersion(kind, d) is DISPERSIONS[kind]
+            else:
+                with pytest.raises(ConfigurationError, match="d = 1"):
+                    dispersion(kind, d)
+    with pytest.raises(ConfigurationError, match="unknown flow kind 'wave'"):
+        dispersion("wave", 1)
+
+
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+@pytest.mark.parametrize("t", [0.7, -2.5])
+def test_additive_flag_is_true_to_the_phase(kind, t):
+    """At d = 2 the phase of the summed symbol is the outer product of the one-axis phases
+    exactly when the kind says it is additive."""
+    lat = Lattice(h=0.5, d=2, M=16)
+    phase = DISPERSIONS[kind].phase
+    axis = phase(t, lattice_symbol(lat.axis_frequencies(), lat.h))
+    summed = phase(t, laplacian_symbol_grid(lat))
+    assert np.allclose(summed, np.multiply.outer(axis, axis), rtol=0, atol=1e-12) == DISPERSIONS[kind].additive
 
 
 @pytest.mark.parametrize("kind,d", [("schrodinger", 1), ("schrodinger", 2), ("schrodinger", 3),

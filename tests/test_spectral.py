@@ -15,6 +15,7 @@ from latticewave.spectral import (
     band_scales,
     band_symbol,
     bessel_derivative,
+    continuum_symbol_grid,
     discrete_laplacian,
     forward_difference,
     forward_transform,
@@ -22,6 +23,7 @@ from latticewave.spectral import (
     inverse_transform,
     laplacian_power,
     laplacian_symbol_grid,
+    lattice_symbol,
     sobolev_norm,
 )
 
@@ -307,6 +309,27 @@ def test_laplacian_stencil_and_symbol():
     f = random_field(lat2, 9)
     via_symbol = apply_multiplier(-laplacian_symbol_grid(lat2).astype(complex), f)
     np.testing.assert_allclose(discrete_laplacian(f).values, via_symbol.values, atol=1e-10)
+
+
+def _written_out_laplacian_symbol_grid(lattice):
+    """Oracle: the lattice symbol written out per axis and summed on the full grid."""
+    h = lattice.h
+    out = np.zeros(lattice.shape, dtype=float)
+    for g in lattice.frequency_grids():
+        out = out + (4.0 / h**2) * np.sin(0.5 * h * g) ** 2
+    return out
+
+
+@pytest.mark.parametrize("d,M,h", [(1, 64, 0.5), (1, 30, 0.3), (2, 32, 0.3), (3, 16, 1.0)])
+def test_symbol_grids_equal_their_written_out_sums(d, M, h):
+    """Both symbol grids are bit-equal to the per-axis sums they replace, on the full grid."""
+    lat = Lattice(h=h, d=d, M=M)
+    xi = lat.axis_frequencies()
+    assert np.array_equal(lattice_symbol(xi, h), (4.0 / h**2) * np.sin(0.5 * h * xi) ** 2)
+    assert np.array_equal(laplacian_symbol_grid(lat), _written_out_laplacian_symbol_grid(lat))
+    r2 = continuum_symbol_grid(lat)
+    assert r2.shape == lat.shape
+    assert np.array_equal(r2, np.broadcast_to(sum(g**2 for g in lat.frequency_grids()), lat.shape))
 
 
 def test_laplacian_plane_wave_eigenvalue():
