@@ -171,27 +171,46 @@ def _checked_time_grid(t_grid, positive: bool) -> np.ndarray:
     return t_grid
 
 
-def _axis_factors(u0: GridFunction, kind: str) -> list[GridFunction]:
-    """The d one-axis factors of ``u0`` on ``Lattice(h, 1, M)`` when it is an exact outer product, else [u0].
+def _axis_factors(u0: GridFunction, kind: str) -> tuple[complex, list[GridFunction]]:
+    """``u0`` as (c, d one-axis factors on ``Lattice(h, 1, M)``) when it is c times their outer product, else (1, [u0]).
 
-    The factors are the slices of ``u0`` through its largest-modulus site,
-    all but the first divided by the value there, and are kept only if
-    their outer product rebuilds ``u0`` exactly.  Only the flow of a kind
-    whose symbol is additive over the axes maps an outer product to the outer
-    product of the one-axis flows (see :mod:`latticewave.propagators`).
+    c is the value of ``u0`` at its largest-modulus site and the factors are
+    the slices through that site divided by c, so each is 1 there; they are
+    kept only if c times their outer product rebuilds ``u0`` exactly.  Only
+    the flow of a kind whose symbol is additive over the axes maps an outer
+    product to the outer product of the one-axis flows (see
+    :mod:`latticewave.propagators`).
     """
     lat, v = u0.lattice, u0.values
     if lat.d == 1 or not DISPERSIONS[kind].additive:
-        return [u0]
+        return 1.0, [u0]
     pivot = np.unravel_index(np.argmax(np.abs(v)), v.shape)
-    if v[pivot] == 0:
-        return [u0]
-    slices = [v[pivot[:ax] + (slice(None),) + pivot[ax + 1:]] for ax in range(lat.d)]
-    slices[1:] = [s / v[pivot] for s in slices[1:]]
-    if not np.array_equal(reduce(np.multiply.outer, slices), v):
-        return [u0]
+    c = v[pivot]
+    if c == 0:
+        return 1.0, [u0]
+    units = [v[pivot[:ax] + (slice(None),) + pivot[ax + 1:]] / c for ax in range(lat.d)]
+    if not np.array_equal(reduce(np.multiply.outer, units, c), v):
+        return 1.0, [u0]
     axis = Lattice(h=lat.h, d=1, M=lat.M)
-    return [GridFunction(axis, s) for s in slices]
+    return c, [GridFunction(axis, s) for s in units]
+
+
+def _outer_lp_norm(c: complex, moduli: list[np.ndarray], lattice: Lattice, p: float) -> float:
+    """The l^p norm of c times the outer product of ``moduli`` (the fields' |f_j| on ``lattice``):
+    |c| times the product of their norms, the product of their maxima for p = inf."""
+    return abs(c) * math.prod(modulus_lp_norm(a, lattice, p) for a in moduli)
+
+
+def _outer_edge_fraction(moduli: list[np.ndarray], mask: np.ndarray) -> float:
+    """The boundary-mass fraction of the outer product of ``moduli`` against ``mask``, the edge mask of
+    their lattice: 1 - prod(1 - b_j), b_j the share of a_j^2 on ``mask``.
+
+    The d-dimensional edge mask is the union of the axes' edge layers, so the
+    mass off it is the product of the one-axis masses off them.  The product
+    is folded as f + b - f*b, which keeps small fractions accurate and is b
+    itself for one field.
+    """
+    return reduce(lambda f, b: f + b - f * b, [density_mass_fraction(np.square(a), mask) for a in moduli])
 
 
 def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
@@ -202,27 +221,32 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
     real datum is flowed once per distinct |t| (see :func:`strichartz_norm`),
     a complex one at every time (a stable sort keeps -t before t).  A window
     failure names the largest |t| below the failing one at which every
-    sample passed.  Each sample takes the modulus once, for both the
-    boundary-mass check and the norm, against an edge mask built once.
+    sample passed.
 
-    The datum is flowed as its :func:`_axis_factors`: an exact outer product
-    (a point mass, say) costs d one-axis transforms of M points per sample
-    and the modulus is the outer product of the factors' moduli; any other
-    datum is its own single factor and is flowed on the full grid.
+    The datum is flowed as its :func:`_axis_factors`, and factors with equal
+    values are transformed and flowed once (a point mass on the diagonal
+    costs one transform of M points per sample).  Each sample takes the
+    modulus of each flowed factor once and reads the norm and the
+    boundary-mass fraction from these one-axis moduli, so no M^d array is
+    built.  A datum that is not an outer product is its own single factor,
+    flowed on the full grid.
     """
-    lat = u0.lattice
     if not np.any(u0.values.imag):
         times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
     else:
         order = np.argsort(np.abs(t_grid), kind="stable")
         times, inverse = t_grid[order], np.argsort(order)
+    c, factors = _axis_factors(u0, kind)
+    lat = factors[0].lattice  # Lattice(h, 1, M) for an outer product, else u0's
     mask = boundary_mask(lat) if check_window else None
-    factors = [(f.lattice, np.fft.fftn(f.values)) for f in _axis_factors(u0, kind)]
+    # index[j]: the first factor whose values equal factor j's
+    index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
+    spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
     norms = np.empty(times.size)
     for i, t in enumerate(times):
-        a = reduce(np.multiply.outer, [np.abs(flow(kind, spectrum, axis, float(t)).values)
-                                       for axis, spectrum in factors])
-        if check_window and density_mass_fraction(np.square(a), mask) > BOUNDARY_THRESHOLD:
+        flowed = {k: np.abs(flow(kind, spectrum, lat, float(t)).values) for k, spectrum in spectra.items()}
+        moduli = [flowed[k] for k in index]
+        if check_window and _outer_edge_fraction(moduli, mask) > BOUNDARY_THRESHOLD:
             passed = np.abs(times[:i])
             passed = passed[passed < abs(t)]
             largest_ok = float(passed[-1]) if passed.size else None
@@ -231,7 +255,7 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
                 f"{largest_ok if largest_ok is not None else 'none'}",
                 largest_valid_t=largest_ok,
             )
-        norms[i] = modulus_lp_norm(a, lat, p)
+        norms[i] = _outer_lp_norm(c, moduli, lat, p)
     return norms[inverse]
 
 

@@ -159,8 +159,8 @@ def degenerate_points(kind: str, h: float) -> np.ndarray:
     frequency exceeds 1 in absolute value for every h in (0, 1].
     """
     disp = dispersion(kind, 1)
-    if h <= 0:
-        raise ValueError("h must be positive")
+    if not 0 < h < math.inf:  # also rejects NaN, for which every comparison is false
+        raise ValueError(f"h must be positive and finite, got {h!r}")
     x = disp.degenerate(h)
     return np.array([-x, x])
 

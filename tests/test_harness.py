@@ -28,7 +28,15 @@ from latticewave.harness import (
     symmetric_time_grid,
     uniformity_scan,
 )
-from latticewave.lattice import GridFunction, Lattice, boundary_mass_fraction, gaussian, lp_norm, point_mass
+from latticewave.lattice import (
+    GridFunction,
+    Lattice,
+    boundary_mask,
+    boundary_mass_fraction,
+    gaussian,
+    lp_norm,
+    point_mass,
+)
 from latticewave.propagators import PhaseSpec, degenerate_points, flow
 from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
 
@@ -217,17 +225,22 @@ def test_time_loops_match_per_sample_flow(case):
 def test_time_samples_equal_per_sample_flow_norms_exactly(case):
     """One modulus pass per sample changes no norm: each equals lp_norm of the flow at that time
     (at |t| for a real datum, which the loop flows once per distinct |t|), or for a point mass in
-    d = 2 lp_norm of the outer product of its one-axis factors' moduli."""
+    d = 2 the sup norm of the outer product of its one-axis factors' moduli.  Its finite r-norm is
+    the product of one-axis norms, which rounds differently, so that leg meets the dense flow."""
     kind, lat, datum, N, (t_min, t_max, n_t), (q, r), T = FLOW_LOOP_CASES[case]
     u0 = datum(lat)
     decay_datum = u0 if N is None else band_projection(u0, N)
     for f, t_grid, p in [(decay_datum, decay_time_grid(t_min, t_max, n_t), math.inf),
                          (u0, symmetric_time_grid(T, 16, T / 64.0), r)]:
-        if case == "schrodinger-d2":  # a point mass: the loop flows its d one-axis factors
+        if case == "schrodinger-d2" and math.isinf(p):  # a point mass: the loop flows one one-axis factor
             axis = Lattice(h=lat.h, d=1, M=lat.M)
             spectrum = np.fft.fftn(point_mass(axis).values)
             oracle = [lp_norm(GridFunction(lat, reduce(np.multiply.outer, [
                 np.abs(flow(kind, spectrum, axis, abs(float(t))).values)] * lat.d)), p) for t in t_grid]
+        elif case == "schrodinger-d2":
+            dense = [lp_norm(_per_sample_flow(kind, f, float(t)), p) for t in t_grid]
+            np.testing.assert_allclose(harness._time_samples(kind, f, t_grid, p), dense, rtol=1e-12, atol=0)
+            continue
         else:
             spectrum = np.fft.fftn(f.values)
             real = not np.any(f.values.imag)
@@ -281,20 +294,32 @@ def test_time_loops_transform_the_datum_once(monkeypatch):
     counts, in_place, sizes = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=2, M=32)
     dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
-    # a point mass is an outer product: each axis factor is transformed once and flowed per sample
-    assert counts == {"fftn": 2, "ifftn": 2 * 7}
-    assert in_place == [True] * 2 * 7
-    assert sizes == [lat.M] * (2 + 2 * 7)
+    # a point mass at the origin is an outer product of d equal one-axis factors: one is transformed
+    # once and flowed once per sample
+    assert counts == {"fftn": 1, "ifftn": 7}
+    assert in_place == [True] * 7
+    assert sizes == [lat.M] * (1 + 7)
     counts.update(fftn=0, ifftn=0)
     in_place.clear()
     sizes.clear()
     u0 = point_mass(lat)
+    pair = AdmissiblePair(q=6.0, r=4.0, d=2)
     t_grid = symmetric_time_grid(1.0, 5, 0.1)
-    strichartz_norm(u0, AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
+    strichartz_norm(u0, pair, 1.0, t_grid=t_grid)
     # a real datum is flowed once per distinct |t|: 0 and the 5 positive nodes of the 11
-    assert counts == {"fftn": 2, "ifftn": 2 * 6}
-    assert in_place == [True] * 2 * 6
-    assert sizes == [lat.M] * (2 + 2 * 6)
+    assert counts == {"fftn": 1, "ifftn": 6}
+    assert in_place == [True] * 6
+    assert sizes == [lat.M] * (1 + 6)
+    counts.update(fftn=0, ifftn=0)
+    in_place.clear()
+    sizes.clear()
+    # off the diagonal the d factors differ, and a complex datum is flowed at every time
+    off = point_mass(lat, (1, -2), 3.0 - 2.0j)
+    value = strichartz_norm(off, pair, 1.0, t_grid=t_grid)
+    assert counts == {"fftn": 2, "ifftn": 2 * t_grid.size}
+    assert in_place == [True] * 2 * t_grid.size
+    assert sizes == [lat.M] * (2 + 2 * t_grid.size)
+    assert value == pytest.approx(_oracle_strichartz("schrodinger", off, pair, t_grid), rel=1e-12, abs=0)
     counts.update(fftn=0, ifftn=0)
     in_place.clear()
     sizes.clear()
@@ -318,8 +343,8 @@ DYADIC = st.builds(lambda e, u: u * 2.0**e, st.integers(-8, 8), st.sampled_from(
 
 def _kept_whole(f, kind):
     """Whether :func:`harness._axis_factors` returns ``f`` itself as the single factor."""
-    factors = harness._axis_factors(f, kind)
-    return len(factors) == 1 and factors[0] is f
+    c, factors = harness._axis_factors(f, kind)
+    return c == 1 and len(factors) == 1 and factors[0] is f
 
 
 @st.composite
@@ -340,10 +365,14 @@ def rank_one_cases(draw):
 def test_axis_factors_rebuild_exact_outer_products(case, data):
     lat, vectors = case
     u0 = GridFunction(lat, reduce(np.multiply.outer, vectors))
-    factors = harness._axis_factors(u0, "schrodinger")
+    c, factors = harness._axis_factors(u0, "schrodinger")
     assert len(factors) == lat.d
     assert all(g.lattice == Lattice(h=lat.h, d=1, M=lat.M) for g in factors)
-    assert np.array_equal(reduce(np.multiply.outer, [g.values for g in factors]), u0.values)
+    assert np.array_equal(reduce(np.multiply.outer, [g.values for g in factors], c), u0.values)
+    # c is the value at the largest-modulus site, where every factor is 1
+    pivot = np.unravel_index(np.argmax(np.abs(u0.values)), lat.shape)
+    assert c == u0.values[pivot]
+    assert all(g.values[k] == 1 for g, k in zip(factors, pivot))
     # each factor is its vector up to a constant
     for g, v in zip(factors, vectors):
         k = int(np.argmax(np.abs(v)))
@@ -373,7 +402,26 @@ def test_axis_factors_keep_a_zero_field_or_a_gaussian_whole(d):
     assert _kept_whole(blob, "schrodinger")
     pm = point_mass(lat, 3, 2.0 - 0.5j)
     assert _kept_whole(pm, "klein_gordon")
-    assert len(harness._axis_factors(pm, "schrodinger")) == d
+    assert len(harness._axis_factors(pm, "schrodinger")[1]) == d
+
+
+@settings(max_examples=150)
+@given(rank_one_cases(), st.sampled_from((1.0, 2.0, 4.0, math.inf)), st.booleans())
+def test_outer_norm_and_edge_fraction_match_the_dense_product(case, r, reverse):
+    """The time loop's separable monitors against lp_norm and boundary_mass_fraction of the dense field:
+    the sup norm exactly (rounding is monotone, so the largest rounded product is the rounded product
+    of the largest moduli), the finite norms and the fraction up to the order of summation."""
+    lat, vectors = case
+    moduli = [np.abs(v) for v in (vectors[::-1] if reverse else vectors)]
+    axis = Lattice(h=lat.h, d=1, M=lat.M)
+    dense = GridFunction(lat, reduce(np.multiply.outer, moduli))
+    norm = harness._outer_lp_norm(1.0, moduli, axis, r)
+    if math.isinf(r):
+        assert norm == lp_norm(dense, r)
+    else:
+        assert norm == pytest.approx(lp_norm(dense, r), rel=1e-12, abs=0)
+    fraction = harness._outer_edge_fraction(moduli, boundary_mask(axis))
+    assert fraction == pytest.approx(boundary_mass_fraction(dense), rel=1e-12, abs=1e-15)
 
 
 def _gaussian_outer_product(lat):
@@ -396,7 +444,7 @@ FACTORED_CASES = {
 def test_factored_time_loop_matches_the_dense_flow(case, r):
     lat, datum, T = FACTORED_CASES[case]
     u0 = datum(lat)
-    assert len(harness._axis_factors(u0, "schrodinger")) == lat.d
+    assert len(harness._axis_factors(u0, "schrodinger")[1]) == lat.d
     t_grid = symmetric_time_grid(T, 8, T / 32.0)
     dense = [lp_norm(_per_sample_flow("schrodinger", u0, float(t)), r) for t in t_grid]
     np.testing.assert_allclose(harness._time_samples("schrodinger", u0, t_grid, r), dense, rtol=1e-12, atol=0)
@@ -408,7 +456,7 @@ def test_factored_window_error_matches_the_dense_loop(monkeypatch):
     with pytest.raises(WindowError) as factored:
         strichartz_norm(u0, pair, 40.0)
     with monkeypatch.context() as mp:
-        mp.setattr(harness, "_axis_factors", lambda f, kind: [f])
+        mp.setattr(harness, "_axis_factors", lambda f, kind: (1.0, [f]))
         with pytest.raises(WindowError) as dense:
             strichartz_norm(u0, pair, 40.0)
     assert str(factored.value) == str(dense.value)

@@ -241,6 +241,11 @@ def test_degenerate_point_exceeds_one():
 def test_degenerate_points_rejects_bad_args():
     with pytest.raises(ValueError):
         degenerate_points("schrodinger", 0.0)
+    for h in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            degenerate_points("schrodinger", h)
+        with pytest.raises(ValueError):
+            degenerate_points("klein_gordon", h)
     with pytest.raises(ValueError):
         degenerate_points("wave", 1.0)
 
