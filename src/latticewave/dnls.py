@@ -122,7 +122,7 @@ def _strang_step(values: np.ndarray, half: np.ndarray, dt: float, lam: float, p:
     """The Strang step on site values, given the half-step multiplier: the new values and their spectrum.
 
     The last inverse transform leaves the spectrum intact for the monitors; the
-    products stay as written (see :func:`latticewave.propagators.flow`).
+    products stay as written (see :func:`latticewave.harness._inverse_rows`).
     """
     product = half * np.fft.fftn(values)
     values = np.fft.ifftn(product, out=product)

@@ -8,7 +8,9 @@ run serially in spacing order.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -26,7 +28,7 @@ from .lattice import (
     modulus_lp_norm,
     point_mass,
 )
-from .propagators import DISPERSIONS, dispersion, flow
+from .propagators import DISPERSIONS, dispersion, half_axis_symbol, phase_into
 from .spectral import (
     band_bank,
     band_projection,
@@ -61,6 +63,34 @@ __all__ = [
 ]
 
 BOUNDARY_THRESHOLD = 1e-6
+_CHUNK_BYTES = 256 * 1024  # largest inverse-transform block: numpy's temporary-elision threshold
+
+
+def _inverse_rows(shape: tuple[int, ...], writers) -> Iterator[np.ndarray]:
+    """Yield, in order, the inverse transforms of the rows of ``shape`` that the callables of ``writers`` fill.
+
+    The iterator ``writers`` is drawn a block of at most ``_CHUNK_BYTES`` (or
+    one larger row) at a time; a block takes one in-place ``np.fft.ifftn``
+    over its trailing axes, bit for bit one transform per row, and one
+    finiteness check.  Keep :func:`_multiply_into`'s operand order: from 256
+    KiB up numpy elides the temporary of ``x * temporary`` and multiplies into
+    it with the operands swapped, and complex products can differ in the last
+    bit with the order.
+    """
+    per = max(1, _CHUNK_BYTES // (16 * math.prod(shape)))
+    while fill := list(itertools.islice(writers, per)):
+        block = np.empty((len(fill),) + shape, dtype=complex)
+        for write, row in zip(fill, block):
+            write(row)
+        np.fft.ifftn(block, axes=tuple(range(1, block.ndim)), out=block)
+        if not np.isfinite(block).all():
+            raise ValueError("grid function contains non-finite entries")
+        yield from block
+
+
+def _multiply_into(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """row <- x * row in numpy's operand order for a temporary ``row`` (see :func:`_inverse_rows`)."""
+    return np.multiply(row, x, out=row) if row.nbytes >= _CHUNK_BYTES else np.multiply(x, row, out=row)
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +255,12 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
 
     The datum is flowed as its :func:`_axis_factors`, and factors with equal
     values are transformed and flowed once (a point mass on the diagonal
-    costs one transform of M points per sample).  Each sample takes the
-    modulus of each flowed factor once and reads the norm and the
-    boundary-mass fraction from these one-axis moduli, so no M^d array is
-    built.  A datum that is not an outer product is its own single factor,
-    flowed on the full grid.
+    costs one transform of M points per sample).  Each (time, distinct
+    factor) pair is a row of :func:`_inverse_rows` holding its phase, built
+    from one half-axis symbol, times the factor's spectrum.  Each sample reads
+    the norm and the boundary-mass fraction from its rows' moduli, so no M^d
+    array is built.  A datum that is not an outer product is its own single
+    factor, flowed on the full grid.
     """
     if not np.any(u0.values.imag):
         times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
@@ -242,9 +273,13 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
     # index[j]: the first factor whose values equal factor j's
     index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
     spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
+    sym = half_axis_symbol(lat)
+    rows = _inverse_rows(lat.shape, (
+        lambda row, t=float(t), s=spectrum: _multiply_into(s, phase_into(kind, t, lat, sym, row))
+        for t in times for spectrum in spectra.values()))
     norms = np.empty(times.size)
     for i, t in enumerate(times):
-        flowed = {k: np.abs(flow(kind, spectrum, lat, float(t)).values) for k, spectrum in spectra.items()}
+        flowed = {k: np.abs(next(rows)) for k in spectra}
         moduli = [flowed[k] for k in index]
         if check_window and _outer_edge_fraction(moduli, mask) > BOUNDARY_THRESHOLD:
             passed = np.abs(times[:i])
@@ -423,24 +458,30 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
     the extremes that white noise rarely reaches; the rest is complex Gaussian
     noise low-passed at a random band.  Constants are suprema, so the ensemble
     yields lower bounds that must stay stable across the spacing scan.
+
+    Each noise member draws its field, then its band, and is low-passed as a
+    row of :func:`_inverse_rows`; a round draws only the members still missing.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
-    out: list[GridFunction] = []
     # row k keeps every band at or below the k-th scale, summed in ascending order
     lowpass = np.cumsum(band_bank(lattice), axis=0)
 
-    def normalize(v: np.ndarray) -> GridFunction | None:
-        if mean_zero:
-            v = v - v.mean()
-        scale = float(np.abs(v).max())
-        if scale == 0.0:
-            return None
-        return GridFunction(lattice, v / scale)
+    def normalized(fields) -> list[GridFunction]:
+        """Each field mean-zero (if asked) and scaled to sup norm 1, in order; a zero field is dropped."""
+        out = []
+        for v in fields:
+            if mean_zero:
+                v = v - v.mean()
+            scale = float(np.abs(v).max())
+            if scale > 0.0:
+                out.append(GridFunction(lattice, v / scale))
+        return out
 
-    f = point_mass(lattice).values.astype(complex)
-    g = normalize(f)
-    if g is not None:
-        out.append(g)
+    def draws(n: int):
+        for _ in range(n):
+            noise = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
+            k = rng.integers(max(1, len(lowpass) // 2), len(lowpass))
+            yield lambda row, noise=noise, k=k: _multiply_into(lowpass[k], np.fft.fftn(noise, out=row))
 
     # frequency block centred at a quarter of the axis Nyquist (off DC, off the edge)
     F = np.zeros(lattice.shape, dtype=complex)
@@ -448,16 +489,9 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
     w = max(1, lattice.M // 16)
     sl = tuple([slice(kc - w // 2, kc + w // 2 + 1)] * lattice.d)
     F[sl] = 1.0
-    g = normalize(np.fft.ifftn(F))
-    if g is not None:
-        out.append(g)
-
-    while len(out) < size:
-        noise = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-        k = rng.integers(max(1, len(lowpass) // 2), len(lowpass))
-        g = normalize(np.fft.ifftn(lowpass[k] * np.fft.fftn(noise)))
-        if g is not None:
-            out.append(g)
+    out = normalized([point_mass(lattice).values.astype(complex), np.fft.ifftn(F, out=F)])
+    while len(out) < size:  # a zero member is replaced in a further round
+        out += normalized(_inverse_rows(lattice.shape, draws(size - len(out))))
     return out[:size]
 
 
@@ -499,13 +533,19 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
             raise ConfigurationError("square_function needs 1 < p < inf")
 
 
-def _square_function(f: GridFunction, bank: np.ndarray) -> GridFunction:
-    """(sum over the bank's bands of |band part of f|^2)^(1/2): one forward FFT, one inverse per band."""
-    spectrum = np.fft.fftn(f.values)
-    acc = np.zeros(f.lattice.shape)
-    for sym in bank:
-        acc += np.abs(GridFunction(f.lattice, np.fft.ifftn(sym * spectrum)).values) ** 2
-    return GridFunction(f.lattice, np.sqrt(acc))
+def _band_parts(fields: list[GridFunction], bank: np.ndarray) -> Iterator[list[np.ndarray]]:
+    """Per field, the inverse transforms of ``sym * spectrum`` for the symbols of ``bank``: each field is
+    transformed once, and the bands of all fields are the rows of :func:`_inverse_rows`."""
+    rows = _inverse_rows(fields[0].lattice.shape, (
+        lambda row, sym=sym, spectrum=spectrum: np.multiply(sym, spectrum, out=row)
+        for spectrum in (np.fft.fftn(f.values) for f in fields) for sym in bank))
+    for _ in fields:
+        yield [next(rows) for _ in bank]
+
+
+def _square_function(parts: list[np.ndarray], lattice: Lattice) -> GridFunction:
+    """(sum over the bands of |band part|^2)^(1/2) from a field's :func:`_band_parts`, summed in band order."""
+    return GridFunction(lattice, np.sqrt(sum(np.abs(part) ** 2 for part in parts)))
 
 
 def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.0, d: int = 1,
@@ -518,7 +558,8 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     ``square_function`` (two-sided).  Exponent hypotheses are validated up
     front and a violation names the constraint.  Random fields are mean-zero:
     on the periodic truncation a nonzero mean lies outside every homogeneous
-    norm, which the infinite lattice excludes automatically.
+    norm, which the infinite lattice excludes automatically.  The Bernstein
+    and square-function loops read each field's bands from :func:`_band_parts`.
     """
     _validate_constants_config(kind, d, p, q, s, theta)
 
@@ -526,17 +567,17 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
         lat = Lattice.for_box(h, d, box)
         M = lat.M
         fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
-        bank = band_bank(lat) if kind in ("bernstein", "square_function") else None
+        if kind in ("bernstein", "square_function"):
+            scales = band_scales(lat)
+            first = sum(N * M < 4 for N in scales) if kind == "bernstein" else 0  # keep bands with solid support
+            parts = _band_parts(fields, band_bank(lat)[first:])
         ratios = []
         for f in fields:
             if kind == "bernstein":
                 best = 0.0
                 denom = lp_norm(f, p)
-                spectrum = np.fft.fftn(f.values)
-                for N, sym in zip(band_scales(lat), bank):
-                    if N * M < 4:  # keep bands with solid dual-grid support
-                        continue
-                    lhs = lp_norm(GridFunction(lat, np.fft.ifftn(sym * spectrum)), q)
+                for N, part in zip(scales[first:], next(parts)):
+                    lhs = modulus_lp_norm(np.abs(part), lat, q)
                     rhs = (N / h) ** (d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))) * denom
                     if rhs > 0:
                         best = max(best, lhs / rhs)
@@ -557,9 +598,9 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
                 if denom > 0 and denom2 > 0:
                     ratios.append((num1 / denom, num2 / denom2))
             elif kind == "square_function":
-                denom = lp_norm(f, p)
+                denom, square = lp_norm(f, p), _square_function(next(parts), lat)
                 if denom > 0:
-                    ratios.append(lp_norm(_square_function(f, bank), p) / denom)
+                    ratios.append(lp_norm(square, p) / denom)
         if kind == "norm_equivalence":
             r1 = [a for a, _ in ratios]
             r2 = [b for _, b in ratios]

@@ -31,7 +31,8 @@ __all__ = [
     "FLOW_KINDS",
     "dispersion",
     "PhaseSpec",
-    "flow",
+    "half_axis_symbol",
+    "phase_into",
     "schrodinger_flow",
     "kg_phase_curvature",
     "degenerate_points",
@@ -100,36 +101,32 @@ class PhaseSpec:
         dispersion(self.kind, self.lattice.d)
 
     def multiplier_grid(self) -> np.ndarray:
-        """The kind's phase of the lattice symbol at time t on the dual grid.
-
-        The phase is the outer product of d one-axis phases (d = 1 for a kind
-        that is not additive): M*d exponentials instead of M^d.  The one-axis
-        symbol is exactly even in FFT order (sym[k] == sym[M-k]: the
-        frequencies are exact negatives and sine is odd), so the phase is
-        evaluated on the first M/2+1 entries and mirrored onto the rest.
-        """
-        h, M = self.lattice.h, self.lattice.M
-        sym = lattice_symbol(self.lattice.axis_frequencies()[: M // 2 + 1], h)
-        half = DISPERSIONS[self.kind].phase(self.t, sym)
-        phase = np.concatenate([half, half[M // 2 - 1 : 0 : -1]])
-        return functools.reduce(np.multiply.outer, [phase] * self.lattice.d)
+        """The kind's phase of the lattice symbol at time t on the dual grid (see :func:`phase_into`)."""
+        return phase_into(self.kind, self.t, self.lattice, half_axis_symbol(self.lattice),
+                          np.empty(self.lattice.shape, dtype=complex))
 
 
-def flow(kind: str, spectrum: np.ndarray, lattice: Lattice, t: float) -> GridFunction:
-    """The ``kind`` flow at time t of the datum whose forward transform is ``spectrum``.
+def half_axis_symbol(lattice: Lattice) -> np.ndarray:
+    """The one-axis lattice symbol on the first M/2+1 dual-grid frequencies (FFT order); it does not depend on t."""
+    return lattice_symbol(lattice.axis_frequencies()[: lattice.M // 2 + 1], lattice.h)
 
-    Time loops transform their datum once with ``np.fft.fftn`` and call this
-    per sample, so each sample costs one inverse transform, written into the
-    product it transforms (no further M^d allocation).
 
-    Keep the product expression as written.  For operands of 256 KiB or more
-    numpy elides the temporary phase grid and multiplies into it with the
-    operands swapped, and complex products can differ in the last bit with
-    the operand order; ``np.multiply(spectrum, phase, out=...)`` would move
-    sup norms by ~1e-17 against every earlier result.
+def phase_into(kind: str, t: float, lattice: Lattice, half_symbol: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the ``kind`` phase at time t on the dual grid of ``lattice`` into ``out`` and return it.
+
+    The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]: the
+    frequencies are exact negatives and sine is odd), so the phase is
+    evaluated on ``half_symbol`` (:func:`half_axis_symbol`) and mirrored onto
+    the rest.  In d >= 2 it is the outer product of d one-axis phases: M*d
+    exponentials instead of M^d.
     """
-    product = spectrum * PhaseSpec(kind, t, lattice).multiplier_grid()
-    return GridFunction(lattice, np.fft.ifftn(product, out=product))
+    half = DISPERSIONS[kind].phase(t, half_symbol)
+    axis = out if lattice.d == 1 else np.empty(lattice.M, dtype=complex)
+    axis[: half.size] = half
+    axis[half.size :] = half[-2:0:-1]
+    if lattice.d > 1:
+        np.multiply.outer(functools.reduce(np.multiply.outer, [axis] * (lattice.d - 1)), axis, out=out)
+    return out
 
 
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:

@@ -65,7 +65,7 @@ def inverse_transform(F: SpectralFunction) -> GridFunction:
 def apply_multiplier(grid: np.ndarray, f: GridFunction) -> GridFunction:
     """Transform, multiply pointwise by the dual-grid symbol ``grid``, transform back into the product.
 
-    The product expression stays as written (see :func:`latticewave.propagators.flow`).
+    The product expression stays as written (see :func:`latticewave.harness._inverse_rows`).
     """
     product = grid * np.fft.fftn(f.values)
     return GridFunction(f.lattice, np.fft.ifftn(product, out=product))

@@ -37,8 +37,9 @@ from latticewave.lattice import (
     lp_norm,
     point_mass,
 )
-from latticewave.propagators import PhaseSpec, degenerate_points, flow
+from latticewave.propagators import PhaseSpec, degenerate_points
 from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
+from test_propagators import flow
 
 
 # ---------------------------------------------------------------------------
@@ -273,65 +274,180 @@ def test_time_reversal_fold_matches_unfolded_loop(data, kind, d, q, r):
         assert abs(ends[0] - ends[1]) > 1e-3 * ends[1]
 
 
+# ---------------------------------------------------------------------------
+# the row-batched time loop against its per-sample form: one flow call per (time, distinct factor)
+
+def _time_samples_per_sample(kind, u0, t_grid, p):
+    """The time loop with one ``flow`` call and one inverse transform per sample and distinct factor."""
+    if not np.any(u0.values.imag):
+        times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
+    else:
+        order = np.argsort(np.abs(t_grid), kind="stable")
+        times, inverse = t_grid[order], np.argsort(order)
+    c, factors = harness._axis_factors(u0, kind)
+    lat = factors[0].lattice
+    mask = boundary_mask(lat)
+    index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
+    spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
+    norms = np.empty(times.size)
+    for i, t in enumerate(times):
+        flowed = {k: np.abs(flow(kind, spectrum, lat, float(t)).values) for k, spectrum in spectra.items()}
+        moduli = [flowed[k] for k in index]
+        if harness._outer_edge_fraction(moduli, mask) > harness.BOUNDARY_THRESHOLD:
+            passed = np.abs(times[:i])
+            passed = passed[passed < abs(t)]
+            largest_ok = float(passed[-1]) if passed.size else None
+            raise WindowError(f"solution reached the boundary at t={t:g}; largest admissible |t| is "
+                              f"{largest_ok if largest_ok is not None else 'none'}", largest_valid_t=largest_ok)
+        norms[i] = harness._outer_lp_norm(c, moduli, lat, p)
+    return norms[inverse]
+
+
+def _rows_per_block(lat):
+    return max(1, 256 * 1024 // (16 * lat.site_count))
+
+
+BATCHED_CASES = {
+    # kind, lattice, datum, time grid
+    # 4 rows of M = 4096 per block, so 25 samples (13 distinct |t| of the second grid) leave a last block of 1
+    "ragged-blocks": ("schrodinger", Lattice(h=1.0, d=1, M=4096), point_mass, decay_time_grid(1.0, 100.0, 25)),
+    "ragged-blocks-gaussian": ("schrodinger", Lattice(h=0.5, d=1, M=4096), lambda lat: gaussian(lat, 4.0),
+                               symmetric_time_grid(20.0, 12, 0.1)),
+    # a row of M = 16384 is 256 KiB, the temporary-elision threshold: one row per block, operands swapped
+    "threshold-d1": ("schrodinger", Lattice(h=1.0, d=1, M=16384), lambda lat: band_projection(point_mass(lat), 0.125),
+                     decay_time_grid(30.0, 3000.0, 6)),
+    "threshold-d1-half-wave": ("klein_gordon", Lattice(h=0.5, d=1, M=16384), lambda lat: gaussian(lat, 4.0),
+                               symmetric_time_grid(40.0, 5, 0.5)),
+    # rows of 128 KiB: two per block, operands in source order
+    "below-threshold-d1": ("klein_gordon", Lattice(h=1.0, d=1, M=8192), lambda lat: gaussian(lat, 4.0),
+                           symmetric_time_grid(40.0, 5, 0.5)),
+    # a dense (not outer-product) d = 2 datum whose M^2 row is 256 KiB
+    "dense-d2-M128": ("schrodinger", Lattice(h=0.5, d=2, M=128), _chirped_gaussian, symmetric_time_grid(2.0, 4, 0.1)),
+    # a complex datum, walked through negative and positive times
+    "complex-d1": ("schrodinger", Lattice(h=0.5, d=1, M=256), lambda lat: _moving_complex_gaussian(lat, 2.0, 1.3, 0.8),
+                   symmetric_time_grid(4.0, 40, 0.05)),
+    # two distinct factors per sample, 341 rows per block: a block ends between a sample's two rows
+    "factors-straddle-blocks": ("schrodinger", Lattice(h=1.0, d=2, M=48),
+                                lambda lat: point_mass(lat, (1, -2), 3.0 - 2.0j), symmetric_time_grid(3.0, 100, 0.01)),
+}
+
+
+@pytest.mark.parametrize("p", [math.inf, 4.0])
+@pytest.mark.parametrize("case", list(BATCHED_CASES))
+def test_batched_time_samples_equal_the_per_sample_loop(case, p):
+    kind, lat, datum, t_grid = BATCHED_CASES[case]
+    u0 = datum(lat)
+    got = harness._time_samples(kind, u0, t_grid, p)
+    assert np.array_equal(got, _time_samples_per_sample(kind, u0, t_grid, p))
+    if case == "factors-straddle-blocks":
+        per = _rows_per_block(Lattice(h=lat.h, d=1, M=lat.M))
+        assert per % 2 == 1 and 2 * t_grid.size > per
+
+
+@pytest.mark.parametrize("datum", ["point", "complex"])
+def test_window_error_mid_block_matches_the_per_sample_loop(datum):
+    lat = Lattice(h=1.0, d=1, M=64)
+    if datum == "point":
+        u0, t_grid = point_mass(lat), decay_time_grid(1.0, 40.0, 30)
+    else:
+        u0, t_grid = _moving_complex_gaussian(lat, 2.0, 1.3, 0.8), symmetric_time_grid(20.0, 15, 0.1)
+    assert t_grid.size < _rows_per_block(lat)  # every sample is a row of the first block
+    with pytest.raises(WindowError) as batched:
+        harness._time_samples("schrodinger", u0, t_grid, math.inf)
+    with pytest.raises(WindowError) as per_sample:
+        _time_samples_per_sample("schrodinger", u0, t_grid, math.inf)
+    assert str(batched.value) == str(per_sample.value)
+    assert batched.value.largest_valid_t == per_sample.value.largest_valid_t is not None
+    # the failing sample is neither the first nor the last row of its block
+    t_fail = float(str(batched.value).split("t=")[1].split(";")[0])
+    walked = np.sort(np.abs(t_grid))
+    assert walked[2] < abs(t_fail) < walked[-3]
+
+
+# ---------------------------------------------------------------------------
+# closed form: the free flow of the h-weighted point mass is a Bessel kernel
+
+@pytest.mark.parametrize("h", [1.0, 0.5])
+def test_decay_sup_norms_equal_the_bessel_kernel(h):
+    """u(t, n) = h^-1 e^(-2it/h^2) i^n J_n(2t/h^2) for the datum delta/h, so its sup norm is
+    h^-1 max_n |J_n(2t/h^2)|; in d = 2 the flow is the product over the axes and the sup norm squares."""
+    from scipy.special import jv
+
+    def bessel_sup(t, M):
+        return np.abs(jv(np.arange(M // 2 + 1)[:, None], 2.0 * t / h**2)).max(axis=0) / h
+
+    t_grid = decay_time_grid(1.0, 100.0, 12)
+    fit = dispersive_decay_scan("schrodinger", decay_data(Lattice(h, 1, 4096)), t_grid)
+    np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, 4096), rtol=1e-12, atol=0)
+    t_grid = decay_time_grid(1.0, 60.0 * h**2, 8)
+    fit = dispersive_decay_scan("schrodinger", decay_data(Lattice(h, 2, 512)), t_grid)
+    np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, 512) ** 2, rtol=1e-12, atol=0)
+
+
 def _count_transforms(monkeypatch):
-    """Count ``np.fft.fftn``/``ifftn`` calls; the first list records, per ``ifftn`` call, whether it
-    wrote into its input (``out is args[0]``), i.e. allocated no result array, and the second the
-    point count of every transform, in call order."""
+    """Record the ``np.fft.fftn``/``ifftn`` calls: ``counts`` the calls and ``points`` the points they
+    transform, per function; and per ``ifftn`` call, in call order, ``blocks`` holds (rows, bytes, in
+    place): its rows are the leading entries its ``axes`` leave untransformed (1 without ``axes``), and it
+    is in place when it wrote into its input (``out is args[0]``), i.e. allocated no result array."""
     counts = {"fftn": 0, "ifftn": 0}
-    in_place, sizes = [], []
+    points = {"fftn": 0, "ifftn": 0}
+    blocks = []
     for name in counts:
         def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
             counts[_name] += 1
-            sizes.append(np.size(args[0]))
+            points[_name] += np.size(args[0])
             if _name == "ifftn":
-                in_place.append(kwargs.get("out") is args[0])
+                axes = kwargs.get("axes")
+                rows = 1 if axes is None else np.size(args[0]) // math.prod(np.shape(args[0])[a] for a in axes)
+                blocks.append((rows, np.asarray(args[0]).nbytes, kwargs.get("out") is args[0]))
             return _fn(*args, **kwargs)
         monkeypatch.setattr(np.fft, name, counted)
-    return counts, in_place, sizes
+    return counts, points, blocks
+
+
+def _assert_row_blocks(blocks):
+    """Every inverse transform is in place, and a block holds at most 256 KiB unless it is one row."""
+    assert all(in_place for _, _, in_place in blocks)
+    assert all(rows == 1 or size <= 256 * 1024 for rows, size, _ in blocks)
 
 
 def test_time_loops_transform_the_datum_once(monkeypatch):
-    counts, in_place, sizes = _count_transforms(monkeypatch)
+    _, points, blocks = _count_transforms(monkeypatch)
     lat = Lattice(h=1.0, d=2, M=32)
     dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
     # a point mass at the origin is an outer product of d equal one-axis factors: one is transformed
     # once and flowed once per sample
-    assert counts == {"fftn": 1, "ifftn": 7}
-    assert in_place == [True] * 7
-    assert sizes == [lat.M] * (1 + 7)
-    counts.update(fftn=0, ifftn=0)
-    in_place.clear()
-    sizes.clear()
+    assert points == {"fftn": lat.M, "ifftn": 7 * lat.M}
+    _assert_row_blocks(blocks)
+    points.update(fftn=0, ifftn=0)
+    blocks.clear()
     u0 = point_mass(lat)
     pair = AdmissiblePair(q=6.0, r=4.0, d=2)
     t_grid = symmetric_time_grid(1.0, 5, 0.1)
     strichartz_norm(u0, pair, 1.0, t_grid=t_grid)
     # a real datum is flowed once per distinct |t|: 0 and the 5 positive nodes of the 11
-    assert counts == {"fftn": 1, "ifftn": 6}
-    assert in_place == [True] * 6
-    assert sizes == [lat.M] * (1 + 6)
-    counts.update(fftn=0, ifftn=0)
-    in_place.clear()
-    sizes.clear()
+    assert points == {"fftn": lat.M, "ifftn": 6 * lat.M}
+    _assert_row_blocks(blocks)
+    points.update(fftn=0, ifftn=0)
+    blocks.clear()
     # off the diagonal the d factors differ, and a complex datum is flowed at every time
     off = point_mass(lat, (1, -2), 3.0 - 2.0j)
     value = strichartz_norm(off, pair, 1.0, t_grid=t_grid)
-    assert counts == {"fftn": 2, "ifftn": 2 * t_grid.size}
-    assert in_place == [True] * 2 * t_grid.size
-    assert sizes == [lat.M] * (2 + 2 * t_grid.size)
+    assert points == {"fftn": 2 * lat.M, "ifftn": 2 * t_grid.size * lat.M}
+    _assert_row_blocks(blocks)
     assert value == pytest.approx(_oracle_strichartz("schrodinger", off, pair, t_grid), rel=1e-12, abs=0)
-    counts.update(fftn=0, ifftn=0)
-    in_place.clear()
-    sizes.clear()
+    points.update(fftn=0, ifftn=0)
+    blocks.clear()
     strichartz_norm(_chirped_gaussian(lat), AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
-    assert counts == {"fftn": 1, "ifftn": t_grid.size}
-    assert in_place == [True] * t_grid.size
-    assert sizes == [lat.site_count] * (1 + t_grid.size)
-    # a band-projected decay datum: the projection's inverse transform writes in place too
-    in_place.clear()
-    dispersive_decay_scan("klein_gordon", decay_data(Lattice(h=1.0, d=1, M=1024)), decay_time_grid(5.0, 50.0, 4),
+    assert points == {"fftn": lat.site_count, "ifftn": t_grid.size * lat.site_count}
+    _assert_row_blocks(blocks)
+    # a band-projected decay datum: the projection's inverse transform writes in place too; at M = 16384
+    # a row is 256 KiB, so each sample is a block of its own
+    blocks.clear()
+    dispersive_decay_scan("klein_gordon", decay_data(Lattice(h=1.0, d=1, M=16384)), decay_time_grid(5.0, 50.0, 4),
                           N=0.25)
-    assert in_place == [True] * 5
+    assert [rows for rows, _, _ in blocks] == [1] * 5
+    _assert_row_blocks(blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -755,6 +871,19 @@ def test_random_ensemble_matches_per_band_low_pass(d, M, mean_zero):
             np.testing.assert_array_equal(a.values, b.values)
 
 
+@pytest.mark.parametrize("d,M,size", [(2, 32, 40), (1, 8192, 6), (1, 16384, 4), (2, 128, 4)],
+                         ids=["several-blocks", "below-threshold", "threshold-d1", "threshold-d2"])
+def test_random_ensemble_blocks_match_per_band_low_pass(d, M, size):
+    """Draws spread over several blocks (16 rows each), and rows of 256 KiB, where numpy's
+    temporary elision swaps the low-pass product's operands."""
+    lat = Lattice(h=0.5, d=d, M=M)
+    got = random_ensemble(lat, size, 5, cell_key=2)
+    want = _random_ensemble_reference(lat, size, 5, cell_key=2)
+    assert len(got) == len(want) == size
+    for a, b in zip(got, want):
+        assert np.array_equal(a.values, b.values)
+
+
 @pytest.mark.parametrize("kind,d,p,q", [("bernstein", 1, 2.0, math.inf), ("bernstein", 2, 1.5, 4.0),
                                         ("square_function", 1, 2.0, None), ("square_function", 2, 3.0, None)])
 def test_band_scan_rows_match_per_band_path(kind, d, p, q):
@@ -766,6 +895,18 @@ def test_band_scan_rows_match_per_band_path(kind, d, p, q):
         assert row == _constants_row_reference(kind, lat, fields, p, q)
 
 
+@pytest.mark.parametrize("kind,q", [("bernstein", 4.0), ("square_function", None)])
+def test_band_rows_straddling_blocks_match_per_band_path(kind, q):
+    """Bands of one field split across two blocks: at M = 16 in d = 2, 64 rows per block, 3 kept
+    bernstein bands or 5 square-function bands per field, and 30 fields."""
+    lat, ensemble, seed = Lattice.for_box(0.5, 2, 8.0), 30, 2
+    kept = sum(N * lat.M >= 4 for N in band_scales(lat)) if kind == "bernstein" else len(band_scales(lat))
+    assert _rows_per_block(lat) % kept and ensemble * kept > _rows_per_block(lat)
+    scan = inequality_constant_scan(kind, [0.5], box=8.0, d=2, p=1.5, q=q, ensemble=ensemble, seed=seed)
+    fields = _random_ensemble_reference(lat, ensemble, seed, cell_key=0)
+    assert scan.rows[0] == _constants_row_reference(kind, lat, fields, 1.5, q)
+
+
 @pytest.mark.parametrize("kind,q", [("bernstein", math.inf), ("square_function", None)])
 def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkeypatch):
     built = {"band_symbol": 0, "band_bank": 0}
@@ -774,19 +915,22 @@ def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkey
             built[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    counts, _, _ = _count_transforms(monkeypatch)
+    _, points, blocks = _count_transforms(monkeypatch)
     lat, ensemble = Lattice.for_box(0.5, 2, 16.0), 9
     scales = band_scales(lat)
     random_ensemble(lat, ensemble, 1, cell_key=0)
     assert built == {"band_symbol": len(scales), "band_bank": 1}
-    in_ensemble = dict(counts)
+    in_ensemble = dict(points)
     built.update(band_symbol=0, band_bank=0)
-    counts.update(fftn=0, ifftn=0)
+    points.update(fftn=0, ifftn=0)
+    blocks.clear()
     inequality_constant_scan(kind, [0.5], box=16.0, d=2, p=2.0, q=q, ensemble=ensemble, seed=1)
     assert built["band_bank"] == 2  # the ensemble's low-pass and the band loop
     assert built["band_symbol"] <= built["band_bank"] * len(scales)
     kept = len(scales) if kind == "square_function" else sum(N * lat.M >= 4 for N in scales)
-    assert counts == {"fftn": in_ensemble["fftn"] + ensemble, "ifftn": in_ensemble["ifftn"] + ensemble * kept}
+    n = lat.site_count
+    assert points == {"fftn": in_ensemble["fftn"] + ensemble * n, "ifftn": in_ensemble["ifftn"] + ensemble * kept * n}
+    _assert_row_blocks(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from latticewave.propagators import (
     PhaseSpec,
     degenerate_points,
     dispersion,
-    flow,
     hessian_cosine_product_min,
     kg_phase_curvature,
     schrodinger_flow,
@@ -19,7 +18,25 @@ from latticewave.propagators import (
 from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid, lattice_symbol
 
 
-# oracles: the half-wave symbol on the full grid, and flows built from it and from band projections
+# oracles: the per-sample flow, the half-wave symbol on the full grid, and flows built from it and from
+# band projections
+
+def flow(kind, spectrum, lattice, t):
+    """The ``kind`` flow at time t of the datum whose forward transform is ``spectrum``.
+
+    The per-sample path that the row-batched time loop of ``latticewave.harness``
+    must equal bit for bit: one phase grid and one inverse transform per sample,
+    written into the product it transforms.
+
+    Keep the product expression as written.  For operands of 256 KiB or more
+    numpy elides the temporary phase grid and multiplies into it with the
+    operands swapped, and complex products can differ in the last bit with
+    the operand order; ``np.multiply(spectrum, phase, out=...)`` would move
+    sup norms by ~1e-17 against every earlier result.
+    """
+    product = spectrum * PhaseSpec(kind, t, lattice).multiplier_grid()
+    return GridFunction(lattice, np.fft.ifftn(product, out=product))
+
 
 def kg_dispersion_grid(lattice):
     """sqrt(1 + (4/h^2) sin^2(h xi / 2)) on the dual grid."""

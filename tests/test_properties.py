@@ -7,7 +7,7 @@ from hypothesis.extra import numpy as hnp
 
 from latticewave.dnls import NlsConfig, energy, evolve, mass, step_strang
 from latticewave.lattice import GridFunction, Lattice, inner_product, lp_norm
-from latticewave.propagators import FLOW_KINDS, flow
+from latticewave.propagators import FLOW_KINDS
 from latticewave.spectral import (
     SpectralFunction,
     discrete_laplacian,
@@ -15,6 +15,7 @@ from latticewave.spectral import (
     inverse_transform,
     laplacian_symbol_grid,
 )
+from test_propagators import flow
 
 EPS = np.finfo(float).eps
 _MAX_HALF_M = {1: 64, 2: 12, 3: 6}
