@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, WindowError
-from .harness import AdmissiblePair, ScanResult, admissible_pairs, random_ensemble, scan_result
+from .harness import AdmissiblePair, ScanResult, _time_norm, admissible_pairs, random_ensemble, scan_result
 from .lattice import (
+    BOUNDARY_THRESHOLD,
     GridFunction,
     Lattice,
     boundary_mask,
@@ -26,7 +27,7 @@ from .lattice import (
     modulus_lp_norm,
 )
 from .propagators import PhaseSpec, schrodinger_flow  # noqa: F401 (bench/selftest.py traces this binding)
-from .spectral import continuum_symbol_grid, discrete_laplacian, laplacian_power, laplacian_symbol_grid
+from .spectral import continuum_symbol_grid, discrete_laplacian, laplacian_symbol_grid, radial_power, symbol_parts
 
 __all__ = [
     "NlsConfig",
@@ -55,6 +56,7 @@ class NlsConfig:
     H^1 norm plus the lattice-native kinetic norm |sqrt(-Lap) u|_2 (series
     ``kinetic_h1``) that the conservation bounds control exactly; the full
     space-time norm is computed from snapshots afterwards via :func:`s1_norm`.
+    ``boundary_threshold`` defaults to :data:`latticewave.lattice.BOUNDARY_THRESHOLD`.
     """
 
     lam: float
@@ -63,7 +65,7 @@ class NlsConfig:
     T: float
     monitors: frozenset[str] = frozenset(KNOWN_MONITORS)
     snapshot_stride: int = 16
-    boundary_threshold: float = 1e-6
+    boundary_threshold: float = BOUNDARY_THRESHOLD
     boundary_width: int | None = None
 
     def __post_init__(self):
@@ -121,8 +123,7 @@ def nonlinear_phase_flow(u: GridFunction, tau: float, lam: float, p: float) -> G
 def _strang_step(values: np.ndarray, half: np.ndarray, dt: float, lam: float, p: float):
     """The Strang step on site values, given the half-step multiplier: the new values and their spectrum.
 
-    The last inverse transform leaves the spectrum intact for the monitors; the
-    products stay as written (see :func:`latticewave.harness._inverse_rows`).
+    The last inverse transform leaves the spectrum intact for the monitors.
     """
     product = half * np.fft.fftn(values)
     values = np.fft.ifftn(product, out=product)
@@ -211,31 +212,20 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
 def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
     """sup over pairs of the mixed norm of the (1 - 1/q)-derivative-weighted snapshots.
 
-    Each snapshot is transformed once and every pair's Bessel weight
-    (1 + |xi|^2)^((1 - 1/q)/2), built once, is applied to that spectrum as
-    :func:`latticewave.spectral.bessel_derivative` applies it.  The time
-    quadrature runs over the snapshot grid; refine the snapshot stride until
-    the value stops moving (self-convergence) before trusting it.
+    Every pair's Bessel weight (1 + |xi|^2)^((1 - 1/q)/2) is built once, and
+    the weighted snapshots are read from :func:`latticewave.spectral.symbol_parts`,
+    which transforms each snapshot once.  The time quadrature runs over the
+    snapshot grid; refine the snapshot stride until the value stops moving
+    (self-convergence) before trusting it.
     """
     if not pairs:
         raise ConfigurationError("need a nonempty list of exponent pairs")
     lat = traj.lattice
-    r2 = continuum_symbol_grid(lat)
-    weights = [(1.0 + r2) ** (0.5 * (1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q))) for pair in pairs]
-    rnorms = np.empty((len(pairs), len(traj.states)))
-    for j, u in enumerate(traj.states):
-        spectrum = np.fft.fftn(u.values)
-        for i, (pair, weight) in enumerate(zip(pairs, weights)):
-            product = weight * spectrum
-            rnorms[i, j] = modulus_lp_norm(np.abs(np.fft.ifftn(product, out=product)), lat, pair.r)
-    best = 0.0
-    for pair, norms in zip(pairs, rnorms):
-        if math.isinf(pair.q):
-            val = float(norms.max())
-        else:
-            val = float(np.trapezoid(norms**pair.q, traj.snapshot_times) ** (1.0 / pair.q))
-        best = max(best, val)
-    return best
+    bessel = 1.0 + continuum_symbol_grid(lat)
+    weights = [radial_power(bessel, 1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q)) for pair in pairs]
+    rnorms = np.array([[modulus_lp_norm(np.abs(part), lat, pair.r) for pair, part in zip(pairs, parts)]
+                       for parts in symbol_parts(traj.states, weights)]).T
+    return max(_time_norm(norms, traj.snapshot_times, pair.q) for pair, norms in zip(pairs, rnorms))
 
 
 def continuum_gaussian(amplitude: float = 1.0, width: float = 2.0):
@@ -275,8 +265,9 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
             for kappa in modulations:
                 v = np.exp(-r2 / (2.0 * w**2)) * np.exp(1j * kappa * sum(coords))
                 candidates.append(GridFunction(lat, np.broadcast_to(v, lat.shape)))
-        for f in candidates:
-            rhs = lp_norm(f, 2.0) ** (1.0 - th) * lp_norm(laplacian_power(f, 1.0), 2) ** th
+        kinetic = [radial_power(laplacian_symbol_grid(lat), 1.0)]
+        for f, (part,) in zip(candidates, symbol_parts(candidates, kinetic)):
+            rhs = lp_norm(f, 2.0) ** (1.0 - th) * modulus_lp_norm(np.abs(part), lat, 2) ** th
             if rhs > 0:
                 best = max(best, lp_norm(f, p + 1.0) / rhs)
     return best

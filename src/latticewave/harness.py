@@ -8,9 +8,7 @@ run serially in spacing order.
 
 from __future__ import annotations
 
-import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -18,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, WindowError
 from .lattice import (
+    BOUNDARY_THRESHOLD,
     MAX_SITES,
     GridFunction,
     Lattice,
@@ -30,14 +29,17 @@ from .lattice import (
 )
 from .propagators import DISPERSIONS, dispersion, half_axis_symbol, phase_into
 from .spectral import (
+    _check_mean_zero,
+    _inverse_rows,
+    _multiply_into,
     band_bank,
     band_projection,
     band_scales,
     continuum_symbol_grid,
     forward_difference,
-    laplacian_power,
     laplacian_symbol_grid,
-    sobolev_norm,
+    radial_power,
+    symbol_parts,
 )
 
 __all__ = [
@@ -61,37 +63,6 @@ __all__ = [
     "knapp_eps_exponents",
     "knapp_h_sharpness",
 ]
-
-BOUNDARY_THRESHOLD = 1e-6
-_CHUNK_BYTES = 256 * 1024  # largest inverse-transform block: numpy's temporary-elision threshold
-
-
-def _inverse_rows(shape: tuple[int, ...], writers) -> Iterator[np.ndarray]:
-    """Yield, in order, the inverse transforms of the rows of ``shape`` that the callables of ``writers`` fill.
-
-    The iterator ``writers`` is drawn a block of at most ``_CHUNK_BYTES`` (or
-    one larger row) at a time; a block takes one in-place ``np.fft.ifftn``
-    over its trailing axes, bit for bit one transform per row, and one
-    finiteness check.  Keep :func:`_multiply_into`'s operand order: from 256
-    KiB up numpy elides the temporary of ``x * temporary`` and multiplies into
-    it with the operands swapped, and complex products can differ in the last
-    bit with the order.
-    """
-    per = max(1, _CHUNK_BYTES // (16 * math.prod(shape)))
-    while fill := list(itertools.islice(writers, per)):
-        block = np.empty((len(fill),) + shape, dtype=complex)
-        for write, row in zip(fill, block):
-            write(row)
-        np.fft.ifftn(block, axes=tuple(range(1, block.ndim)), out=block)
-        if not np.isfinite(block).all():
-            raise ValueError("grid function contains non-finite entries")
-        yield from block
-
-
-def _multiply_into(x: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """row <- x * row in numpy's operand order for a temporary ``row`` (see :func:`_inverse_rows`)."""
-    return np.multiply(row, x, out=row) if row.nbytes >= _CHUNK_BYTES else np.multiply(x, row, out=row)
-
 
 # ---------------------------------------------------------------------------
 # fits
@@ -256,7 +227,7 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
     The datum is flowed as its :func:`_axis_factors`, and factors with equal
     values are transformed and flowed once (a point mass on the diagonal
     costs one transform of M points per sample).  Each (time, distinct
-    factor) pair is a row of :func:`_inverse_rows` holding its phase, built
+    factor) pair is a row of :func:`latticewave.spectral._inverse_rows` holding its phase, built
     from one half-axis symbol, times the factor's spectrum.  Each sample reads
     the norm and the boundary-mass fraction from its rows' moduli, so no M^d
     array is built.  A datum that is not an outer product is its own single
@@ -356,10 +327,14 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
     t_grid = _checked_time_grid(t_grid, positive=False)
-    rnorms = _time_samples(kind, u0, t_grid, pair.r, check_window=check_window)
-    if math.isinf(pair.q):
+    return _time_norm(_time_samples(kind, u0, t_grid, pair.r, check_window=check_window), t_grid, pair.q)
+
+
+def _time_norm(rnorms: np.ndarray, t_grid: np.ndarray, q: float) -> float:
+    """The trapezoid L^q norm over ``t_grid`` of the spatial norms ``rnorms`` sampled on it; their sup at q = inf."""
+    if math.isinf(q):
         return float(rnorms.max())
-    return float(np.trapezoid(rnorms**pair.q, t_grid) ** (1.0 / pair.q))
+    return float(np.trapezoid(rnorms**q, t_grid) ** (1.0 / q))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +435,7 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
     yields lower bounds that must stay stable across the spacing scan.
 
     Each noise member draws its field, then its band, and is low-passed as a
-    row of :func:`_inverse_rows`; a round draws only the members still missing.
+    row of :func:`latticewave.spectral._inverse_rows`; a round draws only the members still missing.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
     # row k keeps every band at or below the k-th scale, summed in ascending order
@@ -505,6 +480,8 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
                                s: float | None, theta: float | None) -> None:
     if kind not in CONSTANT_KINDS:
         raise ConfigurationError(f"unknown scan kind {kind!r}")
+    if s is not None and not math.isfinite(s):  # theta is checked to lie in (0, 1) where it is used
+        raise ConfigurationError(f"the derivative order s must be finite, got s = {s!r}")
     if kind == "bernstein":
         if q is None or not (1 <= p <= q):
             raise ConfigurationError("bernstein needs 1 <= p <= q")
@@ -516,14 +493,14 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
         if not (1 <= p <= q):
             raise ConfigurationError("gagliardo_nirenberg needs 1 <= p <= q")
         inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        if abs(inv_q - (1.0 / p - theta * s / d)) > 1e-12:
+        if not abs(inv_q - (1.0 / p - theta * s / d)) <= 1e-12:
             raise ConfigurationError("gagliardo_nirenberg needs 1/q = 1/p - theta*s/d")
     elif kind == "sobolev_endpoint":
         if q is None or s is None:
             raise ConfigurationError("sobolev_endpoint needs p, q, s")
         if not (1 < p < q) or math.isinf(q):
             raise ConfigurationError("sobolev_endpoint needs 1 < p < q < inf")
-        if abs(1.0 / q - (1.0 / p - s / d)) > 1e-12:
+        if not abs(1.0 / q - (1.0 / p - s / d)) <= 1e-12:
             raise ConfigurationError("sobolev_endpoint needs 1/q = 1/p - s/d")
     elif kind == "norm_equivalence":
         if s is None or not (1 < p) or math.isinf(p):
@@ -531,21 +508,6 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
     elif kind == "square_function":
         if not (1 < p) or math.isinf(p):
             raise ConfigurationError("square_function needs 1 < p < inf")
-
-
-def _band_parts(fields: list[GridFunction], bank: np.ndarray) -> Iterator[list[np.ndarray]]:
-    """Per field, the inverse transforms of ``sym * spectrum`` for the symbols of ``bank``: each field is
-    transformed once, and the bands of all fields are the rows of :func:`_inverse_rows`."""
-    rows = _inverse_rows(fields[0].lattice.shape, (
-        lambda row, sym=sym, spectrum=spectrum: np.multiply(sym, spectrum, out=row)
-        for spectrum in (np.fft.fftn(f.values) for f in fields) for sym in bank))
-    for _ in fields:
-        yield [next(rows) for _ in bank]
-
-
-def _square_function(parts: list[np.ndarray], lattice: Lattice) -> GridFunction:
-    """(sum over the bands of |band part|^2)^(1/2) from a field's :func:`_band_parts`, summed in band order."""
-    return GridFunction(lattice, np.sqrt(sum(np.abs(part) ** 2 for part in parts)))
 
 
 def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.0, d: int = 1,
@@ -558,54 +520,60 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     ``square_function`` (two-sided).  Exponent hypotheses are validated up
     front and a violation names the constraint.  Random fields are mean-zero:
     on the periodic truncation a nonzero mean lies outside every homogeneous
-    norm, which the infinite lattice excludes automatically.  The Bernstein
-    and square-function loops read each field's bands from :func:`_band_parts`.
+    norm, which the infinite lattice excludes automatically.  Each cell
+    builds its symbols once and reads the fields' parts from
+    :func:`symbol_parts`; an overflowing symbol or weighted norm names s.
     """
     _validate_constants_config(kind, d, p, q, s, theta)
 
     def cell(idx: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
-        M = lat.M
         fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
         if kind in ("bernstein", "square_function"):
             scales = band_scales(lat)
-            first = sum(N * M < 4 for N in scales) if kind == "bernstein" else 0  # keep bands with solid support
-            parts = _band_parts(fields, band_bank(lat)[first:])
+            first = sum(N * lat.M < 4 for N in scales) if kind == "bernstein" else 0  # keep bands with solid support
+            symbols = band_bank(lat)[first:]
+        else:
+            if s < 0:  # a homogeneous symbol of negative order is singular at DC
+                for f in fields:
+                    _check_mean_zero(f)
+            xi2 = continuum_symbol_grid(lat)
+            symbols = [radial_power(xi2, s)]
+            if kind == "norm_equivalence":
+                symbols += [radial_power(laplacian_symbol_grid(lat), s), radial_power(xi2, 1.0)]
         ratios = []
-        for f in fields:
-            if kind == "bernstein":
-                best = 0.0
-                denom = lp_norm(f, p)
-                for N, part in zip(scales[first:], next(parts)):
-                    lhs = modulus_lp_norm(np.abs(part), lat, q)
-                    rhs = (N / h) ** (d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))) * denom
+        with np.errstate(over="ignore"):  # an overflowing weighted norm is rejected below
+            for f, parts in zip(fields, symbol_parts(fields, symbols)):
+                if kind == "square_function":
+                    parts = [np.sqrt(sum(np.abs(part) ** 2 for part in parts))]
+                norms = [modulus_lp_norm(np.abs(part), lat, q if kind == "bernstein" else p) for part in parts]
+                if not all(math.isfinite(norm) for norm in norms):
+                    raise ConfigurationError(f"a derivative-weighted norm overflows at s = {s!r}")
+                if kind == "bernstein":
+                    best, denom = 0.0, lp_norm(f, p)
+                    for N, lhs in zip(scales[first:], norms):
+                        rhs = (N / h) ** (d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))) * denom
+                        if rhs > 0:
+                            best = max(best, lhs / rhs)
+                    ratios.append((best,))
+                elif kind == "gagliardo_nirenberg":
+                    rhs = lp_norm(f, p) ** (1.0 - theta) * norms[0] ** theta
                     if rhs > 0:
-                        best = max(best, lhs / rhs)
-                ratios.append(best)
-            elif kind == "gagliardo_nirenberg":
-                rhs = lp_norm(f, p) ** (1.0 - theta) * sobolev_norm(f, s, p, homogeneous=True) ** theta
-                if rhs > 0:
-                    ratios.append(lp_norm(f, q) / rhs)
-            elif kind == "sobolev_endpoint":
-                rhs = sobolev_norm(f, s, p, homogeneous=True)
-                if rhs > 0:
-                    ratios.append(lp_norm(f, q) / rhs)
-            elif kind == "norm_equivalence":
-                denom = sobolev_norm(f, s, p, homogeneous=True)
-                num1 = lp_norm(laplacian_power(f, s), p)
-                num2 = sum(lp_norm(forward_difference(f, ax), p) for ax in range(d))
-                denom2 = sobolev_norm(f, 1.0, p, homogeneous=True)
-                if denom > 0 and denom2 > 0:
-                    ratios.append((num1 / denom, num2 / denom2))
-            elif kind == "square_function":
-                denom, square = lp_norm(f, p), _square_function(next(parts), lat)
-                if denom > 0:
-                    ratios.append(lp_norm(square, p) / denom)
-        if kind == "norm_equivalence":
-            r1 = [a for a, _ in ratios]
-            r2 = [b for _, b in ratios]
-            return [h, M, max(r1), min(r1), max(r2), min(r2)]
-        return [h, M, max(ratios), min(ratios)]
+                        ratios.append((lp_norm(f, q) / rhs,))
+                elif kind == "sobolev_endpoint":
+                    if norms[0] > 0:
+                        ratios.append((lp_norm(f, q) / norms[0],))
+                elif kind == "norm_equivalence":
+                    num2 = sum(lp_norm(forward_difference(f, ax), p) for ax in range(d))
+                    if norms[0] > 0 and norms[2] > 0:
+                        ratios.append((norms[1] / norms[0], num2 / norms[2]))
+                elif kind == "square_function":
+                    denom = lp_norm(f, p)
+                    if denom > 0:
+                        ratios.append((norms[0] / denom,))
+        if not ratios:
+            raise ConfigurationError(f"no field of the ensemble has a positive right side at h = {h!r}")
+        return [h, lat.M, *(extreme(column) for column in zip(*ratios) for extreme in (max, min))]
 
     rows = [cell(idx, h) for idx, h in enumerate(h_list)]
     if kind == "norm_equivalence":
@@ -728,11 +696,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     om = laplacian_symbol_grid(lat)
     xi_sum = sum(np.broadcast_to(g, lat.shape) for g in lat.frequency_grids())
     arg = (h**2 / epsilon**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * xi_sum)
-    block = np.ones(lat.shape, dtype=bool)
-    for ax in range(d):
-        sh = [1] * d
-        sh[ax] = M
-        block &= block_axis.reshape(sh)
+    block = reduce(np.logical_and, np.meshgrid(*[block_axis] * d, indexing="ij", sparse=True))
     K = block & (np.abs(arg) < 1.0)
     r2 = continuum_symbol_grid(lat)
     weighted = K & (r2 > 0)  # the homogeneous weight drops xi = 0

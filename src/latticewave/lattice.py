@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import ConfigurationError
 
 __all__ = [
+    "BOUNDARY_THRESHOLD",
     "MAX_SITES",
     "Lattice",
     "GridFunction",
@@ -418,6 +420,9 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
 # ---------------------------------------------------------------------------
 # boundary monitor
 
+BOUNDARY_THRESHOLD = 1e-6  # largest boundary-mass fraction a decay or evolution sample may carry
+
+
 def boundary_mask(lattice: Lattice, width: int | None = None) -> np.ndarray:
     """Boolean grid of the sites within ``width`` layers of the box edge (default max(1, M/16)).
 
@@ -427,12 +432,7 @@ def boundary_mask(lattice: Lattice, width: int | None = None) -> np.ndarray:
         width = max(1, lattice.M // 16)
     n = lattice.site_indices()
     near = (n >= lattice.M // 2 - width) | (n < -lattice.M // 2 + width)
-    mask = np.zeros(lattice.shape, dtype=bool)
-    for ax in range(lattice.d):
-        sh = [1] * lattice.d
-        sh[ax] = lattice.M
-        mask |= near.reshape(sh)
-    return mask
+    return reduce(np.logical_or, np.meshgrid(*[near] * lattice.d, indexing="ij", sparse=True))
 
 
 def density_mass_fraction(density: np.ndarray, mask: np.ndarray) -> float:
@@ -447,7 +447,7 @@ def boundary_mass_fraction(f: GridFunction, width: int | None = None) -> float:
     """Fraction of the L^2 mass sitting within ``width`` site layers of the box edge.
 
     Decay and evolution experiments are valid only while this stays below a
-    small threshold (default elsewhere: 1e-6); past that, periodic wraparound
+    small threshold (:data:`BOUNDARY_THRESHOLD`); past that, periodic wraparound
     contaminates sup norms.
     """
     return density_mass_fraction(np.square(np.abs(f.values)), boundary_mask(f.lattice, width))

@@ -8,11 +8,14 @@ exact up to roundoff.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigurationError
 from .lattice import GridFunction, Lattice, lp_norm
 
 __all__ = [
@@ -22,6 +25,7 @@ __all__ = [
     "forward_transform",
     "inverse_transform",
     "apply_multiplier",
+    "symbol_parts",
     "band_scales",
     "band_symbol",
     "band_bank",
@@ -33,6 +37,7 @@ __all__ = [
     "laplacian_symbol_grid",
     "continuum_symbol_grid",
     "laplacian_power",
+    "radial_power",
     "forward_difference",
     "sobolev_norm",
 ]
@@ -63,12 +68,50 @@ def inverse_transform(F: SpectralFunction) -> GridFunction:
 
 
 def apply_multiplier(grid: np.ndarray, f: GridFunction) -> GridFunction:
-    """Transform, multiply pointwise by the dual-grid symbol ``grid``, transform back into the product.
-
-    The product expression stays as written (see :func:`latticewave.harness._inverse_rows`).
-    """
+    """Transform, multiply pointwise by the dual-grid symbol ``grid``, transform back into the product."""
     product = grid * np.fft.fftn(f.values)
     return GridFunction(f.lattice, np.fft.ifftn(product, out=product))
+
+
+_CHUNK_BYTES = 256 * 1024  # largest inverse-transform block: numpy's temporary-elision threshold
+
+
+def _inverse_rows(shape: tuple[int, ...], writers) -> Iterator[np.ndarray]:
+    """Yield, in order, the inverse transforms of the rows of ``shape`` that the callables of ``writers`` fill.
+
+    The iterator ``writers`` is drawn a block of at most ``_CHUNK_BYTES`` (or
+    one larger row) at a time; a block takes one in-place ``np.fft.ifftn``
+    over its trailing axes, bit for bit one transform per row, and one
+    finiteness check.  Keep :func:`_multiply_into`'s operand order: from 256
+    KiB up numpy elides the temporary of ``x * temporary`` and multiplies into
+    it with the operands swapped, and a product of two complex operands can
+    differ in the last bit with the order (a real times a complex one cannot).
+    """
+    per = max(1, _CHUNK_BYTES // (16 * math.prod(shape)))
+    while fill := list(itertools.islice(writers, per)):
+        block = np.empty((len(fill),) + shape, dtype=complex)
+        for write, row in zip(fill, block):
+            write(row)
+        np.fft.ifftn(block, axes=tuple(range(1, block.ndim)), out=block)
+        if not np.isfinite(block).all():
+            raise ValueError("grid function contains non-finite entries")
+        yield from block
+
+
+def _multiply_into(x: np.ndarray, row: np.ndarray) -> np.ndarray:
+    """row <- x * row in numpy's operand order for a temporary ``row`` (see :func:`_inverse_rows`)."""
+    return np.multiply(row, x, out=row) if row.nbytes >= _CHUNK_BYTES else np.multiply(x, row, out=row)
+
+
+def symbol_parts(fields: list[GridFunction], symbols) -> Iterator[list[np.ndarray]]:
+    """Per field of ``fields`` (one lattice), the values of :func:`apply_multiplier` for each real symbol of
+    ``symbols``, bit for bit: each field is transformed once, and its products with the symbols are rows
+    of :func:`_inverse_rows`."""
+    rows = _inverse_rows(fields[0].lattice.shape, (
+        lambda row, sym=sym, spectrum=spectrum: np.multiply(sym, spectrum, out=row)
+        for spectrum in (np.fft.fftn(f.values) for f in fields) for sym in symbols))
+    for _ in fields:
+        yield [next(rows) for _ in symbols]
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +203,15 @@ def _check_mean_zero(f: GridFunction) -> None:
         raise ValueError("homogeneous symbol singular at DC: input must be mean-zero")
 
 
-def _radial_power_grid(lattice: Lattice, radial2: np.ndarray, s: float) -> np.ndarray:
-    """radial2^(s/2) with the zero-frequency entry forced to 0."""
-    out = np.zeros(lattice.shape, dtype=float)
+def radial_power(radial2: np.ndarray, s: float) -> np.ndarray:
+    """radial2^(s/2) with the zero entries kept 0: the order-s symbol of a squared radial symbol such as
+    |xi|^2; ConfigurationError naming s where the power overflows."""
+    out = np.zeros(radial2.shape)
     nz = radial2 > 0
-    out[nz] = radial2[nz] ** (0.5 * s)
+    with np.errstate(over="ignore"):
+        out[nz] = radial2[nz] ** (0.5 * s)
+    if not np.isfinite(out).all():
+        raise ConfigurationError(f"the derivative symbol overflows at the order s = {s!r}")
     return out
 
 
@@ -172,12 +219,12 @@ def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
     """Multiplier |xi|^s; the DC coefficient is dropped, and s < 0 demands mean-zero input."""
     if s < 0:
         _check_mean_zero(f)
-    return apply_multiplier(_radial_power_grid(f.lattice, continuum_symbol_grid(f.lattice), s), f)
+    return apply_multiplier(radial_power(continuum_symbol_grid(f.lattice), s), f)
 
 
 def bessel_derivative(f: GridFunction, s: float) -> GridFunction:
     """Multiplier (1 + |xi|^2)^(s/2)."""
-    return apply_multiplier((1.0 + continuum_symbol_grid(f.lattice)) ** (0.5 * s), f)
+    return apply_multiplier(radial_power(1.0 + continuum_symbol_grid(f.lattice), s), f)
 
 
 def discrete_laplacian(f: GridFunction) -> GridFunction:
@@ -196,10 +243,7 @@ def lattice_symbol(xi: np.ndarray, h: float) -> np.ndarray:
 
 def laplacian_symbol_grid(lattice: Lattice) -> np.ndarray:
     """Symbol of the negated second-difference operator: the sum over axes of :func:`lattice_symbol`."""
-    out = np.zeros(lattice.shape, dtype=float)
-    for g in lattice.frequency_grids():
-        out = out + lattice_symbol(g, lattice.h)
-    return out
+    return sum(lattice_symbol(g, lattice.h) for g in lattice.frequency_grids())
 
 
 def continuum_symbol_grid(lattice: Lattice) -> np.ndarray:
@@ -211,7 +255,7 @@ def laplacian_power(f: GridFunction, s: float) -> GridFunction:
     """Multiplier ((4/h^2) sum_j sin^2(h xi_j/2))^(s/2); s < 0 demands mean-zero input."""
     if s < 0:
         _check_mean_zero(f)
-    return apply_multiplier(_radial_power_grid(f.lattice, laplacian_symbol_grid(f.lattice), s), f)
+    return apply_multiplier(radial_power(laplacian_symbol_grid(f.lattice), s), f)
 
 
 def forward_difference(f: GridFunction, axis: int) -> GridFunction:
@@ -222,7 +266,6 @@ def forward_difference(f: GridFunction, axis: int) -> GridFunction:
     return GridFunction(f.lattice, (np.roll(v, -1, axis=axis) - v) / f.lattice.h)
 
 
-def sobolev_norm(f: GridFunction, s: float, p: float, homogeneous: bool = False) -> float:
-    """Lp norm of the fractional (homogeneous) or Bessel (inhomogeneous) derivative."""
-    g = fractional_derivative(f, s) if homogeneous else bessel_derivative(f, s)
-    return lp_norm(g, p)
+def sobolev_norm(f: GridFunction, s: float, p: float) -> float:
+    """Lp norm of the Bessel derivative (1 + |xi|^2)^(s/2) f."""
+    return lp_norm(bessel_derivative(f, s), p)

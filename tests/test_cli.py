@@ -69,6 +69,12 @@ KNAPP = ["knapp", "--h", "0.5", "--q", "8", "--r", "8", "--s", "0.125"]
 # two small cells, so a rejected --s given after these flags is the only fault
 KNAPP_SMALL = [*KNAPP, "--eps-list", "0.04,0.02", "--M", "4096", "--n-t", "21", "--u-window", "10",
                "--x-window", "8"]
+# small constant scans, so a rejected --s given after these flags is the only fault
+NORM_EQUIVALENCE = ["constants", "--kind", "norm_equivalence", "--h-list", "1,0.5", "--ensemble", "4"]
+GAGLIARDO_NIRENBERG = ["constants", "--kind", "gagliardo_nirenberg", "--h-list", "1,0.5", "--p", "2", "--q", "inf",
+                       "--theta", "0.5", "--ensemble", "4"]
+SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.5", "--p", "2", "--q", "4",
+                    "--ensemble", "4"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -115,6 +121,12 @@ KNAPP_SMALL = [*KNAPP, "--eps-list", "0.04,0.02", "--M", "4096", "--n-t", "21", 
     ["decay", "--full", "--data", "gaussian", "--width", "0"],
     ["dnls", "--width", "0"],
     ["s1", "--amplitude", "inf"],
+    [*NORM_EQUIVALENCE, "--s", "-400"],
+    [*NORM_EQUIVALENCE, "--s", "nan"],
+    [*NORM_EQUIVALENCE, "--s", "inf"],
+    [*NORM_EQUIVALENCE, "--s", "1e6"],
+    [*GAGLIARDO_NIRENBERG, "--s", "nan"],
+    [*SOBOLEV_ENDPOINT, "--s", "nan"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
@@ -124,7 +136,8 @@ KNAPP_SMALL = [*KNAPP, "--eps-list", "0.04,0.02", "--M", "4096", "--n-t", "21", 
         "czdemo-lam-inf", "czdemo-lam-overflow", "knapp-s-nan", "dnls-T-inf", "dnls-lam-nan",
         "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge", "knapp-s-negative-huge",
         "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative", "decay-width-0", "dnls-width-0",
-        "s1-amplitude-inf"])
+        "s1-amplitude-inf", "constants-s-norm-overflow", "constants-s-nan", "constants-s-inf",
+        "constants-s-symbol-overflow", "constants-gn-s-nan", "constants-sobolev-s-nan"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -153,11 +166,16 @@ def test_rejected_input_exits_two(argv, capsys):
     (["decay", "--full", "--data", "gaussian", "--width", "0"], "width=0.0"),
     (["dnls", "--width", "0"], "width=0.0"),
     (["s1", "--amplitude", "inf"], "amplitude=inf"),
+    ([*NORM_EQUIVALENCE, "--s", "-400"], "s = -400.0"),
+    ([*NORM_EQUIVALENCE, "--s", "nan"], "s = nan"),
+    ([*NORM_EQUIVALENCE, "--s", "1e6"], "s = 1000000.0"),
+    ([*GAGLIARDO_NIRENBERG, "--s", "nan"], "s = nan"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
         "knapp-s-negative-huge", "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative",
-        "decay-width-0", "dnls-width-0", "s1-amplitude-inf"])
+        "decay-width-0", "dnls-width-0", "s1-amplitude-inf", "constants-s-norm-overflow", "constants-s-nan",
+        "constants-s-symbol-overflow", "constants-gn-s-nan"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

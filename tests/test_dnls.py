@@ -16,7 +16,7 @@ from latticewave.dnls import (
     uniform_bound_experiment,
 )
 from latticewave.errors import ConfigurationError, DivergenceError, WindowError
-from latticewave.harness import AdmissiblePair, admissible_pairs
+from latticewave.harness import AdmissiblePair, admissible_pairs, random_ensemble
 from latticewave.lattice import (
     GridFunction,
     Lattice,
@@ -138,17 +138,6 @@ def test_evolve_snapshots_equal_repeated_step_strang(d):
         assert np.array_equal(got.values, want)
 
 
-def _count_transforms(monkeypatch):
-    """Count ``np.fft.fftn``/``ifftn`` calls (the monkeypatch pattern of ``tests/test_harness.py``)."""
-    counts = {"fftn": 0, "ifftn": 0}
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts
-
-
 # d = 2, M = 128 is a 256 KiB complex grid: numpy elides temporaries from that size on
 PARSEVAL_CASES = [(1, 64, 0.5, 2.0, 1.0), (1, 64, 0.5, 2.0, -1.0), (2, 32, 1.0, 2.0, 1.0),
                   (2, 128, 0.25, 2.0, 1.0), (3, 16, 1.0, 1.0, 1.0)]
@@ -172,19 +161,23 @@ def test_parseval_monitors_match_their_physical_definitions(d, M, h, width, lam)
         assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), name
 
 
-def test_evolve_reads_the_monitors_from_the_step_spectrum(monkeypatch):
-    counts = _count_transforms(monkeypatch)
+def test_evolve_reads_the_monitors_from_the_step_spectrum(transforms):
     lat = Lattice(h=1.0, d=2, M=32)
     cfg = NlsConfig(lam=1.0, p=3.0, dt=0.01, T=0.1, snapshot_stride=3)
     traj = evolve(smooth_data(lat), cfg)
     n_steps = traj.times.size - 1
     assert set(traj.monitors) == {"mass", "energy", "s1_norm", "kinetic_h1", "boundary_mass"}
     # the datum's spectrum once, then four transforms per Strang step and none for the monitors
-    assert counts == {"fftn": 1 + 2 * n_steps, "ifftn": 2 * n_steps}
-    counts.update(fftn=0, ifftn=0)
+    assert transforms.counts == {"fftn": 1 + 2 * n_steps, "ifftn": 2 * n_steps}
+    transforms.reset()
     pairs = [*admissible_pairs(2, 4), AdmissiblePair(q=math.inf, r=2.0, d=2)]
     s1_norm(traj, pairs)
-    assert counts == {"fftn": len(traj.states), "ifftn": len(traj.states) * len(pairs)}
+    # one forward transform per snapshot; each (snapshot, pair) is an inverse-transformed row of a block
+    n = lat.site_count
+    assert transforms.counts["fftn"] == len(traj.states)
+    assert transforms.points == {"fftn": len(traj.states) * n, "ifftn": len(traj.states) * len(pairs) * n}
+    assert all(size <= transforms.BLOCK_BYTES for _, size, _ in transforms.blocks)
+    transforms.assert_row_blocks()
 
 
 def test_evolve_builds_the_parseval_weights_once(monkeypatch):
@@ -213,17 +206,49 @@ def _s1_norm_per_pair(traj, pairs):
     return best
 
 
+# d = 2, M = 32: 24 rows of 16 KiB, two blocks split mid-snapshot; M = 16384 and d = 2, M = 128: rows of 256 KiB
 @pytest.mark.parametrize("d,M,h,width", [(1, 64, 0.5, 2.0), (2, 32, 1.0, 2.0), (2, 128, 0.25, 2.0),
-                                         (3, 16, 1.0, 1.0)])
-def test_s1_norm_equals_the_per_pair_loop_bit_for_bit(d, M, h, width):
+                                         (3, 16, 1.0, 1.0), (1, 16384, 0.25, 2.0)])
+def test_s1_norm_equals_the_per_pair_loop_bit_for_bit(d, M, h, width, transforms):
     lat = Lattice(h=h, d=d, M=M)
     traj = evolve(smooth_data(lat, width=width), NlsConfig(lam=1.0, p=3.0, dt=0.01, T=0.06, snapshot_stride=2,
                                               monitors=frozenset()))
     pairs = [*admissible_pairs(d, 5), AdmissiblePair(q=math.inf, r=2.0, d=d)]
+    if (d, M) == (2, 32):
+        per = transforms.rows_per_block(lat)
+        assert len(traj.states) * len(pairs) > per and per % len(pairs)
     # each pair alone, since the sup over all of them is usually the q = inf pair's value
     for chosen in (pairs, pairs[::-1], *([pair] for pair in pairs)):
         want = _s1_norm_per_pair(traj, chosen)
         assert s1_norm(traj, chosen) == want
+
+
+def _interpolation_constant_per_field(h_list, d, box, p, ensemble=24, seed=11, widths=(0.5, 1.0, 2.0, 4.0),
+                                      modulations=(0.0, 0.5, 1.0, 2.0)):
+    """Oracle: ``interpolation_constant`` with a ``laplacian_power`` per candidate."""
+    th = d * (p - 1.0) / (2.0 * (p + 1.0))
+    best = 0.0
+    for j, h in enumerate(h_list):
+        lat = Lattice.for_box(h, d, box)
+        coords = lat.coordinate_grids()
+        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+        bumps = [GridFunction(lat, np.broadcast_to(np.exp(-r2 / (2.0 * w**2)) * np.exp(1j * kappa * sum(coords)),
+                                                   lat.shape))
+                 for w in widths if w >= h for kappa in modulations]
+        for f in random_ensemble(lat, ensemble, seed, cell_key=j) + bumps:
+            rhs = lp_norm(f, 2.0) ** (1.0 - th) * lp_norm(laplacian_power(f, 1.0), 2) ** th
+            if rhs > 0:
+                best = max(best, lp_norm(f, p + 1.0) / rhs)
+    return best
+
+
+# criterion 11's scan, and d = 2 up to M = 128, whose rows are 256 KiB
+@pytest.mark.parametrize("h_list,d,box,p,ensemble", [([1.0, 0.5, 0.25, 0.125], 1, 32.0, 2.5, 24),
+                                                     ([1.0, 0.5], 1, 32.0, 3.0, 24),
+                                                     ([1.0, 0.5, 0.125], 2, 16.0, 3.0, 4)])
+def test_interpolation_constant_equals_the_per_field_loop(h_list, d, box, p, ensemble):
+    got = dnls.interpolation_constant(h_list, d=d, box=box, p=p, ensemble=ensemble)
+    assert got == _interpolation_constant_per_field(h_list, d, box, p, ensemble=ensemble)
 
 
 def test_evolve_zero_data():

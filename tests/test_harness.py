@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from functools import reduce
 
@@ -38,7 +39,16 @@ from latticewave.lattice import (
     point_mass,
 )
 from latticewave.propagators import PhaseSpec, degenerate_points
-from latticewave.spectral import apply_multiplier, band_projection, band_scales, band_symbol, laplacian_symbol_grid
+from latticewave.spectral import (
+    apply_multiplier,
+    band_projection,
+    band_scales,
+    band_symbol,
+    forward_difference,
+    fractional_derivative,
+    laplacian_power,
+    laplacian_symbol_grid,
+)
 from test_propagators import flow
 
 
@@ -303,10 +313,6 @@ def _time_samples_per_sample(kind, u0, t_grid, p):
     return norms[inverse]
 
 
-def _rows_per_block(lat):
-    return max(1, 256 * 1024 // (16 * lat.site_count))
-
-
 BATCHED_CASES = {
     # kind, lattice, datum, time grid
     # 4 rows of M = 4096 per block, so 25 samples (13 distinct |t| of the second grid) leave a last block of 1
@@ -334,24 +340,24 @@ BATCHED_CASES = {
 
 @pytest.mark.parametrize("p", [math.inf, 4.0])
 @pytest.mark.parametrize("case", list(BATCHED_CASES))
-def test_batched_time_samples_equal_the_per_sample_loop(case, p):
+def test_batched_time_samples_equal_the_per_sample_loop(case, p, transforms):
     kind, lat, datum, t_grid = BATCHED_CASES[case]
     u0 = datum(lat)
     got = harness._time_samples(kind, u0, t_grid, p)
     assert np.array_equal(got, _time_samples_per_sample(kind, u0, t_grid, p))
     if case == "factors-straddle-blocks":
-        per = _rows_per_block(Lattice(h=lat.h, d=1, M=lat.M))
+        per = transforms.rows_per_block(Lattice(h=lat.h, d=1, M=lat.M))
         assert per % 2 == 1 and 2 * t_grid.size > per
 
 
 @pytest.mark.parametrize("datum", ["point", "complex"])
-def test_window_error_mid_block_matches_the_per_sample_loop(datum):
+def test_window_error_mid_block_matches_the_per_sample_loop(datum, transforms):
     lat = Lattice(h=1.0, d=1, M=64)
     if datum == "point":
         u0, t_grid = point_mass(lat), decay_time_grid(1.0, 40.0, 30)
     else:
         u0, t_grid = _moving_complex_gaussian(lat, 2.0, 1.3, 0.8), symmetric_time_grid(20.0, 15, 0.1)
-    assert t_grid.size < _rows_per_block(lat)  # every sample is a row of the first block
+    assert t_grid.size < transforms.rows_per_block(lat)  # every sample is a row of the first block
     with pytest.raises(WindowError) as batched:
         harness._time_samples("schrodinger", u0, t_grid, math.inf)
     with pytest.raises(WindowError) as per_sample:
@@ -384,70 +390,39 @@ def test_decay_sup_norms_equal_the_bessel_kernel(h):
     np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, 512) ** 2, rtol=1e-12, atol=0)
 
 
-def _count_transforms(monkeypatch):
-    """Record the ``np.fft.fftn``/``ifftn`` calls: ``counts`` the calls and ``points`` the points they
-    transform, per function; and per ``ifftn`` call, in call order, ``blocks`` holds (rows, bytes, in
-    place): its rows are the leading entries its ``axes`` leave untransformed (1 without ``axes``), and it
-    is in place when it wrote into its input (``out is args[0]``), i.e. allocated no result array."""
-    counts = {"fftn": 0, "ifftn": 0}
-    points = {"fftn": 0, "ifftn": 0}
-    blocks = []
-    for name in counts:
-        def counted(*args, _name=name, _fn=getattr(np.fft, name), **kwargs):
-            counts[_name] += 1
-            points[_name] += np.size(args[0])
-            if _name == "ifftn":
-                axes = kwargs.get("axes")
-                rows = 1 if axes is None else np.size(args[0]) // math.prod(np.shape(args[0])[a] for a in axes)
-                blocks.append((rows, np.asarray(args[0]).nbytes, kwargs.get("out") is args[0]))
-            return _fn(*args, **kwargs)
-        monkeypatch.setattr(np.fft, name, counted)
-    return counts, points, blocks
-
-
-def _assert_row_blocks(blocks):
-    """Every inverse transform is in place, and a block holds at most 256 KiB unless it is one row."""
-    assert all(in_place for _, _, in_place in blocks)
-    assert all(rows == 1 or size <= 256 * 1024 for rows, size, _ in blocks)
-
-
-def test_time_loops_transform_the_datum_once(monkeypatch):
-    _, points, blocks = _count_transforms(monkeypatch)
+def test_time_loops_transform_the_datum_once(transforms):
     lat = Lattice(h=1.0, d=2, M=32)
     dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
     # a point mass at the origin is an outer product of d equal one-axis factors: one is transformed
     # once and flowed once per sample
-    assert points == {"fftn": lat.M, "ifftn": 7 * lat.M}
-    _assert_row_blocks(blocks)
-    points.update(fftn=0, ifftn=0)
-    blocks.clear()
+    assert transforms.points == {"fftn": lat.M, "ifftn": 7 * lat.M}
+    transforms.assert_row_blocks()
+    transforms.reset()
     u0 = point_mass(lat)
     pair = AdmissiblePair(q=6.0, r=4.0, d=2)
     t_grid = symmetric_time_grid(1.0, 5, 0.1)
     strichartz_norm(u0, pair, 1.0, t_grid=t_grid)
     # a real datum is flowed once per distinct |t|: 0 and the 5 positive nodes of the 11
-    assert points == {"fftn": lat.M, "ifftn": 6 * lat.M}
-    _assert_row_blocks(blocks)
-    points.update(fftn=0, ifftn=0)
-    blocks.clear()
+    assert transforms.points == {"fftn": lat.M, "ifftn": 6 * lat.M}
+    transforms.assert_row_blocks()
+    transforms.reset()
     # off the diagonal the d factors differ, and a complex datum is flowed at every time
     off = point_mass(lat, (1, -2), 3.0 - 2.0j)
     value = strichartz_norm(off, pair, 1.0, t_grid=t_grid)
-    assert points == {"fftn": 2 * lat.M, "ifftn": 2 * t_grid.size * lat.M}
-    _assert_row_blocks(blocks)
+    assert transforms.points == {"fftn": 2 * lat.M, "ifftn": 2 * t_grid.size * lat.M}
+    transforms.assert_row_blocks()
     assert value == pytest.approx(_oracle_strichartz("schrodinger", off, pair, t_grid), rel=1e-12, abs=0)
-    points.update(fftn=0, ifftn=0)
-    blocks.clear()
+    transforms.reset()
     strichartz_norm(_chirped_gaussian(lat), AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
-    assert points == {"fftn": lat.site_count, "ifftn": t_grid.size * lat.site_count}
-    _assert_row_blocks(blocks)
+    assert transforms.points == {"fftn": lat.site_count, "ifftn": t_grid.size * lat.site_count}
+    transforms.assert_row_blocks()
     # a band-projected decay datum: the projection's inverse transform writes in place too; at M = 16384
     # a row is 256 KiB, so each sample is a block of its own
-    blocks.clear()
+    transforms.reset()
     dispersive_decay_scan("klein_gordon", decay_data(Lattice(h=1.0, d=1, M=16384)), decay_time_grid(5.0, 50.0, 4),
                           N=0.25)
-    assert [rows for rows, _, _ in blocks] == [1] * 5
-    _assert_row_blocks(blocks)
+    assert [rows for rows, _, _ in transforms.blocks] == [1] * 5
+    transforms.assert_row_blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -587,28 +562,26 @@ def test_factored_window_error_matches_the_dense_loop(monkeypatch):
 @pytest.mark.parametrize("grid", [[4.0, 2.0, 1.0], [1.0, 1.0], [1.0], [[1.0, 2.0]], [0.0, 1.0], [-1.0, 1.0],
                                   [1.0, np.nan], [1.0, np.inf]],
                          ids=["decreasing", "repeated", "single", "2-D", "zero", "negative", "nan", "inf"])
-def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
-    counts, _, _ = _count_transforms(monkeypatch)
+def test_decay_scan_rejects_bad_time_grid_before_any_transform(grid, transforms, capsys):
     lat = Lattice(h=1.0, d=1, M=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match="time grid"):
             dispersive_decay_scan("schrodinger", decay_data(lat), np.array(grid), N=0.25)
-    assert counts == {"fftn": 0, "ifftn": 0}
+    assert transforms.counts == {"fftn": 0, "ifftn": 0}
     assert "RuntimeWarning" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", [[1.0, 0.5, 0.0, -0.5, -1.0], [0.0, 0.0], [0.0], [[-1.0, 1.0]],
                                   [-1.0, np.nan], [-np.inf, 1.0]],
                          ids=["decreasing", "repeated", "single", "2-D", "nan", "inf"])
-def test_strichartz_norm_rejects_bad_time_grid_before_any_transform(grid, monkeypatch, capsys):
-    counts, _, _ = _count_transforms(monkeypatch)
+def test_strichartz_norm_rejects_bad_time_grid_before_any_transform(grid, transforms, capsys):
     lat = Lattice(h=1.0, d=1, M=64)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigurationError, match="time grid"):
             strichartz_norm(point_mass(lat), AdmissiblePair(6.0, math.inf, 1), 1.0, t_grid=np.array(grid))
-    assert counts == {"fftn": 0, "ifftn": 0}
+    assert transforms.counts == {"fftn": 0, "ifftn": 0}
     assert "RuntimeWarning" not in capsys.readouterr().err
 
 
@@ -705,11 +678,10 @@ def test_spacing_drivers_reject_zero_spacing():
 
 
 @pytest.mark.parametrize("n_t", [1, 2, 63])
-def test_uniformity_scan_keeps_the_quadrature_floor(n_t, monkeypatch):
-    counts, _, _ = _count_transforms(monkeypatch)
+def test_uniformity_scan_keeps_the_quadrature_floor(n_t, transforms):
     with pytest.raises(ConfigurationError, match="n_t >= 64"):
         uniformity_scan("schrodinger", [0.5], AdmissiblePair(q=6.0, r=math.inf, d=1), box=32.0, n_t=n_t)
-    assert counts == {"fftn": 0, "ifftn": 0}
+    assert transforms.counts == {"fftn": 0, "ifftn": 0}
 
 
 # every entry point that takes a flow kind reads it through propagators.dispersion, before any transform
@@ -730,11 +702,10 @@ KIND_CASES = [(entry, "wave", 1, "unknown flow kind") for entry in KIND_ENTRY_PO
 
 @pytest.mark.parametrize("entry,kind,d,message", KIND_CASES,
                          ids=[f"{entry}-{kind}-d{d}" for entry, kind, d, _ in KIND_CASES])
-def test_flow_kind_entry_points_reject_bad_kinds_before_any_transform(entry, kind, d, message, monkeypatch):
-    counts, _, _ = _count_transforms(monkeypatch)
+def test_flow_kind_entry_points_reject_bad_kinds_before_any_transform(entry, kind, d, message, transforms):
     with pytest.raises(ConfigurationError, match=message):
         KIND_ENTRY_POINTS[entry](kind, Lattice(h=1.0, d=d, M=16))
-    assert counts == {"fftn": 0, "ifftn": 0}
+    assert transforms.counts == {"fftn": 0, "ifftn": 0}
 
 
 def test_uniformity_scan_rejects_unknown_data():
@@ -896,41 +867,123 @@ def test_band_scan_rows_match_per_band_path(kind, d, p, q):
 
 
 @pytest.mark.parametrize("kind,q", [("bernstein", 4.0), ("square_function", None)])
-def test_band_rows_straddling_blocks_match_per_band_path(kind, q):
+def test_band_rows_straddling_blocks_match_per_band_path(kind, q, transforms):
     """Bands of one field split across two blocks: at M = 16 in d = 2, 64 rows per block, 3 kept
     bernstein bands or 5 square-function bands per field, and 30 fields."""
     lat, ensemble, seed = Lattice.for_box(0.5, 2, 8.0), 30, 2
     kept = sum(N * lat.M >= 4 for N in band_scales(lat)) if kind == "bernstein" else len(band_scales(lat))
-    assert _rows_per_block(lat) % kept and ensemble * kept > _rows_per_block(lat)
+    assert transforms.rows_per_block(lat) % kept and ensemble * kept > transforms.rows_per_block(lat)
     scan = inequality_constant_scan(kind, [0.5], box=8.0, d=2, p=1.5, q=q, ensemble=ensemble, seed=seed)
     fields = _random_ensemble_reference(lat, ensemble, seed, cell_key=0)
     assert scan.rows[0] == _constants_row_reference(kind, lat, fields, 1.5, q)
 
 
 @pytest.mark.parametrize("kind,q", [("bernstein", math.inf), ("square_function", None)])
-def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkeypatch):
+def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkeypatch, transforms):
     built = {"band_symbol": 0, "band_bank": 0}
     for module, name in [(spectral, "band_symbol"), (harness, "band_bank")]:
         def counted(*args, _name=name, _fn=getattr(module, name), **kwargs):
             built[_name] += 1
             return _fn(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-    _, points, blocks = _count_transforms(monkeypatch)
     lat, ensemble = Lattice.for_box(0.5, 2, 16.0), 9
     scales = band_scales(lat)
     random_ensemble(lat, ensemble, 1, cell_key=0)
     assert built == {"band_symbol": len(scales), "band_bank": 1}
-    in_ensemble = dict(points)
+    in_ensemble = dict(transforms.points)
     built.update(band_symbol=0, band_bank=0)
-    points.update(fftn=0, ifftn=0)
-    blocks.clear()
+    transforms.reset()
     inequality_constant_scan(kind, [0.5], box=16.0, d=2, p=2.0, q=q, ensemble=ensemble, seed=1)
     assert built["band_bank"] == 2  # the ensemble's low-pass and the band loop
     assert built["band_symbol"] <= built["band_bank"] * len(scales)
     kept = len(scales) if kind == "square_function" else sum(N * lat.M >= 4 for N in scales)
     n = lat.site_count
-    assert points == {"fftn": in_ensemble["fftn"] + ensemble * n, "ifftn": in_ensemble["ifftn"] + ensemble * kept * n}
-    _assert_row_blocks(blocks)
+    assert transforms.points == {"fftn": in_ensemble["fftn"] + ensemble * n,
+                                 "ifftn": in_ensemble["ifftn"] + ensemble * kept * n}
+    transforms.assert_row_blocks()
+
+
+def _weighted_row_reference(kind, lat, fields, p, q, s, theta):
+    """One gagliardo_nirenberg, sobolev_endpoint or norm_equivalence scan row with a fractional_derivative or
+    laplacian_power per weighted norm and field."""
+    ratios = []
+    for f in fields:
+        weighted = lp_norm(fractional_derivative(f, s), p)
+        if kind == "gagliardo_nirenberg":
+            rhs = lp_norm(f, p) ** (1.0 - theta) * weighted**theta
+            if rhs > 0:
+                ratios.append(lp_norm(f, q) / rhs)
+        elif kind == "sobolev_endpoint":
+            if weighted > 0:
+                ratios.append(lp_norm(f, q) / weighted)
+        else:
+            first = lp_norm(fractional_derivative(f, 1.0), p)
+            differences = sum(lp_norm(forward_difference(f, ax), p) for ax in range(lat.d))
+            if weighted > 0 and first > 0:
+                ratios.append((lp_norm(laplacian_power(f, s), p) / weighted, differences / first))
+    if kind == "norm_equivalence":
+        power, difference = zip(*ratios)
+        return [lat.h, lat.M, max(power), min(power), max(difference), min(difference)]
+    return [lat.h, lat.M, max(ratios), min(ratios)]
+
+
+# kind, d, spacings, box, exponents; in d = 2 the spacing 1/16 gives M = 128, whose rows are 256 KiB
+WEIGHTED_CASES = {
+    "gn-d1": ("gagliardo_nirenberg", 1, [1.0, 0.5, 0.25], 16.0, dict(p=2.0, q=math.inf, s=1.0, theta=0.5)),
+    "gn-d2": ("gagliardo_nirenberg", 2, [1.0, 0.0625], 8.0, dict(p=2.0, q=4.0, s=1.0, theta=0.5)),
+    "sobolev-d1": ("sobolev_endpoint", 1, [1.0, 0.5, 0.25], 16.0, dict(p=2.0, q=4.0, s=0.25)),
+    "sobolev-d2": ("sobolev_endpoint", 2, [0.5, 0.0625], 8.0, dict(p=1.5, q=3.0, s=2.0 / 3.0)),
+    "equivalence-d1": ("norm_equivalence", 1, [1.0, 0.5, 0.25], 16.0, dict(p=3.0, s=0.5)),
+    "equivalence-d1-negative": ("norm_equivalence", 1, [1.0, 0.5, 0.25], 16.0, dict(p=1.5, s=-0.5)),
+    "equivalence-d2-negative": ("norm_equivalence", 2, [0.5, 0.0625], 8.0, dict(p=4.0 / 3.0, s=-0.5)),
+}
+
+
+@pytest.mark.parametrize("case", list(WEIGHTED_CASES))
+def test_weighted_scan_rows_equal_the_per_field_path(case):
+    kind, d, h_list, box, exponents = WEIGHTED_CASES[case]
+    exponents = {"q": None, "theta": None, **exponents}
+    ensemble, seed = 6, 8
+    scan = inequality_constant_scan(kind, h_list, box=box, d=d, ensemble=ensemble, seed=seed, **exponents)
+    for idx, (h, row) in enumerate(zip(h_list, scan.rows)):
+        lat = Lattice.for_box(h, d, box)
+        fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
+        assert row == _weighted_row_reference(kind, lat, fields, **exponents)
+
+
+def test_weighted_scan_reads_each_field_once(transforms):
+    lat, ensemble = Lattice.for_box(0.5, 2, 8.0), 5
+    random_ensemble(lat, ensemble, 1, cell_key=0)
+    in_ensemble = dict(transforms.points)
+    transforms.reset()
+    inequality_constant_scan("norm_equivalence", [0.5], box=8.0, d=2, p=2.0, s=0.5, ensemble=ensemble, seed=1)
+    # three weighted norms per field: |xi|^s, the lattice Laplacian's power and |xi|
+    n = lat.site_count
+    assert transforms.points == {"fftn": in_ensemble["fftn"] + ensemble * n,
+                                 "ifftn": in_ensemble["ifftn"] + 3 * ensemble * n}
+    transforms.assert_row_blocks()
+
+
+def test_negative_order_scan_rejects_a_field_that_is_not_mean_zero_before_any_transform(monkeypatch, transforms):
+    lat = Lattice.for_box(0.5, 1, 16.0)
+    monkeypatch.setattr(harness, "random_ensemble", lambda *args, **kwargs: [point_mass(lat)])
+    with pytest.raises(ValueError, match="mean-zero"):
+        inequality_constant_scan("norm_equivalence", [0.5], box=16.0, d=1, p=2.0, s=-0.5, ensemble=1)
+    assert transforms.counts == {"fftn": 0, "ifftn": 0}
+
+
+@pytest.mark.parametrize("kind,exponents,message", [
+    ("norm_equivalence", dict(s=-400.0), "norm overflows at s = -400.0"),
+    ("norm_equivalence", dict(s=1e6), "overflows at the order s = 1000000.0"),
+    ("norm_equivalence", dict(s=math.nan), "s must be finite"),
+    ("gagliardo_nirenberg", dict(q=math.inf, s=math.nan, theta=0.5), "s must be finite"),
+    ("sobolev_endpoint", dict(q=4.0, s=math.inf), "s must be finite"),
+], ids=["norm-overflow", "symbol-overflow", "nan", "gn-nan", "sobolev-inf"])
+def test_constant_scan_names_a_bad_or_overflowing_order(kind, exponents, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            inequality_constant_scan(kind, [1.0, 0.5], box=16.0, d=1, p=2.0, ensemble=4, seed=0, **exponents)
 
 
 # ---------------------------------------------------------------------------
