@@ -40,12 +40,6 @@ from .propagators import FLOW_KINDS
 from .reporting import render_csv, render_json, trajectory_rows, write_snapshots, write_text
 
 
-def _float_or_inf(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _dyadic(text: str) -> float:
     if "/" in text:
         num, den = text.split("/", 1)
@@ -185,7 +179,7 @@ REQUIRED = object()
 _KIND = ("--kind", FLOW_KINDS, "schrodinger")
 _D = ("--d", int, 1)
 _DATA = ("--data", ("point", "gaussian"), "point")
-_PAIR = [("--q", _float_or_inf, REQUIRED), ("--r", _float_or_inf, REQUIRED)]
+_PAIR = [("--q", float, REQUIRED), ("--r", float, REQUIRED)]
 _NLS = [_D, ("--h", float, 0.5), ("--M", int, None), ("--box", float, 32.0), ("--lam", float, 1.0),
         ("--p", float, 3.0), ("--dt", float, 0.005), ("--T", float, 1.0), ("--amplitude", float, 1.0),
         ("--width", float, 2.0)]
@@ -207,7 +201,7 @@ COMMANDS = {
         ("--horizon-fraction", float, 0.15), ("--n-t", int, 96)]),
     "constants": (_constants, [
         ("--kind", CONSTANT_KINDS, REQUIRED), _D, ("--h-list", _float_list, REQUIRED),
-        ("--box", float, 16.0), ("--p", _float_or_inf, 2.0), ("--q", _float_or_inf, None),
+        ("--box", float, 16.0), ("--p", float, 2.0), ("--q", float, None),
         ("--s", float, None), ("--theta", float, None), ("--ensemble", int, 64)]),
     "knapp": (_knapp, [
         _D, ("--h", float, REQUIRED), ("--eps-list", _float_list, REQUIRED), *_PAIR, ("--s", float, REQUIRED),

@@ -26,7 +26,7 @@ from .lattice import (
     lp_norm,
     modulus_lp_norm,
 )
-from .propagators import PhaseSpec, schrodinger_flow  # noqa: F401 (bench/selftest.py traces this binding)
+from .propagators import PhaseSpec
 from .spectral import continuum_symbol_grid, discrete_laplacian, laplacian_symbol_grid, radial_power, symbol_parts
 
 __all__ = [
@@ -56,7 +56,9 @@ class NlsConfig:
     H^1 norm plus the lattice-native kinetic norm |sqrt(-Lap) u|_2 (series
     ``kinetic_h1``) that the conservation bounds control exactly; the full
     space-time norm is computed from snapshots afterwards via :func:`s1_norm`.
-    ``boundary_threshold`` defaults to :data:`latticewave.lattice.BOUNDARY_THRESHOLD`.
+    The validity window is not a setting: :func:`evolve` stops once the mass on
+    :func:`latticewave.lattice.boundary_mask` exceeds
+    :data:`latticewave.lattice.BOUNDARY_THRESHOLD`.
     """
 
     lam: float
@@ -65,8 +67,6 @@ class NlsConfig:
     T: float
     monitors: frozenset[str] = frozenset(KNOWN_MONITORS)
     snapshot_stride: int = 16
-    boundary_threshold: float = BOUNDARY_THRESHOLD
-    boundary_width: int | None = None
 
     def __post_init__(self):
         if not 1 < self.p < math.inf:
@@ -160,7 +160,7 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     # h^d sum |u|^2 = c sum |fftn u|^2 with c = h^d / M^d
     lat = u0.lattice
     half = PhaseSpec("schrodinger", 0.5 * cfg.dt, lat).multiplier_grid()
-    mask = boundary_mask(lat, cfg.boundary_width)
+    mask = boundary_mask(lat)
     lap = laplacian_symbol_grid(lat)
     bessel = 1.0 + continuum_symbol_grid(lat)
     c = lat.cell_volume / lat.site_count
@@ -191,7 +191,7 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
             raise DivergenceError(f"non-finite state at t={times[k]:g}", last_valid_time=float(times[k - 1]))
         density = np.square(np.abs(values))
         fraction = density_mass_fraction(density, mask)
-        if fraction > cfg.boundary_threshold:
+        if fraction > BOUNDARY_THRESHOLD:
             raise WindowError(f"boundary-mass monitor tripped at t={times[k]:g}",
                               largest_valid_t=float(times[k - 1]))
         record(density, fraction, spectrum)
@@ -242,14 +242,13 @@ def continuum_gaussian(amplitude: float = 1.0, width: float = 2.0):
 
 
 def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0, p: float = 3.0,
-                           ensemble: int = 24, seed: int = 11,
-                           widths: tuple[float, ...] = (0.5, 1.0, 2.0, 4.0),
-                           modulations: tuple[float, ...] = (0.0, 0.5, 1.0, 2.0)) -> float:
+                           ensemble: int = 24, seed: int = 11) -> float:
     """Largest observed constant in |f|_{p+1} <= C |f|_2^(1-th) |sqrt(-Lap) f|_2^th.
 
     th = d(p-1)/(2(p+1)), measured across the spacing scan over band-limited
-    noise plus smooth localized bumps and modulated wave packets (the class
-    evolved trajectories live in).  Feeds the focusing a-priori bound; kept
+    noise plus Gaussian bumps of widths 0.5 to 4 (those at least h) and their
+    modulations exp(i kappa sum_j x_j), kappa in {0.5, 1, 2}: the class evolved
+    trajectories live in.  Feeds the focusing a-priori bound; kept
     independent of any trajectory it is later compared against.
     """
     th = d * (p - 1.0) / (2.0 * (p + 1.0))
@@ -259,10 +258,10 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
         candidates = list(random_ensemble(lat, ensemble, seed, cell_key=j))
         coords = lat.coordinate_grids()
         r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        for w in widths:
+        for w in (0.5, 1.0, 2.0, 4.0):
             if w < h:
                 continue
-            for kappa in modulations:
+            for kappa in (0.0, 0.5, 1.0, 2.0):
                 v = np.exp(-r2 / (2.0 * w**2)) * np.exp(1j * kappa * sum(coords))
                 candidates.append(GridFunction(lat, np.broadcast_to(v, lat.shape)))
         kinetic = [radial_power(laplacian_symbol_grid(lat), 1.0)]

@@ -214,8 +214,7 @@ def _outer_edge_fraction(moduli: list[np.ndarray], mask: np.ndarray) -> float:
     return reduce(lambda f, b: f + b - f * b, [density_mass_fraction(np.square(a), mask) for a in moduli])
 
 
-def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
-                  check_window: bool = True) -> np.ndarray:
+def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> np.ndarray:
     """The l^p norm of the ``kind`` flow of ``u0`` at each time of ``t_grid``, each field window-checked.
 
     Times are walked in ascending |t| and the norms are scattered back.  A
@@ -240,7 +239,7 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
         times, inverse = t_grid[order], np.argsort(order)
     c, factors = _axis_factors(u0, kind)
     lat = factors[0].lattice  # Lattice(h, 1, M) for an outer product, else u0's
-    mask = boundary_mask(lat) if check_window else None
+    mask = boundary_mask(lat)
     # index[j]: the first factor whose values equal factor j's
     index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
     spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
@@ -252,7 +251,7 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float,
     for i, t in enumerate(times):
         flowed = {k: np.abs(next(rows)) for k in spectra}
         moduli = [flowed[k] for k in index]
-        if check_window and _outer_edge_fraction(moduli, mask) > BOUNDARY_THRESHOLD:
+        if _outer_edge_fraction(moduli, mask) > BOUNDARY_THRESHOLD:
             passed = np.abs(times[:i])
             passed = passed[passed < abs(t)]
             largest_ok = float(passed[-1]) if passed.size else None
@@ -303,8 +302,7 @@ def symmetric_time_grid(T: float, n_t: int, t_min: float) -> np.ndarray:
 
 
 def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int = 96,
-                    t_grid: np.ndarray | None = None, kind: str = "schrodinger",
-                    check_window: bool = True) -> float:
+                    t_grid: np.ndarray | None = None, kind: str = "schrodinger") -> float:
     """Truncated mixed norm: trapezoid in t over [-T, T] of the spatial r-norm to the q.
 
     For q = inf the supremum over the sampled grid is returned; with the pair
@@ -327,7 +325,7 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
     t_grid = _checked_time_grid(t_grid, positive=False)
-    return _time_norm(_time_samples(kind, u0, t_grid, pair.r, check_window=check_window), t_grid, pair.q)
+    return _time_norm(_time_samples(kind, u0, t_grid, pair.r), t_grid, pair.q)
 
 
 def _time_norm(rnorms: np.ndarray, t_grid: np.ndarray, q: float) -> float:
@@ -381,7 +379,7 @@ def scan_result(kind: str, columns: list[str], rows: list[list], metadata: dict,
 # uniformity of the space-time bound across the spacing scan
 
 def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
-                    box: float = 64.0, data: str = "point", width: float | None = None,
+                    box: float = 64.0, data: str = "point",
                     horizon_fraction: float = 0.15, n_t: int = 96) -> ScanResult:
     """Ratio of the truncated space-time norm to two candidate data norms, per spacing.
 
@@ -404,7 +402,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     rows = []
     for h in h_list:
         lat = Lattice.for_box(h, pair.d, box)
-        u0 = point_mass(lat) if data == "point" else gaussian(lat, width if width is not None else box / 16.0)
+        u0 = point_mass(lat) if data == "point" else gaussian(lat, box / 16.0)
         u0 = u0 * (1.0 / lp_norm(u0, 2))
         T = horizon_fraction * box * h
         grid = symmetric_time_grid(T, n_t, h * h / 16.0)
@@ -425,9 +423,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
 # ---------------------------------------------------------------------------
 # random ensembles for constant scans
 
-def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
-                    mean_zero: bool = True) -> list[GridFunction]:
-    """Deterministic mix of band-limited complex noise and structured candidates.
+def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -> list[GridFunction]:
+    """Deterministic mix of band-limited complex noise and structured candidates, each mean-zero.
 
     Structured members (a point mass and an off-axis frequency block) probe
     the extremes that white noise rarely reaches; the rest is complex Gaussian
@@ -442,11 +439,10 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
     lowpass = np.cumsum(band_bank(lattice), axis=0)
 
     def normalized(fields) -> list[GridFunction]:
-        """Each field mean-zero (if asked) and scaled to sup norm 1, in order; a zero field is dropped."""
+        """Each field made mean-zero and scaled to sup norm 1, in order; a zero field is dropped."""
         out = []
         for v in fields:
-            if mean_zero:
-                v = v - v.mean()
+            v = v - v.mean()
             scale = float(np.abs(v).max())
             if scale > 0.0:
                 out.append(GridFunction(lattice, v / scale))
@@ -542,13 +538,11 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
             if kind == "norm_equivalence":
                 symbols += [radial_power(laplacian_symbol_grid(lat), s), radial_power(xi2, 1.0)]
         ratios = []
-        with np.errstate(over="ignore"):  # an overflowing weighted norm is rejected below
+        with np.errstate(over="raise"):  # an overflowing weighted part or norm is reported with s below
             for f, parts in zip(fields, symbol_parts(fields, symbols)):
                 if kind == "square_function":
                     parts = [np.sqrt(sum(np.abs(part) ** 2 for part in parts))]
                 norms = [modulus_lp_norm(np.abs(part), lat, q if kind == "bernstein" else p) for part in parts]
-                if not all(math.isfinite(norm) for norm in norms):
-                    raise ConfigurationError(f"a derivative-weighted norm overflows at s = {s!r}")
                 if kind == "bernstein":
                     best, denom = 0.0, lp_norm(f, p)
                     for N, lhs in zip(scales[first:], norms):
@@ -575,7 +569,10 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
             raise ConfigurationError(f"no field of the ensemble has a positive right side at h = {h!r}")
         return [h, lat.M, *(extreme(column) for column in zip(*ratios) for extreme in (max, min))]
 
-    rows = [cell(idx, h) for idx, h in enumerate(h_list)]
+    try:
+        rows = [cell(idx, h) for idx, h in enumerate(h_list)]
+    except FloatingPointError:  # a weighted part or norm past the float range, not a non-finite row or field
+        raise ConfigurationError(f"a derivative-weighted norm overflows at s = {s!r}") from None
     if kind == "norm_equivalence":
         columns = ["h", "M", "max_ratio_power", "min_ratio_power", "max_ratio_difference", "min_ratio_difference"]
     else:
@@ -742,9 +739,11 @@ def knapp_eps_exponents(reports: list[KnappReport]) -> dict[str, dict]:
     return fits
 
 
-def knapp_h_sharpness(h_list: list[float], s: float, pair: AdmissiblePair, *,
-                      coupling: float = 0.9, **kwargs) -> ScanResult:
-    """Couple epsilon to the largest admissible value per h and fit the left/right ratio.
+KNAPP_COUPLING = 0.9  # epsilon as a share of its largest admissible value pi h^2 / 2
+
+
+def knapp_h_sharpness(h_list: list[float], s: float, pair: AdmissiblePair, **kwargs) -> ScanResult:
+    """Couple epsilon to :data:`KNAPP_COUPLING` times its largest admissible value per h; fit the ratio.
 
     With the derivative weight below the sharp threshold (s < 1/q) the ratio
     grows like a positive power of 1/h, exhibiting the failure of any uniform
@@ -752,9 +751,9 @@ def knapp_h_sharpness(h_list: list[float], s: float, pair: AdmissiblePair, *,
     """
     rows = []
     for h in h_list:
-        eps = coupling * np.pi * h * h / 2.0
+        eps = KNAPP_COUPLING * np.pi * h * h / 2.0
         rep = knapp_experiment(h, eps, s, pair, **kwargs)
         rows.append([h, eps, rep.left_norm, rep.right_norm, rep.left_norm / rep.right_norm])
     return scan_result("knapp_h_sharpness", ["h", "epsilon", "left_norm", "right_norm", "ratio"], rows,
-                       {"s": s, "q": pair.q, "r": pair.r, "d": pair.d, "coupling": coupling},
+                       {"s": s, "q": pair.q, "r": pair.r, "d": pair.d, "coupling": KNAPP_COUPLING},
                        {"ratio": "ratio"})

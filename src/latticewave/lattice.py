@@ -423,13 +423,12 @@ def cz_decompose(f: GridFunction, lam: float) -> CZDecomposition:
 BOUNDARY_THRESHOLD = 1e-6  # largest boundary-mass fraction a decay or evolution sample may carry
 
 
-def boundary_mask(lattice: Lattice, width: int | None = None) -> np.ndarray:
-    """Boolean grid of the sites within ``width`` layers of the box edge (default max(1, M/16)).
+def boundary_mask(lattice: Lattice) -> np.ndarray:
+    """Boolean grid of the sites within max(1, M/16) layers of the box edge.
 
     Loops that monitor many fields on one lattice build this once.
     """
-    if width is None:
-        width = max(1, lattice.M // 16)
+    width = max(1, lattice.M // 16)
     n = lattice.site_indices()
     near = (n >= lattice.M // 2 - width) | (n < -lattice.M // 2 + width)
     return reduce(np.logical_or, np.meshgrid(*[near] * lattice.d, indexing="ij", sparse=True))
@@ -443,11 +442,11 @@ def density_mass_fraction(density: np.ndarray, mask: np.ndarray) -> float:
     return float(density[mask].sum()) / total
 
 
-def boundary_mass_fraction(f: GridFunction, width: int | None = None) -> float:
-    """Fraction of the L^2 mass sitting within ``width`` site layers of the box edge.
+def boundary_mass_fraction(f: GridFunction) -> float:
+    """Fraction of the L^2 mass sitting on :func:`boundary_mask`, the edge layers of the box.
 
     Decay and evolution experiments are valid only while this stays below a
     small threshold (:data:`BOUNDARY_THRESHOLD`); past that, periodic wraparound
     contaminates sup norms.
     """
-    return density_mass_fraction(np.square(np.abs(f.values)), boundary_mask(f.lattice, width))
+    return density_mass_fraction(np.square(np.abs(f.values)), boundary_mask(f.lattice))

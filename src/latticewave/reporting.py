@@ -15,7 +15,7 @@ import json
 import math
 import os
 import struct
-from typing import IO
+import sys
 
 import numpy as np
 
@@ -88,17 +88,13 @@ def render_json(metadata: dict, columns: list[str], rows: list[list]) -> str:
     return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
-def write_text(out: IO[str] | str | None, text: str) -> None:
-    """Write to a path, a stream, or stdout when out is None."""
+def write_text(out: str | None, text: str) -> None:
+    """Write to the path ``out``, or to stdout when it is None."""
     if out is None:
-        import sys
-
         sys.stdout.write(text)
-    elif isinstance(out, str):
+    else:
         with open(out, "w", newline="") as fh:
             fh.write(text)
-    else:
-        out.write(text)
 
 
 def trajectory_rows(traj: Trajectory) -> tuple[list[str], list[list]]:

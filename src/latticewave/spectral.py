@@ -20,8 +20,9 @@ from .lattice import GridFunction, Lattice, lp_norm
 
 __all__ = [
     "SpectralFunction",
-    "BumpProfile",
-    "default_bump",
+    "phi1",
+    "phi",
+    "varphi",
     "forward_transform",
     "inverse_transform",
     "apply_multiplier",
@@ -117,38 +118,31 @@ def symbol_parts(fields: list[GridFunction], symbols) -> Iterator[list[np.ndarra
 # ---------------------------------------------------------------------------
 # smooth dyadic bump
 
-class BumpProfile:
-    """Smooth cutoff phi with phi = 1 on [-1,1]^d, phi = 0 off [-2,2]^d.
-
-    Built per axis from the standard C-infinity transition
-    t -> e^(-1/t) / (e^(-1/t) + e^(-1/(1-t))) and multiplied across axes.
-    The dyadic difference varphi = phi - phi(2 .) then tiles: the sum of
-    varphi(xi/N) over dyadic N <= 1 equals 1 for 0 < |xi|_inf <= 1.
-    """
-
-    @staticmethod
-    def _step(t: np.ndarray) -> np.ndarray:
-        t = np.clip(t, 0.0, 1.0)
-        with np.errstate(divide="ignore", over="ignore"):
-            a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-            b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-        return a / (a + b)
-
-    def phi1(self, t: np.ndarray) -> np.ndarray:
-        """One-axis profile: 1 for |t| <= 1, 0 for |t| >= 2, smooth between."""
-        return self._step(2.0 - np.abs(np.asarray(t, dtype=float)))
-
-    def phi(self, *coords: np.ndarray) -> np.ndarray:
-        out = self.phi1(coords[0])
-        for c in coords[1:]:
-            out = out * self.phi1(c)
-        return out
-
-    def varphi(self, *coords: np.ndarray) -> np.ndarray:
-        return self.phi(*coords) - self.phi(*(2.0 * np.asarray(c, dtype=float) for c in coords))
+def _step(t: np.ndarray) -> np.ndarray:
+    """The C-infinity transition t -> e^(-1/t) / (e^(-1/t) + e^(-1/(1-t))), 0 below t = 0 and 1 above t = 1."""
+    t = np.clip(t, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        a = np.where(t > 0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
+        b = np.where(t < 1, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
+    return a / (a + b)
 
 
-default_bump = BumpProfile()
+def phi1(t: np.ndarray) -> np.ndarray:
+    """One-axis profile: 1 for |t| <= 1, 0 for |t| >= 2, smooth between."""
+    return _step(2.0 - np.abs(np.asarray(t, dtype=float)))
+
+
+def phi(*coords: np.ndarray) -> np.ndarray:
+    """Smooth cutoff with phi = 1 on [-1,1]^d and phi = 0 off [-2,2]^d: the product of :func:`phi1` over the axes."""
+    out = phi1(coords[0])
+    for c in coords[1:]:
+        out = out * phi1(c)
+    return out
+
+
+def varphi(*coords: np.ndarray) -> np.ndarray:
+    """The dyadic difference phi - phi(2 .); the sum of varphi(xi/N) over dyadic N <= 1 is 1 for 0 < |xi|_inf <= 1."""
+    return phi(*coords) - phi(*(2.0 * np.asarray(c, dtype=float) for c in coords))
 
 
 def _require_dyadic_leq_one(N: float) -> None:
@@ -177,7 +171,7 @@ def band_symbol(lattice: Lattice, N: float) -> np.ndarray:
     _require_dyadic_leq_one(N)
     u = np.fft.fftfreq(lattice.M) / N  # h*xi/(2*pi*N) along one axis
     grids = np.meshgrid(*([u] * lattice.d), indexing="ij", sparse=True)
-    return np.broadcast_to(default_bump.varphi(*grids), lattice.shape).astype(float)
+    return np.broadcast_to(varphi(*grids), lattice.shape).astype(float)
 
 
 def band_bank(lattice: Lattice) -> np.ndarray:

@@ -306,10 +306,10 @@ def test_evolve_builds_the_boundary_mask_once(monkeypatch):
 
     monkeypatch.setattr(dnls, "boundary_mask", counted)
     lat = Lattice(h=0.5, d=2, M=64)
-    traj = evolve(smooth_data(lat), NlsConfig(lam=1.0, p=3.0, dt=0.02, T=0.2, snapshot_stride=1, boundary_width=3))
+    traj = evolve(smooth_data(lat), NlsConfig(lam=1.0, p=3.0, dt=0.02, T=0.2, snapshot_stride=1))
     assert len(calls) == 1
     # the monitor series is the per-call boundary_mass_fraction of every state, bit for bit
-    assert traj.monitors["boundary_mass"].tolist() == [boundary_mass_fraction(u, 3) for u in traj.states]
+    assert traj.monitors["boundary_mass"].tolist() == [boundary_mass_fraction(u) for u in traj.states]
 
 
 def test_config_validation():

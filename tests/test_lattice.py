@@ -536,7 +536,7 @@ def test_boundary_mass_fraction():
 
 def test_boundary_mask_counts_edge_layers():
     assert boundary_mask(Lattice(h=1.0, d=1, M=32)).sum() == 4  # max(1, 32 // 16) layers at each end
-    assert boundary_mask(Lattice(h=1.0, d=2, M=32), width=3).sum() == 32**2 - 26**2
+    assert boundary_mask(Lattice(h=1.0, d=2, M=32)).sum() == 32**2 - 28**2
     mask = boundary_mask(Lattice(h=1.0, d=1, M=8))
     assert mask.tolist() == [False, False, False, True, True, False, False, False]  # FFT order: sites 3, -4
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave, point_mass
 from latticewave.spectral import (
-    BumpProfile,
     apply_multiplier,
     band_bank,
     band_projection,
@@ -24,7 +23,9 @@ from latticewave.spectral import (
     laplacian_power,
     laplacian_symbol_grid,
     lattice_symbol,
+    phi1,
     sobolev_norm,
+    varphi,
 )
 
 
@@ -150,25 +151,23 @@ def test_multiplier_rejects_nan_symbol():
 # bump profile and band projections
 
 def test_bump_properties():
-    bump = BumpProfile()
     t = np.linspace(-3, 3, 601)
-    vals = bump.phi1(t)
+    vals = phi1(t)
     assert np.all((0 <= vals) & (vals <= 1))
     assert np.all(vals[np.abs(t) <= 1.0] == 1.0)
     assert np.all(vals[np.abs(t) >= 2.0] == 0.0)
     # difference profile supported in the closed annulus only
-    var = bump.varphi(t)
+    var = varphi(t)
     assert np.all(var[np.abs(t) < 0.5] == 0.0)
     assert np.all(var[np.abs(t) > 2.0] == 0.0)
 
 
 def test_bump_telescoping_sum():
-    bump = BumpProfile()
     pts = np.linspace(1e-4, 1.0, 787)
     total = np.zeros_like(pts)
     N = 1.0
     while N * 1e-4 > 0 and N > 1e-7:
-        total += bump.varphi(pts / N)
+        total += varphi(pts / N)
         N /= 2
     assert np.abs(total - 1.0).max() < 1e-10
 
