@@ -184,7 +184,9 @@ _NLS = [_D, ("--h", float, 0.5), ("--M", int, None), ("--box", float, 32.0), ("-
         ("--p", float, 3.0), ("--dt", float, 0.005), ("--T", float, 1.0), ("--amplitude", float, 1.0),
         ("--width", float, 2.0)]
 _COMMON = [("--out", str, None, "output path (default: stdout)"), ("--format", ("csv", "json"), "csv"),
-           ("--seed", int, 0), ("--threads", int, 1, "accepted and ignored; scans run serially")]
+           ("--seed", int, 0),
+           ("--threads", int, 1, "accepted and ignored: scan cells run serially, and one worker thread overlaps "
+                                 "each inverse transform of a row of 256 KiB or more with the next row's fill")]
 
 COMMANDS = {
     "pairs": (_pairs, [_D, ("--count", int, 5), ("--r-max", float, 100.0)]),

@@ -152,7 +152,7 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     """
     n_steps = max(1, int(round(cfg.T / cfg.dt)))
     times = np.arange(n_steps + 1) * cfg.dt
-    series: dict[str, list[float]] = {name: [] for name in cfg.monitors}
+    series: dict[str, list[float]] = {name: [] for name in KNOWN_MONITORS if name in cfg.monitors}
     if "s1_norm" in cfg.monitors:
         series["kinetic_h1"] = []
 

@@ -44,7 +44,8 @@ __all__ = [
 class Dispersion:
     """One flow kind, in terms of the one-axis lattice symbol s = (4/h^2) sin^2(h xi / 2).
 
-    ``phase(t, s)`` is the multiplier at time t.  ``additive``: the phase of a
+    ``phase(t, s, out)`` is the multiplier at time t, written into ``out``
+    (a new array when ``out`` is None).  ``additive``: the phase of a
     sum of one-axis symbols is the product of their phases, so the flow maps
     an outer product of one-axis data to the outer product of their flows; a
     kind without it runs in d = 1 only.  ``degenerate(h)`` is the positive
@@ -53,7 +54,7 @@ class Dispersion:
     space-time norm uniformly in h.
     """
 
-    phase: Callable[[float, np.ndarray], np.ndarray]
+    phase: Callable[..., np.ndarray]
     additive: bool
     degenerate: Callable[[float], float]
     weight: Callable[[GridFunction, float], GridFunction]
@@ -62,14 +63,14 @@ class Dispersion:
 DISPERSIONS = {
     # the free lattice flow exp(-i t sum_j s_j)
     "schrodinger": Dispersion(
-        phase=lambda t, s: np.exp(-1j * t * s),
+        phase=lambda t, s, out=None: np.exp(-1j * t * s, out=out),
         additive=True,
         degenerate=lambda h: np.pi / (2.0 * h),
         weight=lambda u, q: fractional_derivative(u, 0.0 if math.isinf(q) else 1.0 / q),
     ),
     # the d = 1 half-wave flow exp(i t sqrt(1 + s)) of Stefanov-Kevrekidis
     "klein_gordon": Dispersion(
-        phase=lambda t, s: np.exp(1j * t * np.sqrt(1.0 + s)),
+        phase=lambda t, s, out=None: np.exp(1j * t * np.sqrt(1.0 + s), out=out),
         additive=False,
         degenerate=lambda h: np.arccos(((h**2 + 2.0) - h * np.sqrt(h**2 + 4.0)) / 2.0) / h,
         weight=lambda u, q: bessel_derivative(fractional_derivative(u, 1.0 / 3.0), 1.0),
@@ -116,14 +117,14 @@ def phase_into(kind: str, t: float, lattice: Lattice, half_symbol: np.ndarray, o
 
     The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]: the
     frequencies are exact negatives and sine is odd), so the phase is
-    evaluated on ``half_symbol`` (:func:`half_axis_symbol`) and mirrored onto
-    the rest.  In d >= 2 it is the outer product of d one-axis phases: M*d
-    exponentials instead of M^d.
+    evaluated on ``half_symbol`` (:func:`half_axis_symbol`) straight into the
+    first M/2+1 entries and mirrored onto the rest.  In d >= 2 it is the
+    outer product of d one-axis phases: M*d exponentials instead of M^d.
     """
-    half = DISPERSIONS[kind].phase(t, half_symbol)
     axis = out if lattice.d == 1 else np.empty(lattice.M, dtype=complex)
-    axis[: half.size] = half
-    axis[half.size :] = half[-2:0:-1]
+    n = half_symbol.size
+    DISPERSIONS[kind].phase(t, half_symbol, axis[:n])
+    axis[n:] = axis[n - 2 : 0 : -1]
     if lattice.d > 1:
         np.multiply.outer(functools.reduce(np.multiply.outer, [axis] * (lattice.d - 1)), axis, out=out)
     return out

@@ -8,8 +8,11 @@ exact up to roundoff.
 
 from __future__ import annotations
 
+import contextvars
+import functools
 import itertools
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -77,26 +80,65 @@ def apply_multiplier(grid: np.ndarray, f: GridFunction) -> GridFunction:
 _CHUNK_BYTES = 256 * 1024  # largest inverse-transform block: numpy's temporary-elision threshold
 
 
+@functools.cache
+def _row_worker():
+    """The one thread that transforms the rows of :func:`_inverse_rows` of 256 KiB or more, started on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(max_workers=1, thread_name_prefix="latticewave-rows")
+
+
+# a forked child has no copy of the parent's worker thread, and would queue its rows for it forever
+os.register_at_fork(after_in_child=_row_worker.cache_clear)
+
+
+def _transform(block: np.ndarray) -> np.ndarray:
+    """Inverse-transform each row of ``block`` in place over its trailing axes and check it is finite."""
+    np.fft.ifftn(block, axes=tuple(range(1, block.ndim)), out=block)
+    if not np.isfinite(block).all():
+        raise ValueError("grid function contains non-finite entries")
+    return block
+
+
 def _inverse_rows(shape: tuple[int, ...], writers) -> Iterator[np.ndarray]:
     """Yield, in order, the inverse transforms of the rows of ``shape`` that the callables of ``writers`` fill.
 
-    The iterator ``writers`` is drawn a block of at most ``_CHUNK_BYTES`` (or
-    one larger row) at a time; a block takes one in-place ``np.fft.ifftn``
-    over its trailing axes, bit for bit one transform per row, and one
-    finiteness check.  Keep :func:`_multiply_into`'s operand order: from 256
-    KiB up numpy elides the temporary of ``x * temporary`` and multiplies into
-    it with the operands swapped, and a product of two complex operands can
-    differ in the last bit with the order (a real times a complex one cannot).
+    Rows below ``_CHUNK_BYTES`` are drawn from the iterator ``writers`` a
+    block of at most 256 KiB at a time, and each block is transformed inline
+    (:func:`_transform`: bit for bit one transform per row), since their fill
+    is too short for a handoff to hide.  A row of 256 KiB or more is a block
+    of its own: the caller fills row k+1 while the worker thread transforms
+    row k, so at most two rows are alive here.  That worker is the package's
+    only thread: scan cells still run serially.  Each job runs in a copy of
+    the caller's context, which carries its ``np.errstate``; a row still in
+    flight when the caller stops early is finished and dropped.
+
+    Keep :func:`_multiply_into`'s operand order: from 256 KiB up numpy elides
+    the temporary of ``x * temporary`` and multiplies into it with the
+    operands swapped, and a product of two complex operands can differ in the
+    last bit with the order (a real times a complex one cannot).
     """
-    per = max(1, _CHUNK_BYTES // (16 * math.prod(shape)))
-    while fill := list(itertools.islice(writers, per)):
-        block = np.empty((len(fill),) + shape, dtype=complex)
-        for write, row in zip(fill, block):
-            write(row)
-        np.fft.ifftn(block, axes=tuple(range(1, block.ndim)), out=block)
-        if not np.isfinite(block).all():
-            raise ValueError("grid function contains non-finite entries")
-        yield from block
+    row_bytes = 16 * math.prod(shape)
+    if row_bytes < _CHUNK_BYTES:
+        while fill := list(itertools.islice(writers, _CHUNK_BYTES // row_bytes)):
+            block = np.empty((len(fill),) + shape, dtype=complex)
+            for write, row in zip(fill, block):
+                write(row)
+            yield from _transform(block)
+        return
+    jobs = []  # the row being handed back, then the row in flight
+    try:
+        for write in writers:
+            block = np.empty((1,) + shape, dtype=complex)
+            write(block[0])
+            jobs.append(_row_worker().submit(contextvars.copy_context().run, _transform, block))
+            if len(jobs) == 2:
+                yield jobs.pop(0).result()[0]
+        if jobs:
+            yield jobs.pop().result()[0]
+    finally:
+        for job in jobs:  # wait for a row the caller no longer wants, so no transform outlives the call
+            job.exception()
 
 
 def _multiply_into(x: np.ndarray, row: np.ndarray) -> np.ndarray:

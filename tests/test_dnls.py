@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from latticewave import dnls
 from latticewave.dnls import (
+    KNOWN_MONITORS,
     NlsConfig,
     continuum_gaussian,
     energy,
@@ -178,6 +180,16 @@ def test_evolve_reads_the_monitors_from_the_step_spectrum(transforms):
     assert transforms.points == {"fftn": len(traj.states) * n, "ifftn": len(traj.states) * len(pairs) * n}
     assert all(size <= transforms.BLOCK_BYTES for _, size, _ in transforms.blocks)
     transforms.assert_row_blocks()
+
+
+def test_evolve_orders_the_monitors_as_known_monitors():
+    """The series follow ``KNOWN_MONITORS`` for every selection, not the selection set's hash order."""
+    lat = Lattice(h=0.5, d=1, M=64)
+    for n in range(len(KNOWN_MONITORS) + 1):
+        for chosen in itertools.combinations(KNOWN_MONITORS, n):
+            cfg = NlsConfig(lam=1.0, p=3.0, dt=0.1, T=0.2, monitors=frozenset(chosen))
+            keys = list(evolve(smooth_data(lat), cfg).monitors)
+            assert keys == list(chosen) + (["kinetic_h1"] if "s1_norm" in chosen else [])
 
 
 def test_evolve_builds_the_parseval_weights_once(monkeypatch):

@@ -379,6 +379,24 @@ def test_window_error_mid_block_matches_the_per_sample_loop(datum, transforms):
     assert walked[2] < abs(t_fail) < walked[-3]
 
 
+def test_window_error_on_large_rows_matches_the_per_sample_loop():
+    """Rows of 256 KiB go through the worker thread: the criterion 06 decay scan that leaves the window
+    raises the per-sample loop's error at a middle sample, and the next call still works."""
+    lat = Lattice(h=1.0, d=1, M=16384)
+    f = band_projection(decay_data(lat), 0.25)
+    t_grid = decay_time_grid(1000.0, 30000.0, 12)
+    with pytest.raises(WindowError) as pipelined:
+        dispersive_decay_scan("klein_gordon", decay_data(lat), t_grid, N=0.25)
+    with pytest.raises(WindowError) as per_sample:
+        _time_samples_per_sample("klein_gordon", f, t_grid, math.inf)
+    assert str(pipelined.value) == str(per_sample.value)
+    assert pipelined.value.largest_valid_t == per_sample.value.largest_valid_t is not None
+    valid = t_grid[t_grid <= pipelined.value.largest_valid_t]
+    assert 2 < valid.size < t_grid.size - 2
+    fit = dispersive_decay_scan("klein_gordon", decay_data(lat), valid, N=0.25)
+    assert np.array_equal(fit.sup_norms, _time_samples_per_sample("klein_gordon", f, valid, math.inf))
+
+
 # ---------------------------------------------------------------------------
 # closed form: the free flow of the h-weighted point mass is a Bessel kernel
 
@@ -392,8 +410,10 @@ def test_decay_sup_norms_equal_the_bessel_kernel(h):
         return np.abs(jv(np.arange(M // 2 + 1)[:, None], 2.0 * t / h**2)).max(axis=0) / h
 
     t_grid = decay_time_grid(1.0, 100.0, 12)
-    fit = dispersive_decay_scan("schrodinger", decay_data(Lattice(h, 1, 4096)), t_grid)
-    np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, 4096), rtol=1e-12, atol=0)
+    # rows of 64 KiB, four to a block; rows of 256 KiB, transformed on the worker thread
+    for M in (4096, 16384):
+        fit = dispersive_decay_scan("schrodinger", decay_data(Lattice(h, 1, M)), t_grid)
+        np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, M), rtol=1e-12, atol=0)
     t_grid = decay_time_grid(1.0, 60.0 * h**2, 8)
     fit = dispersive_decay_scan("schrodinger", decay_data(Lattice(h, 2, 512)), t_grid)
     np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, 512) ** 2, rtol=1e-12, atol=0)

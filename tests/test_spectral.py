@@ -1,3 +1,7 @@
+import multiprocessing
+import threading
+import time
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -8,6 +12,7 @@ from hypothesis import strategies as st
 
 from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave, point_mass
 from latticewave.spectral import (
+    _inverse_rows,
     apply_multiplier,
     band_bank,
     band_projection,
@@ -384,3 +389,90 @@ def test_sobolev_norm():
     for seed in range(5):
         g = random_field(lat, 20 + seed)
         assert lp_norm(g, 2) <= sobolev_norm(g, 1.0, 2.0) * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# inverse-transform rows of 256 KiB or more: each is transformed on the worker thread while the
+# caller fills the next one
+
+LARGE_ROW = (16384,)  # the smallest d = 1 row of 256 KiB
+
+
+def _random_rows(n, seed=3):
+    rng = np.random.default_rng(seed)
+    return [rng.standard_normal(LARGE_ROW) + 1j * rng.standard_normal(LARGE_ROW) for _ in range(n)]
+
+
+def test_large_rows_are_transformed_off_the_caller_thread_in_order(monkeypatch):
+    data = _random_rows(5)
+    want = [np.fft.ifft(v) for v in data]
+    transformed_on, filled_on, alive, filled = [], [], [], []
+
+    def recorded(*args, _fn=np.fft.ifftn, **kwargs):
+        transformed_on.append(threading.get_ident())
+        return _fn(*args, **kwargs)
+
+    def live():
+        return sum(ref() is not None for ref in filled)
+
+    def writer(v):
+        def write(row):
+            filled_on.append(threading.get_ident())
+            if live() >= 2:  # give the worker time to drop a finished row before counting again
+                time.sleep(0.05)
+            alive.append(live() + 1)
+            filled.append(weakref.ref(row.base))
+            np.copyto(row, v)
+        return write
+
+    monkeypatch.setattr(np.fft, "ifftn", recorded)
+    rows = _inverse_rows(LARGE_ROW, map(writer, data))
+    # each row is dropped as soon as it is compared, so only the generator keeps rows alive
+    assert [np.array_equal(next(rows), w) for w in want] == [True] * len(data)
+    assert next(rows, None) is None
+    caller = threading.get_ident()
+    assert filled_on == [caller] * len(data)
+    assert len(transformed_on) == len(data) and caller not in transformed_on
+    assert max(alive) == 2  # the row in flight and the row being filled
+
+
+@pytest.mark.parametrize("where", ["fill", "transform"])
+def test_a_large_row_overflow_raises_on_the_caller_under_its_errstate(where):
+    """The worker runs in a copy of the caller's context: without it an overflow in the transform
+    would only warn, and the row would fail the finiteness check instead."""
+    huge = np.full(LARGE_ROW, 1e308, dtype=complex)
+    if where == "fill":
+        def write(row):
+            np.multiply(huge, 10.0, out=row)
+    else:  # a finite row whose inverse transform overflows
+        def write(row):
+            np.copyto(row, huge)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            list(_inverse_rows(LARGE_ROW, iter([write, write, write])))
+
+
+def test_a_non_finite_large_row_raises_after_the_rows_before_it():
+    data = _random_rows(4)
+    data[2][7] = np.nan
+    rows = _inverse_rows(LARGE_ROW, (lambda row, v=v: np.copyto(row, v) for v in data))
+    assert np.array_equal(next(rows), np.fft.ifft(data[0]))
+    assert np.array_equal(next(rows), np.fft.ifft(data[1]))
+    with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
+        next(rows)
+    # the worker is free for the next call
+    rows = _inverse_rows(LARGE_ROW, (lambda row, v=v: np.copyto(row, v) for v in data[:2]))
+    assert [np.array_equal(r, np.fft.ifft(v)) for r, v in zip(rows, data[:2])] == [True, True]
+
+
+def _sum_of_large_rows():
+    rows = _inverse_rows(LARGE_ROW, (lambda row: row.fill(1.0) for _ in range(3)))
+    return sum(complex(row[0]) for row in rows)
+
+
+@pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+def test_a_forked_child_gets_its_own_row_worker():
+    """A child forked after the worker started has no copy of its thread; it starts its own."""
+    assert _sum_of_large_rows() == 3.0
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        assert pool.apply_async(_sum_of_large_rows).get(timeout=30) == 3.0
