@@ -116,8 +116,12 @@ def nonlinear_phase_flow(u: GridFunction, tau: float, lam: float, p: float) -> G
     This is the flow of the nonlinear part of i u_t + Lap u = lam |u|^(p-1) u,
     the sign for which lam > 0 is defocusing and :func:`energy` is conserved.
     """
-    amp = np.abs(u.values)
-    return GridFunction(u.lattice, u.values * np.exp(-1j * lam * tau * amp ** (p - 1.0)))
+    return GridFunction(u.lattice, _rotate_phase(u.values, tau, lam, p))
+
+
+def _rotate_phase(values: np.ndarray, tau: float, lam: float, p: float) -> np.ndarray:
+    """The nonlinear sub-flow on site values: values * exp(-i lam |values|^(p-1) tau)."""
+    return values * np.exp(-1j * lam * tau * np.abs(values) ** (p - 1.0))
 
 
 def _strang_step(values: np.ndarray, half: np.ndarray, dt: float, lam: float, p: float):
@@ -127,14 +131,14 @@ def _strang_step(values: np.ndarray, half: np.ndarray, dt: float, lam: float, p:
     """
     product = half * np.fft.fftn(values)
     values = np.fft.ifftn(product, out=product)
-    values = values * np.exp(-1j * lam * dt * np.abs(values) ** (p - 1.0))
+    values = _rotate_phase(values, dt, lam, p)
     spectrum = half * np.fft.fftn(values)
     return np.fft.ifftn(spectrum), spectrum
 
 
 def step_strang(u: GridFunction, dt: float, cfg: NlsConfig) -> GridFunction:
     """Symmetric composition: half linear flow, full nonlinear phase, half linear flow."""
-    half = PhaseSpec("schrodinger", 0.5 * dt, u.lattice).multiplier_grid()
+    half = PhaseSpec("schrodinger", u.lattice).multiplier_grid(0.5 * dt)
     return GridFunction(u.lattice, _strang_step(u.values, half, dt, cfg.lam, cfg.p)[0])
 
 
@@ -159,7 +163,7 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     # the half-step multiplier, the edge mask and the Parseval weights, built once per run;
     # h^d sum |u|^2 = c sum |fftn u|^2 with c = h^d / M^d
     lat = u0.lattice
-    half = PhaseSpec("schrodinger", 0.5 * cfg.dt, lat).multiplier_grid()
+    half = PhaseSpec("schrodinger", lat).multiplier_grid(0.5 * cfg.dt)
     mask = boundary_mask(lat)
     lap = laplacian_symbol_grid(lat)
     bessel = 1.0 + continuum_symbol_grid(lat)
@@ -222,7 +226,7 @@ def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
         raise ConfigurationError("need a nonempty list of exponent pairs")
     lat = traj.lattice
     bessel = 1.0 + continuum_symbol_grid(lat)
-    weights = [radial_power(bessel, 1.0 - (0.0 if math.isinf(pair.q) else 1.0 / pair.q)) for pair in pairs]
+    weights = [radial_power(bessel, 1.0 - 1.0 / pair.q) for pair in pairs]
     rnorms = np.array([[modulus_lp_norm(np.abs(part), lat, pair.r) for pair, part in zip(pairs, parts)]
                        for parts in symbol_parts(traj.states, weights)]).T
     return max(_time_norm(norms, traj.snapshot_times, pair.q) for pair, norms in zip(pairs, rnorms))

@@ -27,7 +27,7 @@ from .lattice import (
     modulus_lp_norm,
     point_mass,
 )
-from .propagators import DISPERSIONS, dispersion, half_axis_symbol, phase_into
+from .propagators import DISPERSIONS, PhaseSpec, dispersion
 from .spectral import (
     _check_mean_zero,
     _inverse_rows,
@@ -93,10 +93,9 @@ class AdmissiblePair:
     d: int
 
     def __post_init__(self):
-        inv_q = 0.0 if math.isinf(self.q) else 1.0 / self.q
-        inv_r = 0.0 if math.isinf(self.r) else 1.0 / self.r
         if not (self.q >= 2 and self.r >= 2):
             raise ConfigurationError("admissible pairs need q, r >= 2")
+        inv_q, inv_r = 1.0 / self.q, 1.0 / self.r
         if abs(3.0 * inv_q + self.d * inv_r - 0.5 * self.d) > 1e-12:
             raise ConfigurationError("pair violates 3/q + d/r = d/2")
         if self.d == 3 and self.q == 2 and math.isinf(self.r):
@@ -121,6 +120,8 @@ def admissible_pairs(d: int, count: int, r_max: float = 100.0) -> list[Admissibl
         raise ConfigurationError("d must be 1, 2 or 3")
     if count < 2:
         raise ConfigurationError("need count >= 2")
+    if not r_max >= 2:  # also rejects NaN
+        raise ConfigurationError(f"r_max must be >= 2, got r_max={r_max!r}")
     inv_r_lo = 1.0 / r_max if d == 3 else 0.0
     pairs = []
     for inv_r in np.linspace(inv_r_lo, 0.5, count):
@@ -226,11 +227,11 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> 
     The datum is flowed as its :func:`_axis_factors`, and factors with equal
     values are transformed and flowed once (a point mass on the diagonal
     costs one transform of M points per sample).  Each (time, distinct
-    factor) pair is a row of :func:`latticewave.spectral._inverse_rows` holding its phase, built
-    from one half-axis symbol, times the factor's spectrum.  Each sample reads
-    the norm and the boundary-mass fraction from its rows' moduli, so no M^d
-    array is built.  A datum that is not an outer product is its own single
-    factor, flowed on the full grid.
+    factor) pair is a row of :func:`latticewave.spectral._inverse_rows`
+    holding its phase from one :class:`PhaseSpec` times the factor's
+    spectrum.  Each sample reads the norm and the boundary-mass fraction from
+    its rows' moduli, so no M^d array is built.  A datum that is not an outer
+    product is its own single factor, flowed on the full grid.
     """
     if not np.any(u0.values.imag):
         times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
@@ -243,9 +244,9 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> 
     # index[j]: the first factor whose values equal factor j's
     index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
     spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
-    sym = half_axis_symbol(lat)
+    flow = PhaseSpec(kind, lat)
     rows = _inverse_rows(lat.shape, (
-        lambda row, t=float(t), s=spectrum: _multiply_into(s, phase_into(kind, t, lat, sym, row))
+        lambda row, t=float(t), s=spectrum: _multiply_into(s, flow.phase_into(t, row))
         for t in times for spectrum in spectra.values()))
     norms = np.empty(times.size)
     for i, t in enumerate(times):
@@ -452,7 +453,8 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
         for _ in range(n):
             noise = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
             k = rng.integers(max(1, len(lowpass) // 2), len(lowpass))
-            yield lambda row, noise=noise, k=k: _multiply_into(lowpass[k], np.fft.fftn(noise, out=row))
+            # a real row times a complex one: no operand order changes a bit (see _inverse_rows)
+            yield lambda row, noise=noise, k=k: np.multiply(lowpass[k], np.fft.fftn(noise, out=row), out=row)
 
     # frequency block centred at a quarter of the axis Nyquist (off DC, off the edge)
     F = np.zeros(lattice.shape, dtype=complex)
@@ -488,8 +490,7 @@ def _validate_constants_config(kind: str, d: int, p: float, q: float | None,
             raise ConfigurationError("gagliardo_nirenberg needs 0 < theta < 1")
         if not (1 <= p <= q):
             raise ConfigurationError("gagliardo_nirenberg needs 1 <= p <= q")
-        inv_q = 0.0 if math.isinf(q) else 1.0 / q
-        if not abs(inv_q - (1.0 / p - theta * s / d)) <= 1e-12:
+        if not abs(1.0 / q - (1.0 / p - theta * s / d)) <= 1e-12:
             raise ConfigurationError("gagliardo_nirenberg needs 1/q = 1/p - theta*s/d")
     elif kind == "sobolev_endpoint":
         if q is None or s is None:
@@ -546,7 +547,7 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
                 if kind == "bernstein":
                     best, denom = 0.0, lp_norm(f, p)
                     for N, lhs in zip(scales[first:], norms):
-                        rhs = (N / h) ** (d * (1.0 / p - (0.0 if math.isinf(q) else 1.0 / q))) * denom
+                        rhs = (N / h) ** (d * (1.0 / p - 1.0 / q)) * denom
                         if rhs > 0:
                             best = max(best, lhs / rhs)
                     ratios.append((best,))

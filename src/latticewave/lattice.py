@@ -60,8 +60,8 @@ class Lattice:
     M: int
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("lattice spacing h must be positive")
+        if not 0 < self.h < math.inf:  # also rejects NaN
+            raise ValueError(f"lattice spacing h must be positive and finite, got h={self.h!r}")
         if self.d not in (1, 2, 3):
             raise ValueError("dimension d must be 1, 2 or 3")
         if self.M < 4 or self.M % 2 != 0:
@@ -72,8 +72,8 @@ class Lattice:
     @classmethod
     def for_box(cls, h: float, d: int, box: float) -> "Lattice":
         """The lattice of spacing ``h`` whose periodic box is nearest ``box``: M = round(box / h)."""
-        if not h > 0:
-            raise ValueError("lattice spacing h must be positive")
+        if not 0 < h < math.inf:
+            raise ValueError(f"lattice spacing h must be positive and finite, got h={h!r}")
         if not 0 < box < math.inf:
             raise ValueError("box length must be positive and finite")
         M = box / h

@@ -6,8 +6,9 @@ that consume these flows must keep the solution's mass away from the periodic
 boundary (see :func:`latticewave.lattice.boundary_mass_fraction`).
 
 Each flow kind is one :data:`DISPERSIONS` row, read through the checked
-accessor :func:`dispersion`.  Every symbol in the table is real and even in
-the frequency, so the flow of a real datum satisfies u(-t) = conj u(t); the
+accessor :func:`dispersion`; a :class:`PhaseSpec` is its multiplier on one
+lattice at any t.  Every symbol in the table is real and even in the
+frequency, so the flow of a real datum satisfies u(-t) = conj u(t); the
 space-time norm loop in :mod:`latticewave.harness` relies on this to flow a
 real datum once per distinct |t|, so a kind added to the table must keep it.
 """
@@ -31,8 +32,6 @@ __all__ = [
     "FLOW_KINDS",
     "dispersion",
     "PhaseSpec",
-    "half_axis_symbol",
-    "phase_into",
     "schrodinger_flow",
     "kg_phase_curvature",
     "degenerate_points",
@@ -66,7 +65,7 @@ DISPERSIONS = {
         phase=lambda t, s, out=None: np.exp(-1j * t * s, out=out),
         additive=True,
         degenerate=lambda h: np.pi / (2.0 * h),
-        weight=lambda u, q: fractional_derivative(u, 0.0 if math.isinf(q) else 1.0 / q),
+        weight=lambda u, q: fractional_derivative(u, 1.0 / q),
     ),
     # the d = 1 half-wave flow exp(i t sqrt(1 + s)) of Stefanov-Kevrekidis
     "klein_gordon": Dispersion(
@@ -90,49 +89,44 @@ def dispersion(kind: str, d: int) -> Dispersion:
     return DISPERSIONS[kind]
 
 
-@dataclass(frozen=True)
 class PhaseSpec:
-    """Which flow, at what time, on which lattice."""
+    """The ``kind`` flow on ``lattice``, checked by :func:`dispersion`: its multiplier at any time t.
 
-    kind: str
-    t: float
-    lattice: Lattice
-
-    def __post_init__(self):
-        dispersion(self.kind, self.lattice.d)
-
-    def multiplier_grid(self) -> np.ndarray:
-        """The kind's phase of the lattice symbol at time t on the dual grid (see :func:`phase_into`)."""
-        return phase_into(self.kind, self.t, self.lattice, half_axis_symbol(self.lattice),
-                          np.empty(self.lattice.shape, dtype=complex))
-
-
-def half_axis_symbol(lattice: Lattice) -> np.ndarray:
-    """The one-axis lattice symbol on the first M/2+1 dual-grid frequencies (FFT order); it does not depend on t."""
-    return lattice_symbol(lattice.axis_frequencies()[: lattice.M // 2 + 1], lattice.h)
-
-
-def phase_into(kind: str, t: float, lattice: Lattice, half_symbol: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the ``kind`` phase at time t on the dual grid of ``lattice`` into ``out`` and return it.
-
-    The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]: the
-    frequencies are exact negatives and sine is odd), so the phase is
-    evaluated on ``half_symbol`` (:func:`half_axis_symbol`) straight into the
-    first M/2+1 entries and mirrored onto the rest.  In d >= 2 it is the
-    outer product of d one-axis phases: M*d exponentials instead of M^d.
+    The one-axis lattice symbol on the first M/2+1 dual-grid frequencies (FFT
+    order) does not depend on t, so the constructor builds it once.
     """
-    axis = out if lattice.d == 1 else np.empty(lattice.M, dtype=complex)
-    n = half_symbol.size
-    DISPERSIONS[kind].phase(t, half_symbol, axis[:n])
-    axis[n:] = axis[n - 2 : 0 : -1]
-    if lattice.d > 1:
-        np.multiply.outer(functools.reduce(np.multiply.outer, [axis] * (lattice.d - 1)), axis, out=out)
-    return out
+
+    def __init__(self, kind: str, lattice: Lattice):
+        self.lattice = lattice
+        self._phase = dispersion(kind, lattice.d).phase
+        self._half_symbol = lattice_symbol(lattice.axis_frequencies()[: lattice.M // 2 + 1], lattice.h)
+
+    def phase_into(self, t: float, out: np.ndarray) -> np.ndarray:
+        """Write the phase at time t on the dual grid into ``out`` (the lattice's shape) and return it.
+
+        The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]:
+        the frequencies are exact negatives and sine is odd), so the phase is
+        evaluated on the half-axis symbol straight into the first M/2+1
+        entries and mirrored onto the rest.  In d >= 2 it is the outer
+        product of d one-axis phases: M*d exponentials instead of M^d.
+        """
+        lat = self.lattice
+        axis = out if lat.d == 1 else np.empty(lat.M, dtype=complex)
+        n = self._half_symbol.size
+        self._phase(t, self._half_symbol, axis[:n])
+        axis[n:] = axis[n - 2 : 0 : -1]
+        if lat.d > 1:
+            np.multiply.outer(functools.reduce(np.multiply.outer, [axis] * (lat.d - 1)), axis, out=out)
+        return out
+
+    def multiplier_grid(self, t: float) -> np.ndarray:
+        """The phase at time t on a new dual grid (see :meth:`phase_into`)."""
+        return self.phase_into(t, np.empty(self.lattice.shape, dtype=complex))
 
 
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:
     """Free flow with multiplier exp(-i t (4/h^2) sum_j sin^2(h xi_j / 2))."""
-    return apply_multiplier(PhaseSpec("schrodinger", t, f.lattice).multiplier_grid(), f)
+    return apply_multiplier(PhaseSpec("schrodinger", f.lattice).multiplier_grid(t), f)
 
 
 def kg_phase_curvature(xi: np.ndarray, h: float) -> np.ndarray:

@@ -127,6 +127,14 @@ SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.
     [*NORM_EQUIVALENCE, "--s", "1e6"],
     [*GAGLIARDO_NIRENBERG, "--s", "nan"],
     [*SOBOLEV_ENDPOINT, "--s", "nan"],
+    ["strichartz", "--q", "0", "--r", "inf"],
+    ["strichartz", "--q", "6", "--r", "0"],
+    ["uniformity", "--h-list", "1", "--q", "0", "--r", "2"],
+    ["knapp", "--h", "0.5", "--eps-list", "0.04", "--q", "8", "--r", "0", "--s", "0.1"],
+    ["pairs", "--d", "3", "--count", "3", "--r-max", "0"],
+    ["pairs", "--d", "1", "--r-max", "0"],
+    ["decay", "--d", "1", "--h", "inf", "--M", "256", "--full", "--t-min", "1", "--t-max", "10", "--n-t", "5"],
+    ["strichartz", "--h", "inf", "--M", "64", "--q", "6", "--r", "inf"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
@@ -137,7 +145,9 @@ SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.
         "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge", "knapp-s-negative-huge",
         "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative", "decay-width-0", "dnls-width-0",
         "s1-amplitude-inf", "constants-s-norm-overflow", "constants-s-nan", "constants-s-inf",
-        "constants-s-symbol-overflow", "constants-gn-s-nan", "constants-sobolev-s-nan"])
+        "constants-s-symbol-overflow", "constants-gn-s-nan", "constants-sobolev-s-nan", "strichartz-q0",
+        "strichartz-r0", "uniformity-q0", "knapp-r0", "pairs-d3-r-max-0", "pairs-d1-r-max-0", "decay-h-inf",
+        "strichartz-h-inf"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -172,12 +182,19 @@ def test_rejected_input_exits_two(argv, capsys):
     (["constants", "--kind", "norm_equivalence", "--h-list", "1", "--s", "620", "--ensemble", "3", "--seed", "1"],
      "s = 620.0"),
     ([*GAGLIARDO_NIRENBERG, "--s", "nan"], "s = nan"),
+    (["strichartz", "--q", "0", "--r", "inf"], "q, r >= 2"),
+    (["knapp", "--h", "0.5", "--eps-list", "0.04", "--q", "8", "--r", "0", "--s", "0.1"], "q, r >= 2"),
+    (["pairs", "--d", "3", "--count", "3", "--r-max", "0"], "r_max"),
+    (["decay", "--d", "1", "--h", "inf", "--M", "256", "--full", "--t-min", "1", "--t-max", "10", "--n-t", "5"],
+     "spacing h must be positive and finite, got h=inf"),
+    (["strichartz", "--h", "inf", "--M", "64", "--q", "6", "--r", "inf"], "spacing h"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
         "knapp-s-negative-huge", "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative",
         "decay-width-0", "dnls-width-0", "s1-amplitude-inf", "constants-s-norm-overflow", "constants-s-nan",
-        "constants-s-symbol-overflow", "constants-s-part-overflow", "constants-gn-s-nan"])
+        "constants-s-symbol-overflow", "constants-s-part-overflow", "constants-gn-s-nan", "strichartz-q0",
+        "knapp-r0", "pairs-r-max-0", "decay-h-inf", "strichartz-h-inf"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -87,6 +87,19 @@ def test_admissible_pairs_identity_and_exclusion():
         admissible_pairs(1, 1)
 
 
+@pytest.mark.parametrize("q,r", [(0.0, math.inf), (6.0, 0.0), (0.0, 0.0), (-1.0, 2.0), (math.nan, 2.0)])
+def test_admissible_pair_validates_before_dividing(q, r):
+    with pytest.raises(ConfigurationError, match="q, r >= 2"):
+        AdmissiblePair(q=q, r=r, d=1)
+
+
+@pytest.mark.parametrize("r_max", [0.0, -1.0, 1.5, math.nan])
+@pytest.mark.parametrize("d", [1, 3])
+def test_admissible_pairs_rejects_r_max_below_two(d, r_max):
+    with pytest.raises(ConfigurationError, match="r_max"):
+        admissible_pairs(d, 3, r_max=r_max)
+
+
 # ---------------------------------------------------------------------------
 # decay scans
 
@@ -715,7 +728,7 @@ def test_uniformity_scan_keeps_the_quadrature_floor(n_t, transforms):
 
 # every entry point that takes a flow kind reads it through propagators.dispersion, before any transform
 KIND_ENTRY_POINTS = {
-    "PhaseSpec": lambda kind, lat: PhaseSpec(kind, 1.0, lat),
+    "PhaseSpec": lambda kind, lat: PhaseSpec(kind, lat),
     "degenerate_points": lambda kind, lat: degenerate_points(kind, lat.h),
     "strichartz_norm": lambda kind, lat: strichartz_norm(point_mass(lat), AdmissiblePair(q=math.inf, r=2.0, d=lat.d),
                                                          1.0, kind=kind),

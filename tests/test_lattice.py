@@ -64,6 +64,14 @@ def test_lattice_for_box_sizing_and_validation():
             Lattice.for_box(0.5, 1, box)
 
 
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan])
+def test_lattice_rejects_a_spacing_that_is_not_finite(h):
+    with pytest.raises(ValueError, match="spacing h must be positive and finite"):
+        Lattice(h=h, d=1, M=8)
+    with pytest.raises(ValueError, match="spacing h must be positive and finite"):
+        Lattice.for_box(h, 1, 8.0)
+
+
 def test_lattice_site_count_cap():
     # the largest lattices the experiments use stay well inside the cap
     assert Lattice(h=1.0, d=1, M=65536).site_count * 16 <= MAX_SITES
