@@ -165,8 +165,9 @@ def _dnls(args):
 
 
 def _s1(args):
+    pairs = admissible_pairs(args.d, args.pairs_count, r_max=args.r_max)  # checked before the run
     traj = _trajectory(args, monitors=frozenset())  # reads the snapshots only
-    value = s1_norm(traj, admissible_pairs(args.d, args.pairs_count, r_max=args.r_max))
+    value = s1_norm(traj, pairs)
     return {}, ["h", "M", "lam", "p", "T", "s1"], [[args.h, traj.lattice.M, args.lam, args.p, args.T, value]]
 
 

@@ -38,6 +38,7 @@ from .spectral import (
     continuum_symbol_grid,
     forward_difference,
     laplacian_symbol_grid,
+    lattice_symbol,
     radial_power,
     symbol_parts,
 )
@@ -122,6 +123,8 @@ def admissible_pairs(d: int, count: int, r_max: float = 100.0) -> list[Admissibl
         raise ConfigurationError("need count >= 2")
     if not r_max >= 2:  # also rejects NaN
         raise ConfigurationError(f"r_max must be >= 2, got r_max={r_max!r}")
+    if d == 3 and math.isinf(r_max):
+        raise ConfigurationError(f"r_max must be finite in d = 3, where r = inf is excluded, got r_max={r_max!r}")
     inv_r_lo = 1.0 / r_max if d == 3 else 0.0
     pairs = []
     for inv_r in np.linspace(inv_r_lo, 0.5, count):
@@ -280,10 +283,15 @@ def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
     ``N`` selects a dyadic frequency band first; ``None`` evolves the full
     spectrum.  Each sampled time is checked against the boundary-mass monitor
     and the scan aborts (reporting the largest admissible |t|) once wraparound
-    contaminates the box.  The kind is checked before the band projection.
+    contaminates the box.  The kind, and a scale ``N`` below the lattice's
+    smallest band scale (its band holds no dual-grid frequency), are checked
+    before the band projection.
     """
     dispersion(kind, data.lattice.d)
     t_grid = _checked_time_grid(t_grid, positive=True)
+    if N is not None and N < (n_min := band_scales(data.lattice)[0]):
+        raise ConfigurationError(f"band scale N={N:g} is below the smallest band scale {n_min:g} of an "
+                                 f"M = {data.lattice.M} lattice, so its band holds no dual-grid frequency")
     f = data * (1.0 / lp_norm(data, 1))
     if N is not None:
         f = band_projection(f, N)
@@ -654,7 +662,8 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
 
     The left side is exact on the dual grid: the block's space-time transform
     restricted to the dispersion surface, weighted by |xi|^(-s) with xi = 0
-    dropped, summed with the dual-grid quadrature.  The right side takes the
+    dropped, summed with the dual-grid quadrature over the block's own
+    dual-grid points, so no M^d array is built.  The right side takes the
     closed-form modulus of the block in physical variables (a product of
     Dirichlet-type kernels whose first factor scales the time axis by
     eps^3/h^2) and quadratures the mixed norm with conjugate exponents.
@@ -687,20 +696,16 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     if rp <= 1.0:
         raise ConfigurationError("right-side spatial norm diverges at r = inf (r' = 1)")
 
-    # left side: indicator of the block intersected with the dispersion surface
+    # left side: the block's own dual-grid points, kept where they lie on the dispersion surface
     axis_xi = lat.axis_frequencies()
-    y = 0.5 * h * axis_xi
-    block_axis = np.abs((y - np.pi / 4.0) / epsilon) < 1.0
-    om = laplacian_symbol_grid(lat)
-    xi_sum = sum(np.broadcast_to(g, lat.shape) for g in lat.frequency_grids())
-    arg = (h**2 / epsilon**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * xi_sum)
-    block = reduce(np.logical_and, np.meshgrid(*[block_axis] * d, indexing="ij", sparse=True))
-    K = block & (np.abs(arg) < 1.0)
-    r2 = continuum_symbol_grid(lat)
-    weighted = K & (r2 > 0)  # the homogeneous weight drops xi = 0
-    wgt = np.zeros(lat.shape)
+    axis_xi = axis_xi[np.abs((0.5 * h * axis_xi - np.pi / 4.0) / epsilon) < 1.0]
+    grids = np.meshgrid(*[axis_xi] * d, indexing="ij", sparse=True)
+    om = sum(lattice_symbol(g, h) for g in grids)
+    arg = (h**2 / epsilon**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * sum(grids))
+    K = np.abs(arg) < 1.0
+    r2 = sum(g**2 for g in grids)[K]
     with np.errstate(over="ignore"):  # an overflowing weight is rejected below
-        wgt[weighted] = r2[weighted] ** (-s)
+        wgt = r2[r2 > 0] ** (-s)  # the homogeneous weight drops xi = 0
     left = float(np.sqrt(np.sum(wgt)) / (h * M) ** (d / 2.0))
     if not 0 < left < math.inf:
         raise ConfigurationError(f"the left side is {left!r} at the derivative weight s = {s!r}: "

@@ -185,6 +185,10 @@ def test_rejected_input_exits_two(argv, capsys):
     (["strichartz", "--q", "0", "--r", "inf"], "q, r >= 2"),
     (["knapp", "--h", "0.5", "--eps-list", "0.04", "--q", "8", "--r", "0", "--s", "0.1"], "q, r >= 2"),
     (["pairs", "--d", "3", "--count", "3", "--r-max", "0"], "r_max"),
+    (["pairs", "--d", "3", "--r-max", "inf"], "r_max"),
+    (["s1", "--d", "3", "--r-max", "inf"], "r_max"),
+    (["decay", "--d", "1", "--h", "1", "--M", "64", "--N", "1/128", "--t-min", "1", "--t-max", "2", "--n-t", "3"],
+     "N=0.0078125"),
     (["decay", "--d", "1", "--h", "inf", "--M", "256", "--full", "--t-min", "1", "--t-max", "10", "--n-t", "5"],
      "spacing h must be positive and finite, got h=inf"),
     (["strichartz", "--h", "inf", "--M", "64", "--q", "6", "--r", "inf"], "spacing h"),
@@ -194,7 +198,8 @@ def test_rejected_input_exits_two(argv, capsys):
         "knapp-s-negative-huge", "uniformity-n_t-1", "strichartz-width-0", "strichartz-width-negative",
         "decay-width-0", "dnls-width-0", "s1-amplitude-inf", "constants-s-norm-overflow", "constants-s-nan",
         "constants-s-symbol-overflow", "constants-s-part-overflow", "constants-gn-s-nan", "strichartz-q0",
-        "knapp-r0", "pairs-r-max-0", "decay-h-inf", "strichartz-h-inf"])
+        "knapp-r0", "pairs-r-max-0", "pairs-d3-r-max-inf", "s1-d3-r-max-inf", "decay-N-below-smallest-scale",
+        "decay-h-inf", "strichartz-h-inf"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -246,6 +251,14 @@ def test_decay_window_violation_exits_three(tmp_path):
                 "--t-min", "1", "--t-max", "500", "--n-t", "8",
                 "--out", str(tmp_path / "x.csv")])
     assert code == 3
+
+
+def test_dnls_overflow_exits_three_naming_the_time(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(["dnls", "--d", "1", "--h", "0.5", "--box", "32", "--lam=-1", "--p", "7",
+                    "--amplitude", "1e60", "--dt", "0.5", "--T", "5"]) == 3
+    assert "runtime error: non-finite state at t=0.5" in capsys.readouterr().err
 
 
 def test_constants_bad_hypothesis_exits_two():

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from functools import reduce
 
@@ -44,6 +45,7 @@ from latticewave.spectral import (
     band_projection,
     band_scales,
     band_symbol,
+    continuum_symbol_grid,
     forward_difference,
     fractional_derivative,
     laplacian_power,
@@ -726,6 +728,13 @@ def test_uniformity_scan_keeps_the_quadrature_floor(n_t, transforms):
     assert transforms.counts == {"fftn": 0, "ifftn": 0}
 
 
+def test_decay_scan_rejects_a_band_below_the_smallest_scale_before_any_transform(transforms):
+    lat = Lattice(h=1.0, d=1, M=64)
+    with pytest.raises(ConfigurationError, match=r"band scale N=0\.0078125 is below the smallest band scale 0\.015625"):
+        dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 2.0, 3), N=1 / 128)
+    assert transforms.counts == {"fftn": 0, "ifftn": 0}
+
+
 # every entry point that takes a flow kind reads it through propagators.dispersion, before any transform
 KIND_ENTRY_POINTS = {
     "PhaseSpec": lambda kind, lat: PhaseSpec(kind, lat),
@@ -1233,6 +1242,49 @@ def test_knapp_left_side_drops_zero_frequency():
     # weight 1 at s = 0: the sum counts every surface point but xi = 0
     assert reps[0].left_norm**2 * h * 4096 == pytest.approx(reps[0].metadata["surface_points"] - 1, rel=1e-12)
     assert math.isfinite(reps[1].left_norm) and reps[1].left_norm > 0
+
+
+def _knapp_left_reference(h, epsilon, s, d, M):
+    """The left side and the surface count on the full M^d dual grid, masked to the block on the surface."""
+    lat = Lattice(h=h, d=d, M=M)
+    axis_xi = lat.axis_frequencies()
+    y = 0.5 * h * axis_xi
+    block_axis = np.abs((y - np.pi / 4.0) / epsilon) < 1.0
+    om = laplacian_symbol_grid(lat)
+    xi_sum = sum(np.broadcast_to(g, lat.shape) for g in lat.frequency_grids())
+    arg = (h**2 / epsilon**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * xi_sum)
+    block = reduce(np.logical_and, np.meshgrid(*[block_axis] * d, indexing="ij", sparse=True))
+    K = block & (np.abs(arg) < 1.0)
+    r2 = continuum_symbol_grid(lat)
+    weighted = K & (r2 > 0)
+    wgt = np.zeros(lat.shape)
+    wgt[weighted] = r2[weighted] ** (-s)
+    return float(np.sqrt(np.sum(wgt)) / (h * M) ** (d / 2.0)), int(np.count_nonzero(K))
+
+
+@pytest.mark.parametrize("s", [0.125, 0.0, -0.5])
+@pytest.mark.parametrize("h,eps,pair", [
+    (0.5, 0.04, AdmissiblePair(q=8.0, r=8.0, d=1)),
+    (0.5, 0.01, AdmissiblePair(q=8.0, r=8.0, d=1)),
+    (1.0, 1.0, AdmissiblePair(q=8.0, r=8.0, d=1)),  # the block holds xi = 0
+    (0.5, 0.04, AdmissiblePair(q=6.0, r=4.0, d=2)),
+    (0.5, 0.02, AdmissiblePair(q=6.0, r=4.0, d=2)),
+])
+def test_knapp_left_side_matches_the_full_grid(h, eps, pair, s):
+    rep = knapp_experiment(h, eps, s, pair, n_t=21, u_window=10.0, x_window=8.0)
+    left, surface_points = _knapp_left_reference(h, eps, s, pair.d, rep.metadata["M"])
+    assert rep.metadata["surface_points"] == surface_points
+    np.testing.assert_allclose(rep.left_norm, left, rtol=1e-14, atol=0)
+
+
+def test_knapp_builds_no_full_grid_array():
+    tracemalloc.start()
+    try:
+        knapp_experiment(0.5, 0.04, 0.1, AdmissiblePair(q=6.0, r=4.0, d=2))  # M = 1024
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024**2  # one float64 array of 1024^2 entries
 
 
 def test_knapp_h_sharpness_at_the_largest_eps_is_finite():
