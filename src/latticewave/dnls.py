@@ -17,6 +17,7 @@ from .errors import ConfigurationError, DivergenceError, WindowError
 from .harness import AdmissiblePair, ScanResult, _time_norm, admissible_pairs, random_ensemble, scan_result
 from .lattice import (
     BOUNDARY_THRESHOLD,
+    MAX_SITES,
     GridFunction,
     Lattice,
     boundary_mask,
@@ -75,6 +76,9 @@ class NlsConfig:
             raise ConfigurationError(f"dt and T must be positive and finite, got dt={self.dt!r}, T={self.T!r}")
         if not self.T / self.dt < math.inf:
             raise ConfigurationError(f"the step count T/dt must be finite, got T={self.T!r}, dt={self.dt!r}")
+        if self.T / self.dt > MAX_SITES:  # checked before any step is allocated
+            raise ConfigurationError(f"the step count T/dt = {self.T / self.dt:.3g} exceeds MAX_SITES = {MAX_SITES}, "
+                                     f"got T={self.T!r}, dt={self.dt!r}")
         if not math.isfinite(self.lam):
             raise ConfigurationError(f"the coupling lam must be finite, got {self.lam!r}")
         unknown = set(self.monitors) - set(KNOWN_MONITORS)

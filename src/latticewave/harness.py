@@ -21,7 +21,6 @@ from .lattice import (
     GridFunction,
     Lattice,
     boundary_mask,
-    density_mass_fraction,
     gaussian,
     lp_norm,
     modulus_lp_norm,
@@ -121,6 +120,8 @@ def admissible_pairs(d: int, count: int, r_max: float = 100.0) -> list[Admissibl
         raise ConfigurationError("d must be 1, 2 or 3")
     if count < 2:
         raise ConfigurationError("need count >= 2")
+    if count > MAX_SITES:
+        raise ConfigurationError(f"count = {count} exponent pairs exceeds MAX_SITES = {MAX_SITES}")
     if not r_max >= 2:  # also rejects NaN
         raise ConfigurationError(f"r_max must be >= 2, got r_max={r_max!r}")
     if d == 3 and math.isinf(r_max):
@@ -200,22 +201,40 @@ def _axis_factors(u0: GridFunction, kind: str) -> tuple[complex, list[GridFuncti
     return c, [GridFunction(axis, s) for s in units]
 
 
-def _outer_lp_norm(c: complex, moduli: list[np.ndarray], lattice: Lattice, p: float) -> float:
-    """The l^p norm of c times the outer product of ``moduli`` (the fields' |f_j| on ``lattice``):
-    |c| times the product of their norms, the product of their maxima for p = inf."""
-    return abs(c) * math.prod(modulus_lp_norm(a, lattice, p) for a in moduli)
+def _outer_lp_norms(c: complex, moduli: np.ndarray, slot: list[int], lattice: Lattice, p: float) -> np.ndarray:
+    """Per sample, the l^p norm of c times the outer product of its factors' moduli.
+
+    ``moduli`` holds each sample's distinct factors' |f| on ``lattice``
+    (samples, distinct factors, sites), and factor j is ``moduli[:, slot[j]]``.
+    The norm is |c| times the product of the factors' norms, the product of
+    their maxima for p = inf, each a :func:`modulus_lp_norm` bit for bit: the
+    sum of a contiguous row along the last axis is its sum alone, and each
+    root is taken on its own float64 sum (an array power may round the last
+    bit differently).
+    """
+    if math.isinf(p):
+        norms = moduli.max(axis=-1)
+    else:
+        sums = lattice.cell_volume * np.sum(moduli**p, axis=-1)
+        norms = np.array([s ** (1.0 / p) for s in sums.flat]).reshape(sums.shape)
+    return abs(c) * reduce(np.multiply, [norms[:, k] for k in slot])
 
 
-def _outer_edge_fraction(moduli: list[np.ndarray], mask: np.ndarray) -> float:
-    """The boundary-mass fraction of the outer product of ``moduli`` against ``mask``, the edge mask of
-    their lattice: 1 - prod(1 - b_j), b_j the share of a_j^2 on ``mask``.
+def _outer_edge_fractions(moduli: np.ndarray, slot: list[int], edge: np.ndarray) -> np.ndarray:
+    """Per sample, the boundary-mass fraction of the outer product of its factors' moduli against the
+    edge mask of their lattice, whose flat site indices are ``edge`` (``moduli`` and ``slot`` as in
+    :func:`_outer_lp_norms`): 1 - prod(1 - b_j), b_j the share of factor j's squared modulus on the
+    mask (0 for a zero factor).
 
     The d-dimensional edge mask is the union of the axes' edge layers, so the
     mass off it is the product of the one-axis masses off them.  The product
     is folded as f + b - f*b, which keeps small fractions accurate and is b
-    itself for one field.
+    itself for one factor.
     """
-    return reduce(lambda f, b: f + b - f * b, [density_mass_fraction(np.square(a), mask) for a in moduli])
+    density = np.square(moduli)
+    total = density.sum(axis=-1)
+    shares = np.divide(density.take(edge, axis=-1).sum(axis=-1), total, out=np.zeros_like(total), where=total != 0.0)
+    return reduce(lambda f, b: f + b - f * b, [shares[:, k] for k in slot])
 
 
 def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> np.ndarray:
@@ -229,12 +248,14 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> 
 
     The datum is flowed as its :func:`_axis_factors`, and factors with equal
     values are transformed and flowed once (a point mass on the diagonal
-    costs one transform of M points per sample).  Each (time, distinct
-    factor) pair is a row of :func:`latticewave.spectral._inverse_rows`
-    holding its phase from one :class:`PhaseSpec` times the factor's
-    spectrum.  Each sample reads the norm and the boundary-mass fraction from
-    its rows' moduli, so no M^d array is built.  A datum that is not an outer
-    product is its own single factor, flowed on the full grid.
+    costs one transform of M points per sample).  A sample is one row per
+    distinct factor in a block of :func:`latticewave.spectral._inverse_rows`
+    that holds whole samples.  Each block is filled by one
+    :meth:`PhaseSpec.phases_into` for its times and one product with each
+    factor's spectrum, and reduced by one modulus pass and one
+    boundary-fraction and one norm reduction along its last axis, so no M^d
+    array is built.  A datum that is not an outer product is its own single
+    factor, flowed on the full grid.
     """
     if not np.any(u0.values.imag):
         times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
@@ -243,28 +264,39 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> 
         times, inverse = t_grid[order], np.argsort(order)
     c, factors = _axis_factors(u0, kind)
     lat = factors[0].lattice  # Lattice(h, 1, M) for an outer product, else u0's
-    mask = boundary_mask(lat)
-    # index[j]: the first factor whose values equal factor j's
+    edge = np.flatnonzero(boundary_mask(lat))
+    # index[j]: the first factor whose values equal factor j's; slot[j]: its place among the distinct ones
     index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
-    spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
+    distinct = sorted(set(index))
+    slot = [distinct.index(k) for k in index]
+    spectra = [np.fft.fftn(factors[k].values) for k in distinct]
     flow = PhaseSpec(kind, lat)
-    rows = _inverse_rows(lat.shape, (
-        lambda row, t=float(t), s=spectrum: _multiply_into(s, flow.phase_into(t, row))
-        for t in times for spectrum in spectra.values()))
+    rows = len(spectra)  # per sample
+
+    def fill(start, block):
+        samples = block.reshape((-1, rows) + lat.shape)
+        flow.phases_into(times[start // rows : start // rows + len(samples)], samples[:, 0])
+        samples[:, 1:] = samples[:, :1]
+        for j, spectrum in enumerate(spectra):
+            _multiply_into(spectrum, samples[:, j])
+
     norms = np.empty(times.size)
-    for i, t in enumerate(times):
-        flowed = {k: np.abs(next(rows)) for k in spectra}
-        moduli = [flowed[k] for k in index]
-        if _outer_edge_fraction(moduli, mask) > BOUNDARY_THRESHOLD:
+    done = 0
+    for block in _inverse_rows(lat.shape, rows * times.size, fill, group=rows):
+        moduli = np.abs(block).reshape(-1, rows, lat.site_count)
+        failed = np.flatnonzero(_outer_edge_fractions(moduli, slot, edge) > BOUNDARY_THRESHOLD)
+        if failed.size:
+            i = done + failed[0]
             passed = np.abs(times[:i])
-            passed = passed[passed < abs(t)]
+            passed = passed[passed < abs(times[i])]
             largest_ok = float(passed[-1]) if passed.size else None
             raise WindowError(
-                f"solution reached the boundary at t={t:g}; largest admissible |t| is "
+                f"solution reached the boundary at t={times[i]:g}; largest admissible |t| is "
                 f"{largest_ok if largest_ok is not None else 'none'}",
                 largest_valid_t=largest_ok,
             )
-        norms[i] = _outer_lp_norm(c, moduli, lat, p)
+        norms[done : done + len(moduli)] = _outer_lp_norms(c, moduli, slot, lat, p)
+        done += len(moduli)
     return norms[inverse]
 
 
@@ -273,6 +305,8 @@ def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
         raise ConfigurationError(
             f"decay times need n_t >= 2 and 0 < t_min < t_max < inf, got n_t={n_t}, "
             f"t_min={t_min!r}, t_max={t_max!r}")
+    if n_t > MAX_SITES:
+        raise ConfigurationError(f"n_t = {n_t} decay times exceeds MAX_SITES = {MAX_SITES}")
     return np.geomspace(t_min, t_max, n_t)
 
 
@@ -330,6 +364,8 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     if t_grid is None:
         if n_t < 64:
             raise ConfigurationError("need n_t >= 64 quadrature nodes")
+        if n_t > MAX_SITES:
+            raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
         if not 0 < T < math.inf:
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
@@ -407,6 +443,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"horizon_fraction must be positive and finite, got {horizon_fraction!r}")
     if n_t < 64:
         raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
+    if n_t > MAX_SITES:
+        raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
     weight = dispersion(kind, pair.d).weight
     rows = []
     for h in h_list:
@@ -440,8 +478,10 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
     noise low-passed at a random band.  Constants are suprema, so the ensemble
     yields lower bounds that must stay stable across the spacing scan.
 
-    Each noise member draws its field, then its band, and is low-passed as a
-    row of :func:`latticewave.spectral._inverse_rows`; a round draws only the members still missing.
+    Each noise member draws its field, then its band, into a row of a block
+    of :func:`latticewave.spectral._inverse_rows`, and the block is
+    transformed and low-passed at once; a round draws only the members still
+    missing.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
     # row k keeps every band at or below the k-th scale, summed in ascending order
@@ -457,12 +497,14 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
                 out.append(GridFunction(lattice, v / scale))
         return out
 
-    def draws(n: int):
-        for _ in range(n):
-            noise = rng.standard_normal(lattice.shape) + 1j * rng.standard_normal(lattice.shape)
-            k = rng.integers(max(1, len(lowpass) // 2), len(lowpass))
-            # a real row times a complex one: no operand order changes a bit (see _inverse_rows)
-            yield lambda row, noise=noise, k=k: np.multiply(lowpass[k], np.fft.fftn(noise, out=row), out=row)
+    def draw(start, block):
+        bands = []
+        for row in block:
+            np.add(rng.standard_normal(lattice.shape), 1j * rng.standard_normal(lattice.shape), out=row)
+            bands.append(rng.integers(max(1, len(lowpass) // 2), len(lowpass)))
+        np.fft.fftn(block, axes=tuple(range(1, block.ndim)), out=block)
+        # a real row times a complex one: no operand order changes a bit (see _multiply_into)
+        np.multiply(lowpass[bands], block, out=block)
 
     # frequency block centred at a quarter of the axis Nyquist (off DC, off the edge)
     F = np.zeros(lattice.shape, dtype=complex)
@@ -472,7 +514,7 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
     F[sl] = 1.0
     out = normalized([point_mass(lattice).values.astype(complex), np.fft.ifftn(F, out=F)])
     while len(out) < size:  # a zero member is replaced in a further round
-        out += normalized(_inverse_rows(lattice.shape, draws(size - len(out))))
+        out += normalized(row for block in _inverse_rows(lattice.shape, size - len(out), draw) for row in block)
     return out[:size]
 
 

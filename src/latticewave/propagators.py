@@ -15,7 +15,6 @@ real datum once per distinct |t|, so a kind added to the table must keep it.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -90,7 +89,8 @@ def dispersion(kind: str, d: int) -> Dispersion:
 
 
 class PhaseSpec:
-    """The ``kind`` flow on ``lattice``, checked by :func:`dispersion`: its multiplier at any time t.
+    """The ``kind`` flow on ``lattice``, checked by :func:`dispersion`: its multiplier at any time t, or at
+    a vector of times at once.
 
     The one-axis lattice symbol on the first M/2+1 dual-grid frequencies (FFT
     order) does not depend on t, so the constructor builds it once.
@@ -101,22 +101,33 @@ class PhaseSpec:
         self._phase = dispersion(kind, lattice.d).phase
         self._half_symbol = lattice_symbol(lattice.axis_frequencies()[: lattice.M // 2 + 1], lattice.h)
 
-    def phase_into(self, t: float, out: np.ndarray) -> np.ndarray:
-        """Write the phase at time t on the dual grid into ``out`` (the lattice's shape) and return it.
+    def phases_into(self, times: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write the phase at each of ``times`` into the rows of ``out`` (shape (len(times),) + the
+        lattice's shape) and return it.
 
         The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]:
-        the frequencies are exact negatives and sine is odd), so the phase is
-        evaluated on the half-axis symbol straight into the first M/2+1
-        entries and mirrored onto the rest.  In d >= 2 it is the outer
-        product of d one-axis phases: M*d exponentials instead of M^d.
+        the frequencies are exact negatives and sine is odd), so one broadcast
+        evaluation writes every time's phase on the half-axis symbol straight
+        into the first M/2+1 entries of its row, which are mirrored onto the
+        rest.  In d >= 2 each row is the outer product of d one-axis phases:
+        M*d exponentials per time instead of M^d.
         """
         lat = self.lattice
-        axis = out if lat.d == 1 else np.empty(lat.M, dtype=complex)
+        t = np.asarray(times, dtype=float)[:, np.newaxis]
+        axes = out if lat.d == 1 else np.empty((t.shape[0], lat.M), dtype=complex)
         n = self._half_symbol.size
-        self._phase(t, self._half_symbol, axis[:n])
-        axis[n:] = axis[n - 2 : 0 : -1]
-        if lat.d > 1:
-            np.multiply.outer(functools.reduce(np.multiply.outer, [axis] * (lat.d - 1)), axis, out=out)
+        self._phase(t, self._half_symbol, axes[:, :n])
+        axes[:, n:] = axes[:, n - 2 : 0 : -1]
+        grid = axes
+        for j in range(1, lat.d):  # grid[k, i_1, ..., i_j] = prod over the axes of axes[k, i_axis], folded left
+            last = axes.reshape((-1,) + (1,) * j + (lat.M,))
+            grid = np.multiply(grid[..., np.newaxis], last, out=out if j == lat.d - 1 else None)
+        return out
+
+    def phase_into(self, t: float, out: np.ndarray) -> np.ndarray:
+        """Write the phase at time t on the dual grid into ``out`` (the lattice's shape) and return it
+        (see :meth:`phases_into`)."""
+        self.phases_into([t], out[np.newaxis])
         return out
 
     def multiplier_grid(self, t: float) -> np.ndarray:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextvars
 import functools
-import itertools
 import math
 import os
 from collections.abc import Iterator
@@ -100,59 +99,71 @@ def _transform(block: np.ndarray) -> np.ndarray:
     return block
 
 
-def _inverse_rows(shape: tuple[int, ...], writers) -> Iterator[np.ndarray]:
-    """Yield, in order, the inverse transforms of the rows of ``shape`` that the callables of ``writers`` fill.
+def _inverse_rows(shape: tuple[int, ...], count: int, fill, group: int = 1) -> Iterator[np.ndarray]:
+    """Yield, in order, the blocks of ``count`` rows of ``shape`` that ``fill`` writes, inverse-transformed.
 
-    Rows below ``_CHUNK_BYTES`` are drawn from the iterator ``writers`` a
-    block of at most 256 KiB at a time, and each block is transformed inline
-    (:func:`_transform`: bit for bit one transform per row), since their fill
-    is too short for a handoff to hide.  A row of 256 KiB or more is a block
-    of its own: the caller fills row k+1 while the worker thread transforms
-    row k, so at most two rows are alive here.  That worker is the package's
-    only thread: scan cells still run serially.  Each job runs in a copy of
-    the caller's context, which carries its ``np.errstate``; a row still in
+    ``fill(start, block)`` writes rows start, start + 1, ... into the new
+    ``block`` (shape ``(rows,) + shape``), and the caller gets the block back
+    with each row transformed in place (:func:`_transform`: bit for bit one
+    transform per row).  A block holds a multiple of ``group`` rows, so a
+    caller whose items span ``group`` rows gets whole items, and at most
+    256 KiB where one group fits.  Blocks of rows below ``_CHUNK_BYTES`` are
+    transformed inline, since their fill is too short for a handoff to hide.
+    A row of 256 KiB or more is a block of its own (at ``group`` 1): the
+    caller fills block k+1 while the worker thread transforms block k, so at
+    most two blocks are alive here.  That worker is the package's only
+    thread: scan cells still run serially.  Each job runs in a copy of the
+    caller's context, which carries its ``np.errstate``; a block still in
     flight when the caller stops early is finished and dropped.
-
-    Keep :func:`_multiply_into`'s operand order: from 256 KiB up numpy elides
-    the temporary of ``x * temporary`` and multiplies into it with the
-    operands swapped, and a product of two complex operands can differ in the
-    last bit with the order (a real times a complex one cannot).
     """
     row_bytes = 16 * math.prod(shape)
+    per = group * max(1, _CHUNK_BYTES // (group * row_bytes))
+
+    def filled():
+        for start in range(0, count, per):
+            block = np.empty((min(per, count - start),) + shape, dtype=complex)
+            fill(start, block)
+            yield block
+
     if row_bytes < _CHUNK_BYTES:
-        while fill := list(itertools.islice(writers, _CHUNK_BYTES // row_bytes)):
-            block = np.empty((len(fill),) + shape, dtype=complex)
-            for write, row in zip(fill, block):
-                write(row)
-            yield from _transform(block)
+        yield from map(_transform, filled())
         return
-    jobs = []  # the row being handed back, then the row in flight
+    jobs = []  # the block being handed back, then the block in flight
     try:
-        for write in writers:
-            block = np.empty((1,) + shape, dtype=complex)
-            write(block[0])
+        for block in filled():
             jobs.append(_row_worker().submit(contextvars.copy_context().run, _transform, block))
             if len(jobs) == 2:
-                yield jobs.pop(0).result()[0]
+                yield jobs.pop(0).result()
         if jobs:
-            yield jobs.pop().result()[0]
+            yield jobs.pop().result()
     finally:
-        for job in jobs:  # wait for a row the caller no longer wants, so no transform outlives the call
+        for job in jobs:  # wait for a block the caller no longer wants, so no transform outlives the call
             job.exception()
 
 
-def _multiply_into(x: np.ndarray, row: np.ndarray) -> np.ndarray:
-    """row <- x * row in numpy's operand order for a temporary ``row`` (see :func:`_inverse_rows`)."""
-    return np.multiply(row, x, out=row) if row.nbytes >= _CHUNK_BYTES else np.multiply(x, row, out=row)
+def _multiply_into(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """rows <- x * rows for a stack ``rows`` of rows of x's shape, in numpy's operand order for one temporary row.
+
+    From 256 KiB up numpy elides the temporary of ``x * temporary`` and
+    multiplies into it with the operands swapped, and a product of two
+    complex operands can differ in the last bit with the order (a real times
+    a complex one cannot).
+    """
+    return np.multiply(rows, x, out=rows) if x.nbytes >= _CHUNK_BYTES else np.multiply(x, rows, out=rows)
 
 
 def symbol_parts(fields: list[GridFunction], symbols) -> Iterator[list[np.ndarray]]:
     """Per field of ``fields`` (one lattice), the values of :func:`apply_multiplier` for each real symbol of
-    ``symbols``, bit for bit: each field is transformed once, and its products with the symbols are rows
-    of :func:`_inverse_rows`."""
-    rows = _inverse_rows(fields[0].lattice.shape, (
-        lambda row, sym=sym, spectrum=spectrum: np.multiply(sym, spectrum, out=row)
-        for spectrum in (np.fft.fftn(f.values) for f in fields) for sym in symbols))
+    ``symbols``, bit for bit: each field is transformed once, and its products with the symbols are the
+    rows of the blocks that :func:`_inverse_rows` fills and transforms."""
+    products = ((sym, spectrum) for spectrum in (np.fft.fftn(f.values) for f in fields) for sym in symbols)
+
+    def fill(start, block):
+        for row, (sym, spectrum) in zip(block, products):
+            np.multiply(sym, spectrum, out=row)
+
+    rows = (row for block in _inverse_rows(fields[0].lattice.shape, len(fields) * len(symbols), fill)
+            for row in block)
     for _ in fields:
         yield [next(rows) for _ in symbols]
 
@@ -209,11 +220,18 @@ def band_scales(lattice: Lattice) -> list[float]:
 
 
 def band_symbol(lattice: Lattice, N: float) -> np.ndarray:
-    """Real symbol of the scale-N dyadic band: varphi(h xi / (2 pi N)) on the dual grid."""
+    """Real symbol of the scale-N dyadic band: varphi(h xi / (2 pi N)) on the dual grid.
+
+    The axis frequencies are exact negatives in FFT order and :func:`phi1`
+    takes their modulus, so varphi is evaluated on the first M/2+1 of them
+    along each axis and mirrored onto the rest, bit for bit.
+    """
     _require_dyadic_leq_one(N)
-    u = np.fft.fftfreq(lattice.M) / N  # h*xi/(2*pi*N) along one axis
-    grids = np.meshgrid(*([u] * lattice.d), indexing="ij", sparse=True)
-    return np.broadcast_to(varphi(*grids), lattice.shape).astype(float)
+    n = lattice.M // 2 + 1
+    u = np.fft.fftfreq(lattice.M)[:n] / N  # h*xi/(2*pi*N) along one axis
+    half = varphi(*np.meshgrid(*([u] * lattice.d), indexing="ij", sparse=True))
+    mirror = np.r_[:n, n - 2 : 0 : -1]
+    return half[np.ix_(*[mirror] * lattice.d)]
 
 
 def band_bank(lattice: Lattice) -> np.ndarray:

@@ -35,8 +35,10 @@ from latticewave.lattice import (
     Lattice,
     boundary_mask,
     boundary_mass_fraction,
+    density_mass_fraction,
     gaussian,
     lp_norm,
+    modulus_lp_norm,
     point_mass,
 )
 from latticewave.propagators import PhaseSpec, degenerate_points
@@ -311,6 +313,18 @@ def test_time_reversal_fold_matches_unfolded_loop(data, kind, d, q, r):
 # ---------------------------------------------------------------------------
 # the row-batched time loop against its per-sample form: one flow call per (time, distinct factor)
 
+def _outer_lp_norm(c, moduli, lattice, p):
+    """The l^p norm of c times the outer product of ``moduli`` (the fields' |f_j| on ``lattice``):
+    |c| times the product of their norms, the product of their maxima for p = inf."""
+    return abs(c) * math.prod(modulus_lp_norm(a, lattice, p) for a in moduli)
+
+
+def _outer_edge_fraction(moduli, mask):
+    """The boundary-mass fraction of the outer product of ``moduli`` against ``mask``, the edge mask of
+    their lattice: 1 - prod(1 - b_j), b_j the share of a_j^2 on ``mask``, folded as f + b - f*b."""
+    return reduce(lambda f, b: f + b - f * b, [density_mass_fraction(np.square(a), mask) for a in moduli])
+
+
 def _time_samples_per_sample(kind, u0, t_grid, p):
     """The time loop with one ``flow`` call and one inverse transform per sample and distinct factor."""
     if not np.any(u0.values.imag):
@@ -327,13 +341,13 @@ def _time_samples_per_sample(kind, u0, t_grid, p):
     for i, t in enumerate(times):
         flowed = {k: np.abs(flow(kind, spectrum, lat, float(t)).values) for k, spectrum in spectra.items()}
         moduli = [flowed[k] for k in index]
-        if harness._outer_edge_fraction(moduli, mask) > harness.BOUNDARY_THRESHOLD:
+        if _outer_edge_fraction(moduli, mask) > harness.BOUNDARY_THRESHOLD:
             passed = np.abs(times[:i])
             passed = passed[passed < abs(t)]
             largest_ok = float(passed[-1]) if passed.size else None
             raise WindowError(f"solution reached the boundary at t={t:g}; largest admissible |t| is "
                               f"{largest_ok if largest_ok is not None else 'none'}", largest_valid_t=largest_ok)
-        norms[i] = harness._outer_lp_norm(c, moduli, lat, p)
+        norms[i] = _outer_lp_norm(c, moduli, lat, p)
     return norms[inverse]
 
 
@@ -356,7 +370,7 @@ BATCHED_CASES = {
     # a complex datum, walked through negative and positive times
     "complex-d1": ("schrodinger", Lattice(h=0.5, d=1, M=256), lambda lat: _moving_complex_gaussian(lat, 2.0, 1.3, 0.8),
                    symmetric_time_grid(4.0, 40, 0.05)),
-    # two distinct factors per sample, 341 rows per block: a block ends between a sample's two rows
+    # two distinct factors per sample and an odd 341 rows of 256 KiB: a block holds 170 whole samples
     "factors-straddle-blocks": ("schrodinger", Lattice(h=1.0, d=2, M=48),
                                 lambda lat: point_mass(lat, (1, -2), 3.0 - 2.0j), symmetric_time_grid(3.0, 100, 0.01)),
 }
@@ -392,6 +406,26 @@ def test_window_error_mid_block_matches_the_per_sample_loop(datum, transforms):
     t_fail = float(str(batched.value).split("t=")[1].split(";")[0])
     walked = np.sort(np.abs(t_grid))
     assert walked[2] < abs(t_fail) < walked[-3]
+
+
+def test_window_error_in_a_later_block_of_two_factor_samples_matches_the_per_sample_loop(transforms):
+    """Two distinct one-axis factors per sample and 170 whole samples per block: the window fails in the
+    second block, whose reduction raises the per-sample loop's error."""
+    lat = Lattice(h=1.0, d=2, M=48)
+    u0, t_grid = point_mass(lat, (1, -2), 3.0 - 2.0j), symmetric_time_grid(12.0, 150, 0.01)
+    with pytest.raises(WindowError) as batched:
+        harness._time_samples("schrodinger", u0, t_grid, math.inf)
+    blocks = [rows for rows, _, _ in transforms.blocks]
+    with pytest.raises(WindowError) as per_sample:
+        _time_samples_per_sample("schrodinger", u0, t_grid, math.inf)
+    assert str(batched.value) == str(per_sample.value)
+    assert batched.value.largest_valid_t == per_sample.value.largest_valid_t is not None
+    samples_per_block = transforms.rows_per_block(Lattice(h=lat.h, d=1, M=lat.M)) // 2
+    assert blocks == [2 * samples_per_block, 2 * (t_grid.size - samples_per_block)]
+    # the failing sample is neither the first nor the last of the second block
+    t_fail = float(str(batched.value).split("t=")[1].split(";")[0])
+    walked = t_grid[np.argsort(np.abs(t_grid), kind="stable")]
+    assert samples_per_block < np.argmin(np.abs(walked - t_fail)) < t_grid.size - 1
 
 
 def test_window_error_on_large_rows_matches_the_per_sample_loop():
@@ -550,12 +584,13 @@ def test_outer_norm_and_edge_fraction_match_the_dense_product(case, r, reverse):
     moduli = [np.abs(v) for v in (vectors[::-1] if reverse else vectors)]
     axis = Lattice(h=lat.h, d=1, M=lat.M)
     dense = GridFunction(lat, reduce(np.multiply.outer, moduli))
-    norm = harness._outer_lp_norm(1.0, moduli, axis, r)
+    samples, slot = np.array(moduli)[np.newaxis], list(range(len(moduli)))  # one sample, a slot per factor
+    norm = harness._outer_lp_norms(1.0, samples, slot, axis, r)[0]
     if math.isinf(r):
         assert norm == lp_norm(dense, r)
     else:
         assert norm == pytest.approx(lp_norm(dense, r), rel=1e-12, abs=0)
-    fraction = harness._outer_edge_fraction(moduli, boundary_mask(axis))
+    fraction = harness._outer_edge_fractions(samples, slot, np.flatnonzero(boundary_mask(axis)))[0]
     assert fraction == pytest.approx(boundary_mass_fraction(dense), rel=1e-12, abs=1e-15)
 
 

@@ -1,4 +1,5 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -189,6 +190,23 @@ def test_half_axis_phase_equals_full_axis_formula(kind, t):
         sym = (4.0 / lat.h**2) * np.sin(0.5 * lat.h * lat.axis_frequencies()) ** 2
         full = np.exp(-1j * t * sym) if kind == "schrodinger" else np.exp(1j * t * np.sqrt(1.0 + sym))
         assert np.array_equal(PhaseSpec(kind, lat).multiplier_grid(t), full), M
+
+
+@pytest.mark.parametrize("kind,d", [("schrodinger", 1), ("schrodinger", 2), ("schrodinger", 3),
+                                    ("klein_gordon", 1)])
+def test_block_phases_equal_phase_into_at_each_time_bit_for_bit(kind, d):
+    """One broadcast evaluation for a vector of times writes, in each row, the bits phase_into writes at
+    that time, and the bits of the scalar-t full-axis phase multiplied out over the axes."""
+    lat = Lattice(h=0.3, d=d, M=16 if d < 3 else 10)
+    times = np.array([0.0, 1.3, -1.3, -0.0, 3e4, -2.5e-3, 7.0])
+    spec = PhaseSpec(kind, lat)
+    block = spec.phases_into(times, np.empty((times.size,) + lat.shape, dtype=complex))
+    axis_symbol = lattice_symbol(lat.axis_frequencies(), lat.h)
+    for t, row in zip(times, block):
+        alone = spec.phase_into(float(t), np.empty(lat.shape, dtype=complex))
+        dense = reduce(np.multiply.outer, [DISPERSIONS[kind].phase(float(t), axis_symbol)] * d)
+        for want in (alone, dense):
+            assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), t
 
 
 ELISION_CASES = {

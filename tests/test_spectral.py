@@ -205,6 +205,17 @@ def bank_lattices(draw):
     return Lattice(h=h, d=d, M=M)
 
 
+@pytest.mark.parametrize("d,M", [(1, 16), (1, 48), (1, 65536), (2, 16), (2, 48), (2, 128)])
+def test_band_symbol_equals_the_full_axis_evaluation(d, M):
+    """varphi on the first M/2+1 axis frequencies, mirrored, is varphi on every dual-grid frequency,
+    bit for bit, at every band scale of the lattice (down to N = 2^-16 at M = 65536)."""
+    lat = Lattice(h=0.5, d=d, M=M)
+    for N in band_scales(lat):
+        u = np.fft.fftfreq(M) / N
+        dense = varphi(*np.meshgrid(*[u] * d, indexing="ij", sparse=True))
+        assert np.array_equal(band_symbol(lat, N), np.broadcast_to(dense, lat.shape)), N
+
+
 @settings(max_examples=60)
 @given(bank_lattices())
 def test_band_bank_properties(lat):
@@ -415,20 +426,18 @@ def test_large_rows_are_transformed_off_the_caller_thread_in_order(monkeypatch):
     def live():
         return sum(ref() is not None for ref in filled)
 
-    def writer(v):
-        def write(row):
-            filled_on.append(threading.get_ident())
-            if live() >= 2:  # give the worker time to drop a finished row before counting again
-                time.sleep(0.05)
-            alive.append(live() + 1)
-            filled.append(weakref.ref(row.base))
-            np.copyto(row, v)
-        return write
+    def fill(start, block):
+        filled_on.append(threading.get_ident())
+        if live() >= 2:  # give the worker time to drop a finished row before counting again
+            time.sleep(0.05)
+        alive.append(live() + 1)
+        filled.append(weakref.ref(block))
+        np.copyto(block, data[start : start + len(block)])
 
     monkeypatch.setattr(np.fft, "ifftn", recorded)
-    rows = _inverse_rows(LARGE_ROW, map(writer, data))
+    rows = _inverse_rows(LARGE_ROW, len(data), fill)
     # each row is dropped as soon as it is compared, so only the generator keeps rows alive
-    assert [np.array_equal(next(rows), w) for w in want] == [True] * len(data)
+    assert [np.array_equal(next(rows)[0], w) for w in want] == [True] * len(data)
     assert next(rows, None) is None
     caller = threading.get_ident()
     assert filled_on == [caller] * len(data)
@@ -442,32 +451,35 @@ def test_a_large_row_overflow_raises_on_the_caller_under_its_errstate(where):
     would only warn, and the row would fail the finiteness check instead."""
     huge = np.full(LARGE_ROW, 1e308, dtype=complex)
     if where == "fill":
-        def write(row):
-            np.multiply(huge, 10.0, out=row)
+        def fill(start, block):
+            np.multiply(huge, 10.0, out=block)
     else:  # a finite row whose inverse transform overflows
-        def write(row):
-            np.copyto(row, huge)
+        def fill(start, block):
+            np.copyto(block, huge)
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
-            list(_inverse_rows(LARGE_ROW, iter([write, write, write])))
+            list(_inverse_rows(LARGE_ROW, 3, fill))
 
 
 def test_a_non_finite_large_row_raises_after_the_rows_before_it():
     data = _random_rows(4)
     data[2][7] = np.nan
-    rows = _inverse_rows(LARGE_ROW, (lambda row, v=v: np.copyto(row, v) for v in data))
-    assert np.array_equal(next(rows), np.fft.ifft(data[0]))
-    assert np.array_equal(next(rows), np.fft.ifft(data[1]))
+    def fill(start, block):
+        np.copyto(block, data[start : start + len(block)])
+
+    rows = _inverse_rows(LARGE_ROW, len(data), fill)
+    assert np.array_equal(next(rows)[0], np.fft.ifft(data[0]))
+    assert np.array_equal(next(rows)[0], np.fft.ifft(data[1]))
     with pytest.raises(ValueError, match="^grid function contains non-finite entries$"):
         next(rows)
     # the worker is free for the next call
-    rows = _inverse_rows(LARGE_ROW, (lambda row, v=v: np.copyto(row, v) for v in data[:2]))
-    assert [np.array_equal(r, np.fft.ifft(v)) for r, v in zip(rows, data[:2])] == [True, True]
+    rows = _inverse_rows(LARGE_ROW, 2, fill)
+    assert [np.array_equal(r[0], np.fft.ifft(v)) for r, v in zip(rows, data[:2])] == [True, True]
 
 
 def _sum_of_large_rows():
-    rows = _inverse_rows(LARGE_ROW, (lambda row: row.fill(1.0) for _ in range(3)))
-    return sum(complex(row[0]) for row in rows)
+    rows = _inverse_rows(LARGE_ROW, 3, lambda start, block: block.fill(1.0))
+    return sum(complex(block[0, 0]) for block in rows)
 
 
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
