@@ -25,6 +25,7 @@ from .errors import ConfigurationError, DivergenceError, WindowError
 from .harness import (
     CONSTANT_KINDS,
     AdmissiblePair,
+    _require_distinct,
     admissible_pairs,
     decay_data,
     decay_time_grid,
@@ -124,6 +125,7 @@ def _constants(args):
 
 def _knapp(args):
     pair = AdmissiblePair(q=args.q, r=args.r, d=args.d)
+    _require_distinct(args.eps_list, "eps_list")
     reports = [knapp_experiment(args.h, eps, args.s, pair, M=args.M, u_window=args.u_window,
                                 n_t=args.n_t, x_window=args.x_window)
                for eps in args.eps_list]
@@ -187,7 +189,8 @@ _NLS = [_D, ("--h", float, 0.5), ("--M", int, None), ("--box", float, 32.0), ("-
 _COMMON = [("--out", str, None, "output path (default: stdout)"), ("--format", ("csv", "json"), "csv"),
            ("--seed", int, 0),
            ("--threads", int, 1, "accepted and ignored: scan cells run serially, and one worker thread overlaps "
-                                 "each inverse transform of a row of 256 KiB or more with the next row's fill")]
+                                 "each inverse transform of a row of 256 KiB or more with the next row's fill "
+                                 "and runs half of the knapp right side's distinct centre offsets")]
 
 COMMANDS = {
     "pairs": (_pairs, [_D, ("--count", int, 5), ("--r-max", float, 100.0)]),

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, DivergenceError, WindowError
-from .harness import AdmissiblePair, ScanResult, _time_norm, admissible_pairs, random_ensemble, scan_result
+from .harness import (
+    AdmissiblePair,
+    ScanResult,
+    _require_distinct,
+    _time_norm,
+    admissible_pairs,
+    random_ensemble,
+    scan_result,
+)
 from .lattice import (
     BOUNDARY_THRESHOLD,
     MAX_SITES,
@@ -325,6 +333,7 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
     :func:`interpolation_constant`; without it the bound column is NaN).
     """
     pairs = admissible_pairs(d, pairs_count, r_max=r_max)
+    _require_distinct(h_list, "h_list")
     rows = []
     for h in h_list:
         lat = Lattice.for_box(h, d, box)

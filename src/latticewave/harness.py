@@ -8,7 +8,9 @@ run serially in spacing order.
 
 from __future__ import annotations
 
+import contextvars
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -28,9 +30,11 @@ from .lattice import (
 )
 from .propagators import DISPERSIONS, PhaseSpec, dispersion
 from .spectral import (
+    _CHUNK_BYTES,
     _check_mean_zero,
     _inverse_rows,
     _multiply_into,
+    _row_worker,
     band_bank,
     band_projection,
     band_scales,
@@ -68,17 +72,29 @@ __all__ = [
 # fits
 
 def loglog_fit(x: np.ndarray, y: np.ndarray) -> dict:
-    """OLS fit of log(y) against log(x); returns slope, intercept and r^2."""
+    """OLS fit of log(y) against log(x); returns slope, intercept and r^2.
+
+    ValueError unless log(x) takes at least two distinct values: over one
+    abscissa the slope is lstsq's minimum-norm solution and r^2 reads 1.
+    """
     lx = np.log(np.asarray(x, dtype=float))
     ly = np.log(np.asarray(y, dtype=float))
-    if lx.size < 2:
-        raise ValueError("need at least two points to fit")
+    if lx.size < 2 or np.all(lx == lx[0]):  # not a plain np.unique, which imports numpy.ma (1.7 MiB of RSS)
+        raise ValueError("a log-log fit needs at least two distinct abscissae")
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, *_ = np.linalg.lstsq(A, ly, rcond=None)
     resid = ly - A @ coef
     ss_tot = float(np.sum((ly - ly.mean()) ** 2))
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
     return {"slope": float(coef[0]), "intercept": float(coef[1]), "r_squared": r2}
+
+
+def _require_distinct(values: list[float], name: str) -> None:
+    """ConfigurationError naming the list ``name`` when it repeats a value: the scans fit their
+    cells against it, which needs distinct abscissae (see :func:`loglog_fit`)."""
+    repeated = [v for v, n in Counter(values).items() if n > 1]
+    if repeated:
+        raise ConfigurationError(f"{name} repeats {repeated[0]!r}: a log-log fit over it needs distinct values")
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +462,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     if n_t > MAX_SITES:
         raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
     weight = dispersion(kind, pair.d).weight
+    _require_distinct(h_list, "h_list")
     rows = []
     for h in h_list:
         lat = Lattice.for_box(h, pair.d, box)
@@ -481,8 +498,12 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
     Each noise member draws its field, then its band, into a row of a block
     of :func:`latticewave.spectral._inverse_rows`, and the block is
     transformed and low-passed at once; a round draws only the members still
-    missing.
+    missing.  An ensemble of more than ``MAX_SITES`` sites in all is a
+    ConfigurationError naming its size, raised before any draw.
     """
+    if size * lattice.site_count > MAX_SITES:
+        raise ConfigurationError(f"ensemble = {size} fields of {lattice.site_count} sites exceeds "
+                                 f"MAX_SITES = {MAX_SITES} sites in all")
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
     # row k keeps every band at or below the k-th scale, summed in ascending order
     lowpass = np.cumsum(band_bank(lattice), axis=0)
@@ -572,6 +593,7 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     :func:`symbol_parts`; an overflowing symbol or weighted norm names s.
     """
     _validate_constants_config(kind, d, p, q, s, theta)
+    _require_distinct(h_list, "h_list")
 
     def cell(idx: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
@@ -662,38 +684,67 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     for every epsilon.  A centre enters only through its sub-lattice offset
     delta = c - h round(c/h): with x - c = k h - delta, angle addition gives
     sin(d1 (k h - delta)) from the fixed vectors sin(d1 k h), cos(d1 k h), so
-    each centre costs a few in-place passes over two scratch buffers and no
-    sine.  x - c vanishes only at k = 0 when delta is exactly 0, where the
-    kernel takes its limit d1.  The summand is even in x - c and the window is
-    symmetric about the nearest site (np.round is symmetric, so delta(-c) =
-    -delta(c) exactly), so the norm at -c is the norm at c.  The distinct |c|
-    are then folded by their delta, since magnitudes sharing a delta give the
-    kernel identical inputs: the kernel runs once per distinct delta (28 for
-    the 751 magnitudes of a criterion 08 cell, whose centres step by whole
-    sites).
+    each centre costs a few in-place passes and no sine.  x - c vanishes only
+    at k = 0 when delta is exactly 0, where the kernel takes its limit d1.
+    The summand is even in x - c and the window is symmetric about the nearest
+    site (np.round is symmetric, so delta(-c) = -delta(c) exactly), so the
+    norm at -c is the norm at c.  The distinct |c| are then folded by their
+    delta, since magnitudes sharing a delta give the kernel identical inputs:
+    the kernel runs once per distinct delta (28 for the 751 magnitudes of a
+    criterion 08 cell, whose centres step by whole sites).
+
+    The caller takes every delta's cosine and sine, then runs the lower half
+    of the deltas while the row worker of :mod:`latticewave.spectral` runs the
+    upper half (one delta runs inline), in a copy of the caller's context.
+    Each thread sums in one window-length buffer; the passes that need a
+    second operand run per span of ``_CHUNK_BYTES // 8`` sites into a
+    span-sized scratch, and the modulus, power and sum run over the whole
+    window, so each norm is the same sum of the same array bit for bit.
     """
     n_win = int(math.ceil(x_window / (d1 * h)))
     xk = np.arange(-n_win, n_win + 1) * h
     sk = np.sin(d1 * xk)
     ck = np.cos(d1 * xk)
-    num = np.empty_like(xk)
-    den = np.empty_like(xk)
     magnitudes, inverse = np.unique(np.abs(centers), return_inverse=True)
     deltas, by_delta = np.unique(magnitudes - h * np.round(magnitudes / h), return_inverse=True)
     inverse = by_delta[inverse]
+    turns = [(math.cos(d1 * delta), math.sin(d1 * delta)) for delta in deltas]
     norms = np.empty(deltas.size)
-    with np.errstate(invalid="ignore"):
-        for i, delta in enumerate(deltas):
-            np.multiply(sk, math.cos(d1 * delta), out=num)
-            np.multiply(ck, math.sin(d1 * delta), out=den)
-            np.subtract(num, den, out=num)
-            np.subtract(xk, delta, out=den)
-            np.divide(num, den, out=num)
-            if delta == 0.0:
-                num[n_win] = d1
-            np.abs(num, out=num)
-            np.power(num, rp, out=num)
-            norms[i] = num.sum()
+    span = _CHUNK_BYTES // 8
+
+    def passes(lo: int, hi: int, num: np.ndarray, scratch: np.ndarray) -> None:
+        """norms[i] for the deltas lo <= i < hi, summed in ``num`` (the window's length) with the span
+        ``scratch``."""
+        with np.errstate(invalid="ignore"):
+            for i in range(lo, hi):
+                delta, (cos_delta, sin_delta) = deltas[i], turns[i]
+                for a in range(0, xk.size, span):
+                    part = num[a : a + span]
+                    tmp = scratch[: part.size]
+                    np.multiply(sk[a : a + span], cos_delta, out=part)
+                    np.multiply(ck[a : a + span], sin_delta, out=tmp)
+                    np.subtract(part, tmp, out=part)
+                    np.subtract(xk[a : a + span], delta, out=tmp)
+                    np.divide(part, tmp, out=part)
+                if delta == 0.0:
+                    num[n_win] = d1
+                np.abs(num, out=num)
+                np.power(num, rp, out=num)
+                norms[i] = num.sum()
+
+    def buffers():  # taken by the caller for both threads: a worker allocating its own peaked higher in RSS
+        return np.empty_like(xk), np.empty(min(span, xk.size))
+
+    if deltas.size < 2:
+        passes(0, deltas.size, *buffers())
+    else:
+        mid = (deltas.size + 1) // 2
+        job = _row_worker().submit(contextvars.copy_context().run, passes, mid, deltas.size, *buffers())
+        try:
+            passes(0, mid, *buffers())
+        finally:
+            job.exception()  # wait even when our half failed, so no pass outlives the call
+        job.result()
     return (h * norms[inverse]) ** (1.0 / rp)
 
 
@@ -797,6 +848,7 @@ def knapp_h_sharpness(h_list: list[float], s: float, pair: AdmissiblePair, **kwa
     grows like a positive power of 1/h, exhibiting the failure of any uniform
     constant; at s = 1/q it stays flat.
     """
+    _require_distinct(h_list, "h_list")
     rows = []
     for h in h_list:
         eps = KNAPP_COUPLING * np.pi * h * h / 2.0

@@ -42,16 +42,19 @@ __all__ = [
 class Dispersion:
     """One flow kind, in terms of the one-axis lattice symbol s = (4/h^2) sin^2(h xi / 2).
 
-    ``phase(t, s, out)`` is the multiplier at time t, written into ``out``
-    (a new array when ``out`` is None).  ``additive``: the phase of a
-    sum of one-axis symbols is the product of their phases, so the flow maps
-    an outer product of one-axis data to the outer product of their flows; a
-    kind without it runs in d = 1 only.  ``degenerate(h)`` is the positive
-    frequency where the phase loses convexity along an axis, and
-    ``weight(u, q)`` the derivative-weighted datum whose L^2 norm bounds the
-    space-time norm uniformly in h.
+    ``frequency(s)`` is the dispersion relation omega(s), and
+    ``phase(t, omega, out)`` the multiplier at time t of the frequencies
+    omega, written into ``out`` (a new array when ``out`` is None), so a
+    caller evaluating many times computes omega once.  ``additive``: the
+    phase of a sum of one-axis symbols is the product of their phases, so
+    the flow maps an outer product of one-axis data to the outer product of
+    their flows; a kind without it runs in d = 1 only.  ``degenerate(h)`` is
+    the positive frequency where the phase loses convexity along an axis,
+    and ``weight(u, q)`` the derivative-weighted datum whose L^2 norm bounds
+    the space-time norm uniformly in h.
     """
 
+    frequency: Callable[[np.ndarray], np.ndarray]
     phase: Callable[..., np.ndarray]
     additive: bool
     degenerate: Callable[[float], float]
@@ -61,14 +64,16 @@ class Dispersion:
 DISPERSIONS = {
     # the free lattice flow exp(-i t sum_j s_j)
     "schrodinger": Dispersion(
-        phase=lambda t, s, out=None: np.exp(-1j * t * s, out=out),
+        frequency=lambda s: s,
+        phase=lambda t, w, out=None: np.exp(-1j * t * w, out=out),
         additive=True,
         degenerate=lambda h: np.pi / (2.0 * h),
         weight=lambda u, q: fractional_derivative(u, 1.0 / q),
     ),
     # the d = 1 half-wave flow exp(i t sqrt(1 + s)) of Stefanov-Kevrekidis
     "klein_gordon": Dispersion(
-        phase=lambda t, s, out=None: np.exp(1j * t * np.sqrt(1.0 + s), out=out),
+        frequency=lambda s: np.sqrt(1.0 + s),
+        phase=lambda t, w, out=None: np.exp(1j * t * w, out=out),
         additive=False,
         degenerate=lambda h: np.arccos(((h**2 + 2.0) - h * np.sqrt(h**2 + 4.0)) / 2.0) / h,
         weight=lambda u, q: bessel_derivative(fractional_derivative(u, 1.0 / 3.0), 1.0),
@@ -92,31 +97,35 @@ class PhaseSpec:
     """The ``kind`` flow on ``lattice``, checked by :func:`dispersion`: its multiplier at any time t, or at
     a vector of times at once.
 
-    The one-axis lattice symbol on the first M/2+1 dual-grid frequencies (FFT
-    order) does not depend on t, so the constructor builds it once.
+    The kind's frequency of the one-axis lattice symbol on the first M/2+1
+    dual-grid frequencies (FFT order) does not depend on t, so the
+    constructor builds it once.
     """
 
     def __init__(self, kind: str, lattice: Lattice):
         self.lattice = lattice
-        self._phase = dispersion(kind, lattice.d).phase
-        self._half_symbol = lattice_symbol(lattice.axis_frequencies()[: lattice.M // 2 + 1], lattice.h)
+        flow = dispersion(kind, lattice.d)
+        self._phase = flow.phase
+        half_axis = lattice.axis_frequencies()[: lattice.M // 2 + 1]
+        self._half_omega = flow.frequency(lattice_symbol(half_axis, lattice.h))
 
     def phases_into(self, times: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the phase at each of ``times`` into the rows of ``out`` (shape (len(times),) + the
         lattice's shape) and return it.
 
         The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]:
-        the frequencies are exact negatives and sine is odd), so one broadcast
-        evaluation writes every time's phase on the half-axis symbol straight
-        into the first M/2+1 entries of its row, which are mirrored onto the
-        rest.  In d >= 2 each row is the outer product of d one-axis phases:
-        M*d exponentials per time instead of M^d.
+        the frequencies are exact negatives and sine is odd), and so is its
+        frequency, so one broadcast evaluation writes every time's phase on
+        the half-axis frequency straight into the first M/2+1 entries of its
+        row, which are mirrored onto the rest.  In d >= 2 each row is the
+        outer product of d one-axis phases: M*d exponentials per time instead
+        of M^d.
         """
         lat = self.lattice
         t = np.asarray(times, dtype=float)[:, np.newaxis]
         axes = out if lat.d == 1 else np.empty((t.shape[0], lat.M), dtype=complex)
-        n = self._half_symbol.size
-        self._phase(t, self._half_symbol, axes[:, :n])
+        n = self._half_omega.size
+        self._phase(t, self._half_omega, axes[:, :n])
         axes[:, n:] = axes[:, n - 2 : 0 : -1]
         grid = axes
         for j in range(1, lat.d):  # grid[k, i_1, ..., i_j] = prod over the axes of axes[k, i_axis], folded left

@@ -81,7 +81,9 @@ _CHUNK_BYTES = 256 * 1024  # largest inverse-transform block: numpy's temporary-
 
 @functools.cache
 def _row_worker():
-    """The one thread that transforms the rows of :func:`_inverse_rows` of 256 KiB or more, started on first use."""
+    """The package's one worker thread, started on first use: it transforms the rows of :func:`_inverse_rows`
+    of 256 KiB or more, and runs the upper half of the offsets of the frequency-block axis-norm kernel
+    (:func:`latticewave.harness._knapp_axis_norms`)."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="latticewave-rows")
@@ -111,10 +113,13 @@ def _inverse_rows(shape: tuple[int, ...], count: int, fill, group: int = 1) -> I
     transformed inline, since their fill is too short for a handoff to hide.
     A row of 256 KiB or more is a block of its own (at ``group`` 1): the
     caller fills block k+1 while the worker thread transforms block k, so at
-    most two blocks are alive here.  That worker is the package's only
-    thread: scan cells still run serially.  Each job runs in a copy of the
-    caller's context, which carries its ``np.errstate``; a block still in
-    flight when the caller stops early is finished and dropped.
+    most two blocks are alive here.  That worker (:func:`_row_worker`) is
+    the package's only thread, shared with the frequency-block axis-norm
+    kernel: a job of one queues behind the other's, and no job waits on
+    the worker, so they cannot deadlock.  Scan cells still run serially.
+    Each job runs in a copy of the caller's context, which carries its
+    ``np.errstate``; a block still in flight when the caller stops early is
+    finished and dropped.
     """
     row_bytes = 16 * math.prod(shape)
     per = group * max(1, _CHUNK_BYTES // (group * row_bytes))

@@ -139,6 +139,9 @@ SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.
     ["dnls", "--dt", "1e-9", "--T", "1"],
     ["strichartz", "--q", "6", "--r", "inf", "--n-t", "100000000"],
     ["decay", "--d", "1", "--h", "1", "--M", "64", "--full", "--n-t", "100000000"],
+    [*KNAPP, "--eps-list", "0.04,0.04"],
+    ["uniformity", "--d", "1", "--h-list", "0.5,0.5", "--q", "6", "--r", "inf"],
+    ["constants", "--kind", "bernstein", "--h-list", "1", "--q", "inf", "--ensemble", "100000000"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
@@ -152,7 +155,7 @@ SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.
         "constants-s-symbol-overflow", "constants-gn-s-nan", "constants-sobolev-s-nan", "strichartz-q0",
         "strichartz-r0", "uniformity-q0", "knapp-r0", "pairs-d3-r-max-0", "pairs-d1-r-max-0", "decay-h-inf",
         "strichartz-h-inf", "pairs-count-over-cap", "dnls-steps-over-cap", "strichartz-n_t-over-cap",
-        "decay-n_t-over-cap"])
+        "decay-n_t-over-cap", "knapp-eps-repeated", "uniformity-h-repeated", "constants-ensemble-over-cap"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err
@@ -201,6 +204,10 @@ def test_rejected_input_exits_two(argv, capsys):
     (["dnls", "--dt", "1e-9", "--T", "1"], "T/dt = 1e+09"),
     (["strichartz", "--q", "6", "--r", "inf", "--n-t", "100000000"], "n_t = 100000000"),
     (["decay", "--d", "1", "--h", "1", "--M", "64", "--full", "--n-t", "100000000"], "n_t = 100000000"),
+    ([*KNAPP, "--eps-list", "0.04,0.02,0.04"], "eps_list repeats 0.04"),
+    (["uniformity", "--d", "1", "--h-list", "0.5,0.5", "--q", "6", "--r", "inf"], "h_list repeats 0.5"),
+    (["constants", "--kind", "bernstein", "--h-list", "1", "--q", "inf", "--ensemble", "100000000"],
+     "ensemble = 100000000"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
@@ -209,7 +216,8 @@ def test_rejected_input_exits_two(argv, capsys):
         "constants-s-symbol-overflow", "constants-s-part-overflow", "constants-gn-s-nan", "strichartz-q0",
         "knapp-r0", "pairs-r-max-0", "pairs-d3-r-max-inf", "s1-d3-r-max-inf", "decay-N-below-smallest-scale",
         "decay-h-inf", "strichartz-h-inf", "pairs-count-over-cap", "dnls-steps-over-cap",
-        "strichartz-n_t-over-cap", "decay-n_t-over-cap"])
+        "strichartz-n_t-over-cap", "decay-n_t-over-cap", "knapp-eps-repeated", "uniformity-h-repeated",
+        "constants-ensemble-over-cap"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

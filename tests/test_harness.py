@@ -1,5 +1,6 @@
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 from functools import reduce
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latticewave import harness, spectral
+from latticewave import dnls, harness, spectral
 from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform_bound_experiment
 from latticewave.errors import ConfigurationError, WindowError
 from latticewave.harness import (
@@ -31,6 +32,7 @@ from latticewave.harness import (
     uniformity_scan,
 )
 from latticewave.lattice import (
+    MAX_SITES,
     GridFunction,
     Lattice,
     boundary_mask,
@@ -65,6 +67,39 @@ def test_loglog_fit_recovers_power_law():
     fit = loglog_fit(x, y)
     assert fit["slope"] == pytest.approx(-0.5, abs=1e-12)
     assert fit["r_squared"] == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("x", [[2.0], [2.0, 2.0], [0.5, 0.5, 0.5]])
+def test_loglog_fit_needs_two_distinct_abscissae(x):
+    with pytest.raises(ValueError, match="two distinct abscissae"):
+        loglog_fit(np.array(x), np.arange(1.0, len(x) + 1.0))
+
+
+class _NoCell:
+    """Stands in for ``Lattice`` inside a driver: building a cell's lattice fails the test."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    @staticmethod
+    def for_box(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+
+SCANS_OVER_H = {
+    "uniformity": (harness, lambda hs: uniformity_scan("schrodinger", hs, AdmissiblePair(q=6.0, r=math.inf, d=1))),
+    "constants": (harness, lambda hs: inequality_constant_scan("bernstein", hs, q=math.inf, ensemble=4)),
+    "knapp_h_sharpness": (harness, lambda hs: knapp_h_sharpness(hs, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1))),
+    "uniform_bound": (dnls, lambda hs: uniform_bound_experiment(hs, continuum_gaussian(1.0, 2.0))),
+}
+
+
+@pytest.mark.parametrize("scan", list(SCANS_OVER_H))
+def test_scans_reject_a_repeated_spacing_before_the_first_cell(scan, monkeypatch):
+    module, run = SCANS_OVER_H[scan]
+    monkeypatch.setattr(module, "Lattice", _NoCell)
+    with pytest.raises(ConfigurationError, match=re.escape("h_list repeats 0.25")):
+        run([1.0, 0.25, 0.5, 0.25])
 
 
 # ---------------------------------------------------------------------------
@@ -803,6 +838,19 @@ def test_uniformity_scan_rejects_unknown_data():
 # ---------------------------------------------------------------------------
 # ensembles and constant scans
 
+def test_random_ensemble_bounds_its_size_before_any_draw():
+    lat = Lattice(h=1.0, d=2, M=64)
+    size = MAX_SITES // lat.site_count + 1
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigurationError, match=f"^ensemble = {size} fields of 4096 sites exceeds MAX_SITES"):
+            random_ensemble(lat, size, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_random_ensemble_is_deterministic_and_mean_zero():
     lat = Lattice(h=0.5, d=1, M=64)
     a = random_ensemble(lat, 8, seed=3, cell_key=1)
@@ -1249,6 +1297,87 @@ def test_knapp_centres_sharing_an_offset_share_one_pass(case):
         norms = _knapp_axis_norms(h, d1, centers, rp, x_window)
     assert counting.cos_calls == offsets.size
     np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
+
+
+class _RecordingWorker:
+    """Stands in for the harness's row worker: hands each job to the real one and keeps its future."""
+
+    def __init__(self):
+        self.jobs = []
+
+    def submit(self, *args):
+        job = spectral._row_worker().submit(*args)
+        self.jobs.append(job)
+        return job
+
+
+SPAN = spectral._CHUNK_BYTES // 8  # window sites per span of the kernel's two-operand passes
+
+# centres at h = 0.5, each set's offsets (sorted) and whether delta = 0 lands in the worker's upper half
+KNAPP_SPLIT_CENTRES = {
+    "one-offset": ([1.5, -1.5], [0.0], False),
+    "two-zero-in-caller": ([0.0, 1.125], [0.0, 0.125], False),
+    "two-zero-in-worker": ([0.375, -2.0], [-0.125, 0.0], True),
+    "three-zero-in-caller": ([0.375, 2.5, 3.5625], [-0.125, 0.0, 0.0625], False),
+    "three-zero-in-worker": ([-0.375, 1.4375, 0.0], [-0.125, -0.0625, 0.0], True),
+}
+
+
+@pytest.mark.parametrize("n_win", [5, SPAN // 2 - 1, SPAN // 2, SPAN, 3 * SPAN // 2 + 7],
+                         ids=["short", "span-minus-one", "span-plus-one", "centre-opens-a-span", "three-spans"])
+@pytest.mark.parametrize("case", list(KNAPP_SPLIT_CENTRES))
+def test_knapp_split_kernel_equals_one_pass_per_magnitude(case, n_win, monkeypatch):
+    # a window holds 2 n_win + 1 sites, an odd count, so it brackets the even span at SPAN -+ 1
+    centers, offsets, zero_in_worker = KNAPP_SPLIT_CENTRES[case]
+    h, d1, rp = 0.5, 1.0 / 64.0, 8.0 / 7.0
+    x_window = n_win * d1 * h  # dyadic, so the kernel's ceil returns n_win exactly
+    centers = np.array(centers)
+    magnitudes = np.abs(centers)
+    deltas = np.unique(magnitudes - h * np.round(magnitudes / h))
+    assert deltas.tolist() == offsets
+    assert (deltas.tolist().index(0.0) >= (deltas.size + 1) // 2) == zero_in_worker
+    worker = _RecordingWorker()
+    monkeypatch.setattr(harness, "_row_worker", lambda: worker)
+    norms = _knapp_axis_norms(h, d1, centers, rp, x_window)
+    np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
+    assert len(worker.jobs) == (deltas.size >= 2)  # the split cannot silently vanish, and one offset stays inline
+    assert all(job.done() for job in worker.jobs)
+
+
+class _NumpyFailingOn:
+    """Stands in for ``numpy`` inside the harness; ``power`` raises on the main thread or on the others."""
+
+    def __init__(self, main: bool):
+        self.main = main
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def power(self, *args, **kwargs):
+        if (threading.current_thread() is threading.main_thread()) == self.main:
+            raise FloatingPointError("main" if self.main else "worker")
+        return np.power(*args, **kwargs)
+
+
+@pytest.mark.parametrize("main", [False, True], ids=["worker-half-fails", "caller-half-fails"])
+def test_knapp_split_kernel_raises_a_failing_half_and_leaves_no_job_running(main, monkeypatch):
+    h, d1 = 0.5, 1.0 / 64.0
+    worker = _RecordingWorker()
+    monkeypatch.setattr(harness, "_row_worker", lambda: worker)
+    monkeypatch.setattr(harness, "np", _NumpyFailingOn(main))
+    with pytest.raises(FloatingPointError, match="^main$" if main else "^worker$"):
+        _knapp_axis_norms(h, d1, np.array([0.0, 1.125, 0.375, 2.0625]), 8.0 / 7.0, 3 * SPAN * d1 * h)
+    (job,) = worker.jobs
+    assert job.done()
+    monkeypatch.undo()
+    # the worker is free for the next call
+    np.testing.assert_array_equal(_knapp_axis_norms(h, d1, np.array([0.0, 1.125]), 2.0, 64.0),
+                                  _knapp_axis_norms_by_magnitude(h, d1, np.array([0.0, 1.125]), 2.0, 64.0))
+
+
+def test_knapp_experiment_starts_at_most_one_thread():
+    knapp_experiment(0.5, 0.04, 0.1, AdmissiblePair(q=8.0, r=8.0, d=1), M=256, n_t=101, x_window=64.0)
+    assert threading.active_count() <= 2
 
 
 @pytest.mark.parametrize("n_t", [1001, 1000])

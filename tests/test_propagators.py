@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from functools import reduce
 
@@ -152,9 +153,9 @@ def test_additive_flag_is_true_to_the_phase(kind, t):
     """At d = 2 the phase of the summed symbol is the outer product of the one-axis phases
     exactly when the kind says it is additive."""
     lat = Lattice(h=0.5, d=2, M=16)
-    phase = DISPERSIONS[kind].phase
-    axis = phase(t, lattice_symbol(lat.axis_frequencies(), lat.h))
-    summed = phase(t, laplacian_symbol_grid(lat))
+    flow = DISPERSIONS[kind]
+    axis = flow.phase(t, flow.frequency(lattice_symbol(lat.axis_frequencies(), lat.h)))
+    summed = flow.phase(t, flow.frequency(laplacian_symbol_grid(lat)))
     assert np.allclose(summed, np.multiply.outer(axis, axis), rtol=0, atol=1e-12) == DISPERSIONS[kind].additive
 
 
@@ -192,6 +193,20 @@ def test_half_axis_phase_equals_full_axis_formula(kind, t):
         assert np.array_equal(PhaseSpec(kind, lat).multiplier_grid(t), full), M
 
 
+@pytest.mark.parametrize("kind", FLOW_KINDS)
+def test_phase_spec_takes_the_frequency_once(kind, monkeypatch):
+    """The dispersion relation is evaluated on the half axis when the flow is built, never per time."""
+    row, sizes = DISPERSIONS[kind], []
+    counting = dataclasses.replace(row, frequency=lambda s: sizes.append(s.size) or row.frequency(s))
+    monkeypatch.setitem(DISPERSIONS, kind, counting)
+    lat = Lattice(h=0.5, d=1, M=64)
+    spec = PhaseSpec(kind, lat)
+    for t in (0.5, -2.0):
+        spec.multiplier_grid(t)
+    spec.phases_into(np.array([1.0, 3.0]), np.empty((2,) + lat.shape, dtype=complex))
+    assert sizes == [lat.M // 2 + 1]
+
+
 @pytest.mark.parametrize("kind,d", [("schrodinger", 1), ("schrodinger", 2), ("schrodinger", 3),
                                     ("klein_gordon", 1)])
 def test_block_phases_equal_phase_into_at_each_time_bit_for_bit(kind, d):
@@ -199,12 +214,12 @@ def test_block_phases_equal_phase_into_at_each_time_bit_for_bit(kind, d):
     that time, and the bits of the scalar-t full-axis phase multiplied out over the axes."""
     lat = Lattice(h=0.3, d=d, M=16 if d < 3 else 10)
     times = np.array([0.0, 1.3, -1.3, -0.0, 3e4, -2.5e-3, 7.0])
-    spec = PhaseSpec(kind, lat)
+    spec, flow = PhaseSpec(kind, lat), DISPERSIONS[kind]
     block = spec.phases_into(times, np.empty((times.size,) + lat.shape, dtype=complex))
     axis_symbol = lattice_symbol(lat.axis_frequencies(), lat.h)
     for t, row in zip(times, block):
         alone = spec.phase_into(float(t), np.empty(lat.shape, dtype=complex))
-        dense = reduce(np.multiply.outer, [DISPERSIONS[kind].phase(float(t), axis_symbol)] * d)
+        dense = reduce(np.multiply.outer, [flow.phase(float(t), flow.frequency(axis_symbol))] * d)
         for want in (alone, dense):
             assert np.array_equal(row.view(np.uint64), want.view(np.uint64)), t
 
