@@ -594,6 +594,7 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     """
     _validate_constants_config(kind, d, p, q, s, theta)
     _require_distinct(h_list, "h_list")
+    gn_theta = 1.0 if kind == "sobolev_endpoint" else theta  # the Sobolev endpoint is Gagliardo-Nirenberg at theta = 1
 
     def cell(idx: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
@@ -623,13 +624,10 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
                         if rhs > 0:
                             best = max(best, lhs / rhs)
                     ratios.append((best,))
-                elif kind == "gagliardo_nirenberg":
-                    rhs = lp_norm(f, p) ** (1.0 - theta) * norms[0] ** theta
+                elif kind in ("gagliardo_nirenberg", "sobolev_endpoint"):
+                    rhs = lp_norm(f, p) ** (1.0 - gn_theta) * norms[0] ** gn_theta
                     if rhs > 0:
                         ratios.append((lp_norm(f, q) / rhs,))
-                elif kind == "sobolev_endpoint":
-                    if norms[0] > 0:
-                        ratios.append((lp_norm(f, q) / norms[0],))
                 elif kind == "norm_equivalence":
                     num2 = sum(lp_norm(forward_difference(f, ax), p) for ax in range(d))
                     if norms[0] > 0 and norms[2] > 0:

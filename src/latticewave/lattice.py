@@ -79,7 +79,11 @@ class Lattice:
         M = box / h
         if M > MAX_SITES:  # over the cap in every d; also keeps an infinite box / h from round()
             raise ConfigurationError(f"site count: box / h = {M:.3g} sites per axis exceeds MAX_SITES = {MAX_SITES}")
-        return cls(h=h, d=d, M=int(round(M)))
+        M = int(round(M))
+        if M < 4 or M % 2 != 0:
+            raise ConfigurationError(f"box / h = {box!r} / {h!r} rounds to M = {M} sites per axis; "
+                                     "the lattice needs an even M >= 4")
+        return cls(h=h, d=d, M=M)
 
     @property
     def shape(self) -> tuple[int, ...]:

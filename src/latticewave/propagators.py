@@ -6,9 +6,10 @@ that consume these flows must keep the solution's mass away from the periodic
 boundary (see :func:`latticewave.lattice.boundary_mass_fraction`).
 
 Each flow kind is one :data:`DISPERSIONS` row, read through the checked
-accessor :func:`dispersion`; a :class:`PhaseSpec` is its multiplier on one
-lattice at any t.  Every symbol in the table is real and even in the
-frequency, so the flow of a real datum satisfies u(-t) = conj u(t); the
+accessor :func:`dispersion`, and every flow is the multiplier exp(-i t omega)
+of its row's signed frequency omega; a :class:`PhaseSpec` is that multiplier
+on one lattice at any t.  Every frequency in the table is real and even in
+the dual variable, so the flow of a real datum satisfies u(-t) = conj u(t); the
 space-time norm loop in :mod:`latticewave.harness` relies on this to flow a
 real datum once per distinct |t|, so a kind added to the table must keep it.
 """
@@ -42,10 +43,9 @@ __all__ = [
 class Dispersion:
     """One flow kind, in terms of the one-axis lattice symbol s = (4/h^2) sin^2(h xi / 2).
 
-    ``frequency(s)`` is the dispersion relation omega(s), and
-    ``phase(t, omega, out)`` the multiplier at time t of the frequencies
-    omega, written into ``out`` (a new array when ``out`` is None), so a
-    caller evaluating many times computes omega once.  ``additive``: the
+    ``frequency(s)`` is the signed dispersion relation omega(s): the flow at
+    time t is the multiplier exp(-i t omega) for every kind, so the sign of
+    omega states the direction of the flow.  ``additive``: the
     phase of a sum of one-axis symbols is the product of their phases, so
     the flow maps an outer product of one-axis data to the outer product of
     their flows; a kind without it runs in d = 1 only.  ``degenerate(h)`` is
@@ -55,7 +55,6 @@ class Dispersion:
     """
 
     frequency: Callable[[np.ndarray], np.ndarray]
-    phase: Callable[..., np.ndarray]
     additive: bool
     degenerate: Callable[[float], float]
     weight: Callable[[GridFunction, float], GridFunction]
@@ -65,15 +64,13 @@ DISPERSIONS = {
     # the free lattice flow exp(-i t sum_j s_j)
     "schrodinger": Dispersion(
         frequency=lambda s: s,
-        phase=lambda t, w, out=None: np.exp(-1j * t * w, out=out),
         additive=True,
         degenerate=lambda h: np.pi / (2.0 * h),
         weight=lambda u, q: fractional_derivative(u, 1.0 / q),
     ),
     # the d = 1 half-wave flow exp(i t sqrt(1 + s)) of Stefanov-Kevrekidis
     "klein_gordon": Dispersion(
-        frequency=lambda s: np.sqrt(1.0 + s),
-        phase=lambda t, w, out=None: np.exp(1j * t * w, out=out),
+        frequency=lambda s: -np.sqrt(1.0 + s),
         additive=False,
         degenerate=lambda h: np.arccos(((h**2 + 2.0) - h * np.sqrt(h**2 + 4.0)) / 2.0) / h,
         weight=lambda u, q: bessel_derivative(fractional_derivative(u, 1.0 / 3.0), 1.0),
@@ -94,24 +91,24 @@ def dispersion(kind: str, d: int) -> Dispersion:
 
 
 class PhaseSpec:
-    """The ``kind`` flow on ``lattice``, checked by :func:`dispersion`: its multiplier at any time t, or at
-    a vector of times at once.
+    """The ``kind`` flow on ``lattice``, checked by :func:`dispersion`: its multiplier exp(-i t omega) at any
+    time t, or at a vector of times at once.
 
-    The kind's frequency of the one-axis lattice symbol on the first M/2+1
-    dual-grid frequencies (FFT order) does not depend on t, so the
-    constructor builds it once.
+    The kind's frequency omega of the one-axis lattice symbol on the first
+    M/2+1 dual-grid frequencies (FFT order) does not depend on t, so the
+    constructor builds it once, with its largest modulus.
     """
 
     def __init__(self, kind: str, lattice: Lattice):
         self.lattice = lattice
         flow = dispersion(kind, lattice.d)
-        self._phase = flow.phase
         half_axis = lattice.axis_frequencies()[: lattice.M // 2 + 1]
         self._half_omega = flow.frequency(lattice_symbol(half_axis, lattice.h))
+        self._max_omega = float(np.abs(self._half_omega).max())
 
     def phases_into(self, times: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Write the phase at each of ``times`` into the rows of ``out`` (shape (len(times),) + the
-        lattice's shape) and return it.
+        lattice's shape) and return it; ConfigurationError when some t * omega is past the float range.
 
         The one-axis symbol is exactly even in FFT order (sym[k] == sym[M-k]:
         the frequencies are exact negatives and sine is odd), and so is its
@@ -123,9 +120,13 @@ class PhaseSpec:
         """
         lat = self.lattice
         t = np.asarray(times, dtype=float)[:, np.newaxis]
+        t_max = float(np.abs(t).max())
+        if not math.isfinite(t_max * self._max_omega):
+            raise ConfigurationError(f"the phase t * omega is not finite at |t| = {t_max:.3g} "
+                                     f"(max |omega| = {self._max_omega:.3g} on this lattice)")
         axes = out if lat.d == 1 else np.empty((t.shape[0], lat.M), dtype=complex)
         n = self._half_omega.size
-        self._phase(t, self._half_omega, axes[:, :n])
+        np.exp(-1j * t * self._half_omega, out=axes[:, :n])
         axes[:, n:] = axes[:, n - 2 : 0 : -1]
         grid = axes
         for j in range(1, lat.d):  # grid[k, i_1, ..., i_j] = prod over the axes of axes[k, i_axis], folded left
@@ -133,15 +134,11 @@ class PhaseSpec:
             grid = np.multiply(grid[..., np.newaxis], last, out=out if j == lat.d - 1 else None)
         return out
 
-    def phase_into(self, t: float, out: np.ndarray) -> np.ndarray:
-        """Write the phase at time t on the dual grid into ``out`` (the lattice's shape) and return it
-        (see :meth:`phases_into`)."""
+    def multiplier_grid(self, t: float) -> np.ndarray:
+        """The phase at time t on a new dual grid (see :meth:`phases_into`)."""
+        out = np.empty(self.lattice.shape, dtype=complex)
         self.phases_into([t], out[np.newaxis])
         return out
-
-    def multiplier_grid(self, t: float) -> np.ndarray:
-        """The phase at time t on a new dual grid (see :meth:`phase_into`)."""
-        return self.phase_into(t, np.empty(self.lattice.shape, dtype=complex))
 
 
 def schrodinger_flow(f: GridFunction, t: float) -> GridFunction:

@@ -1,4 +1,9 @@
-"""The benchmark's per-layer metrics name functions the package still defines.
+"""The benchmark still runs against the package: its workloads pass and its per-layer metrics name
+functions the package still defines.
+
+``bench/workloads.py`` calls harness drivers, reads result fields and runs CLI
+commands by name, so one untimed pass of each workload catches a rename or a
+removal that would otherwise show only as a failed benchmark operation.
 
 ``bench/spans.py`` wraps every public function of the seven ``latticewave``
 modules, plus ``GridFunction.__post_init__`` and ``PhaseSpec.multiplier_grid``,
@@ -22,7 +27,8 @@ EXTRAS = {
     "propagators.multiplier_grid": ("PhaseSpec", "multiplier_grid"),
 }
 
-METRICS = [m["name"] for m in json.loads((Path(__file__).parents[1] / "BENCHMARK.json").read_text())["per_layer"]]
+ROOT = Path(__file__).parents[1]
+METRICS = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
 SPANS = sorted({name.rsplit(".", 1)[0] for name in METRICS
                 if name.count(".") == 2 and name.split(".")[0] in LAYERS and name.endswith((".self_s", ".calls"))})
 
@@ -43,3 +49,16 @@ def test_each_traced_span_is_a_function_of_its_module(span):
         fn = getattr(module, name, None)
         assert not name.startswith("_")
         assert inspect.isfunction(fn) and fn.__module__ == module.__name__, span
+
+
+@pytest.mark.parametrize("name", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_each_workload_passes_its_checks_once(name, tmp_path, monkeypatch):
+    """Every operation of the workload runs in order and meets its check, with strict JSON outputs."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    workloads = importlib.import_module("workloads")
+    wl = workloads.build(name, seed=0, outdir=str(tmp_path))
+    results = {}
+    for op in wl.ops:
+        results[op.name] = op.call(results)
+        assert op.check(results[op.name], wl) is None, op.name
+    assert wl.nonstrict_outputs == 0
