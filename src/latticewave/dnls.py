@@ -17,7 +17,6 @@ from .errors import ConfigurationError, DivergenceError, WindowError
 from .harness import (
     AdmissiblePair,
     ScanResult,
-    _require_distinct,
     _time_norm,
     admissible_pairs,
     random_ensemble,
@@ -148,10 +147,17 @@ def _strang_step(values: np.ndarray, half: np.ndarray, dt: float, lam: float, p:
     return np.fft.ifftn(spectrum), spectrum
 
 
+def _half_step(lattice: Lattice, dt: float) -> np.ndarray:
+    """The linear multiplier of half a step ``dt``; a phase past the float range is an error naming dt."""
+    try:
+        return PhaseSpec("schrodinger", lattice).multiplier_grid(0.5 * dt)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"dt = {dt:g}: {exc}") from None
+
+
 def step_strang(u: GridFunction, dt: float, cfg: NlsConfig) -> GridFunction:
     """Symmetric composition: half linear flow, full nonlinear phase, half linear flow."""
-    half = PhaseSpec("schrodinger", u.lattice).multiplier_grid(0.5 * dt)
-    return GridFunction(u.lattice, _strang_step(u.values, half, dt, cfg.lam, cfg.p)[0])
+    return GridFunction(u.lattice, _strang_step(u.values, _half_step(u.lattice, dt), dt, cfg.lam, cfg.p)[0])
 
 
 def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
@@ -175,7 +181,7 @@ def evolve(u0: GridFunction, cfg: NlsConfig) -> Trajectory:
     # the half-step multiplier, the edge mask and the Parseval weights, built once per run;
     # h^d sum |u|^2 = c sum |fftn u|^2 with c = h^d / M^d
     lat = u0.lattice
-    half = PhaseSpec("schrodinger", lat).multiplier_grid(0.5 * cfg.dt)
+    half = _half_step(lat, cfg.dt)
     mask = boundary_mask(lat)
     lap = laplacian_symbol_grid(lat)
     bessel = 1.0 + continuum_symbol_grid(lat)
@@ -268,13 +274,15 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
     noise plus Gaussian bumps of widths 0.5 to 4 (those at least h) and their
     modulations exp(i kappa sum_j x_j), kappa in {0.5, 1, 2}: the class evolved
     trajectories live in.  Feeds the focusing a-priori bound; kept
-    independent of any trajectory it is later compared against.
+    independent of any trajectory it is later compared against.  An empty or
+    repeated spacing list is a ConfigurationError (see
+    :func:`latticewave.harness.scan_result`), not a constant of 0.
     """
     th = d * (p - 1.0) / (2.0 * (p + 1.0))
-    best = 0.0
-    for j, h in enumerate(h_list):
+
+    def cell(index: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
-        candidates = list(random_ensemble(lat, ensemble, seed, cell_key=j))
+        candidates = list(random_ensemble(lat, ensemble, seed, cell_key=index))
         coords = lat.coordinate_grids()
         r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
         for w in (0.5, 1.0, 2.0, 4.0):
@@ -284,11 +292,14 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
                 v = np.exp(-r2 / (2.0 * w**2)) * np.exp(1j * kappa * sum(coords))
                 candidates.append(GridFunction(lat, np.broadcast_to(v, lat.shape)))
         kinetic = [radial_power(laplacian_symbol_grid(lat), 1.0)]
+        best = 0.0
         for f, (part,) in zip(candidates, symbol_parts(candidates, kinetic)):
             rhs = lp_norm(f, 2.0) ** (1.0 - th) * modulus_lp_norm(np.abs(part), lat, 2) ** th
             if rhs > 0:
                 best = max(best, lp_norm(f, p + 1.0) / rhs)
-    return best
+        return [h, best]
+
+    return float(scan_result("interpolation", h_list, cell, ["h", "constant"], {}, {}).column("constant").max())
 
 
 def _focusing_bound(e0: float, mass0: float, gn_constant: float, p: float, d: int) -> float:
@@ -333,9 +344,8 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
     :func:`interpolation_constant`; without it the bound column is NaN).
     """
     pairs = admissible_pairs(d, pairs_count, r_max=r_max)
-    _require_distinct(h_list, "h_list")
-    rows = []
-    for h in h_list:
+
+    def cell(index: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
         u0 = from_function(lat, profile)
         cfg = NlsConfig(lam=lam, p=p, dt=dt, T=T, monitors=frozenset({"s1_norm"}), snapshot_stride=snapshot_stride)
@@ -350,8 +360,9 @@ def uniform_bound_experiment(h_list: list[float], profile, *, d: int = 1, box: f
             bound = _focusing_bound(e0, m0, gn_constant, p, d)
         else:
             bound = float("nan")
-        rows.append([h, lat.M, m0, e0, s1, h1_sup, bound])
-    return scan_result("uniform_bound", ["h", "M", "mass0", "energy0", "s1", "h1_sup", "h1_bound"], rows,
+        return [h, lat.M, m0, e0, s1, h1_sup, bound]
+
+    return scan_result("uniform_bound", h_list, cell, ["h", "M", "mass0", "energy0", "s1", "h1_sup", "h1_bound"],
                        {"d": d, "box": box, "lam": lam, "p": p, "dt": dt, "T": T,
                         "pairs_count": pairs_count, "r_max": r_max,
                         "snapshot_stride": snapshot_stride, "gn_constant": gn_constant},

@@ -2,8 +2,13 @@
 
 Every scan samples a deterministic ensemble (per-cell seeds spawned from one
 base seed), records the raw operands of each measured ratio so results are
-recomputable, and reports ordinary least-squares fits on log-log data.  Cells
-run serially in spacing order.
+recomputable, and reports ordinary least-squares fits on log-log data.
+
+Every scan over a spacing list runs through one skeleton, :func:`scan_result`
+(here and in :mod:`latticewave.dnls`): a driver checks its own parameters,
+then hands the list and a cell body to it.  It rejects a repeated spacing,
+then an empty list, runs the cells serially in list order and fits the named
+columns against 1/h.
 """
 
 from __future__ import annotations
@@ -414,18 +419,22 @@ class ScanResult:
         return np.array([row[j] for row in self.rows], dtype=float)
 
 
-def scan_result(kind: str, columns: list[str], rows: list[list], metadata: dict,
+def scan_result(kind: str, h_list: list[float], cell, columns: list[str], metadata: dict,
                 fits: dict[str, str]) -> ScanResult:
-    """Wrap the rows of a spacing scan and fit each named column against 1/h.
+    """Run a spacing scan: the one loop over a spacing list, one row per spacing.
 
-    ``fits`` maps a fit name to the column it fits.  Fits need at least two
-    rows, and a column holding a value that is not finite and positive (a
-    degenerate minimum of a one-sided scan, or an infinite or NaN ratio) has
-    no log-log fit and is skipped.  A scan with no rows (an empty spacing
-    list) is a configuration error.
+    In order: a repeated spacing is a ConfigurationError naming it (a fit
+    against 1/h needs distinct abscissae), and so is an empty list; then
+    ``cell(index, h)`` returns the row of each spacing, in list order; then
+    each column named in ``fits`` (a fit name -> column map) is fitted
+    against 1/h.  Fits need at least two rows, and a column holding a value
+    that is not finite and positive (a degenerate minimum of a one-sided
+    scan, or an infinite or NaN ratio) has no log-log fit and is skipped.
     """
-    if not rows:
+    _require_distinct(h_list, "h_list")
+    if not h_list:
         raise ConfigurationError(f"{kind} scan has no cells: pass at least one spacing")
+    rows = [cell(index, h) for index, h in enumerate(h_list)]
     result = ScanResult(kind=kind, columns=columns, rows=rows, metadata=metadata)
     if len(rows) >= 2:
         inv_h = 1.0 / result.column("h")
@@ -462,9 +471,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     if n_t > MAX_SITES:
         raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
     weight = dispersion(kind, pair.d).weight
-    _require_distinct(h_list, "h_list")
-    rows = []
-    for h in h_list:
+
+    def cell(index: int, h: float) -> list:
         lat = Lattice.for_box(h, pair.d, box)
         u0 = point_mass(lat) if data == "point" else gaussian(lat, box / 16.0)
         u0 = u0 * (1.0 / lp_norm(u0, 2))
@@ -473,11 +481,11 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         S = strichartz_norm(u0, pair, T, t_grid=grid, kind=kind)
         rhs_with = lp_norm(weight(u0, pair.q), 2)
         rhs_without = lp_norm(u0, 2)
-        rows.append([h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without])
+        return [h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without]
+
     return scan_result(
-        "uniformity",
+        "uniformity", h_list, cell,
         ["h", "M", "T", "strichartz", "rhs_with", "rhs_without", "ratio_with", "ratio_without"],
-        rows,
         {"flow": kind, "q": pair.q, "r": pair.r, "d": pair.d, "box": box,
          "data": data, "horizon_fraction": horizon_fraction, "n_t": n_t},
         {"with": "ratio_with", "without": "ratio_without"},
@@ -593,7 +601,6 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
     :func:`symbol_parts`; an overflowing symbol or weighted norm names s.
     """
     _validate_constants_config(kind, d, p, q, s, theta)
-    _require_distinct(h_list, "h_list")
     gn_theta = 1.0 if kind == "sobolev_endpoint" else theta  # the Sobolev endpoint is Gagliardo-Nirenberg at theta = 1
 
     def cell(idx: int, h: float) -> list:
@@ -640,18 +647,17 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
             raise ConfigurationError(f"no field of the ensemble has a positive right side at h = {h!r}")
         return [h, lat.M, *(extreme(column) for column in zip(*ratios) for extreme in (max, min))]
 
-    try:
-        rows = [cell(idx, h) for idx, h in enumerate(h_list)]
-    except FloatingPointError:  # a weighted part or norm past the float range, not a non-finite row or field
-        raise ConfigurationError(f"a derivative-weighted norm overflows at s = {s!r}") from None
     if kind == "norm_equivalence":
         columns = ["h", "M", "max_ratio_power", "min_ratio_power", "max_ratio_difference", "min_ratio_difference"]
     else:
         columns = ["h", "M", "max_ratio", "min_ratio"]
-    return scan_result(f"constants:{kind}", columns, rows,
-                       {"box": box, "d": d, "p": p, "q": q, "s": s, "theta": theta,
-                        "ensemble": ensemble, "seed": seed},
-                       {name: name for name in columns[2:]})
+    try:
+        return scan_result(f"constants:{kind}", h_list, cell, columns,
+                           {"box": box, "d": d, "p": p, "q": q, "s": s, "theta": theta,
+                            "ensemble": ensemble, "seed": seed},
+                           {name: name for name in columns[2:]})
+    except FloatingPointError:  # a weighted part or norm past the float range, not a non-finite row or field
+        raise ConfigurationError(f"a derivative-weighted norm overflows at s = {s!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -846,12 +852,11 @@ def knapp_h_sharpness(h_list: list[float], s: float, pair: AdmissiblePair, **kwa
     grows like a positive power of 1/h, exhibiting the failure of any uniform
     constant; at s = 1/q it stays flat.
     """
-    _require_distinct(h_list, "h_list")
-    rows = []
-    for h in h_list:
+    def cell(index: int, h: float) -> list:
         eps = KNAPP_COUPLING * np.pi * h * h / 2.0
         rep = knapp_experiment(h, eps, s, pair, **kwargs)
-        rows.append([h, eps, rep.left_norm, rep.right_norm, rep.left_norm / rep.right_norm])
-    return scan_result("knapp_h_sharpness", ["h", "epsilon", "left_norm", "right_norm", "ratio"], rows,
+        return [h, eps, rep.left_norm, rep.right_norm, rep.left_norm / rep.right_norm]
+
+    return scan_result("knapp_h_sharpness", h_list, cell, ["h", "epsilon", "left_norm", "right_norm", "ratio"],
                        {"s": s, "q": pair.q, "r": pair.r, "d": pair.d, "coupling": KNAPP_COUPLING},
                        {"ratio": "ratio"})

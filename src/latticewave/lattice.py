@@ -11,6 +11,7 @@ with the physical box held fixed.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import reduce
@@ -68,6 +69,9 @@ class Lattice:
             raise ValueError("M must be an even integer >= 4")
         if int(self.M) ** self.d > MAX_SITES:
             raise ConfigurationError(f"site count M^d = {self.M}^{self.d} exceeds MAX_SITES = {MAX_SITES}")
+        if self.h**self.d < sys.float_info.min or self.h**2 == 0.0 or math.isinf(4.0 / self.h**2):
+            raise ConfigurationError(f"lattice spacing h={self.h!r} is too small: the cell volume h^{self.d} is "
+                                     "below the smallest normal float or the symbol scale 4/h^2 overflows")
 
     @classmethod
     def for_box(cls, h: float, d: int, box: float) -> "Lattice":

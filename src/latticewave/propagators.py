@@ -3,7 +3,9 @@
 Time evolution is applied as a unimodular Fourier multiplier, so there is no
 integrator error: t enters only through symbol evaluation.  Decay experiments
 that consume these flows must keep the solution's mass away from the periodic
-boundary (see :func:`latticewave.lattice.boundary_mass_fraction`).
+boundary (see :func:`latticewave.lattice.density_mass_fraction`, and
+:func:`latticewave.harness._outer_edge_fractions` for a flow read as one-axis
+factors).
 
 Each flow kind is one :data:`DISPERSIONS` row, read through the checked
 accessor :func:`dispersion`, and every flow is the multiplier exp(-i t omega)

@@ -1,0 +1,144 @@
+"""Recompute the committed output manifest ``tests/golden/outputs.json``.
+
+The manifest pins the bits of a fixed panel of outputs, so "bit-identical" is
+a check that ``tests/test_golden.py`` reruns, not a claim:
+
+- ``float.hex`` of every row and fit of the five spacing scans (uniformity,
+  every constants kind, ``knapp_h_sharpness``, the uniform bound) at small
+  sizes, and of ``interpolation_constant`` in d = 1 and d = 2;
+- the sha256 of the file each README CLI example writes with ``--out``, and of
+  the ``dnls`` example's ``states.bin``, run in-process with relative paths
+  under ``LATTICEWAVE_OUTDIR``.
+
+numpy's version is recorded too: another version may round differently, and
+the test then names both versions instead of every entry.
+
+Run ``python tests/golden/regen.py`` from the repository root to rewrite the
+manifest, and list each changed entry old -> new in ``CHANGES.md``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import math
+import os
+import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+MANIFEST = Path(__file__).with_name("outputs.json")
+
+if __name__ == "__main__":  # run as a script: read the package from this checkout's source
+    sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "src"))
+
+import numpy as np  # noqa: E402
+
+from latticewave import cli  # noqa: E402
+from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform_bound_experiment  # noqa: E402
+from latticewave.harness import (  # noqa: E402
+    AdmissiblePair,
+    inequality_constant_scan,
+    knapp_h_sharpness,
+    uniformity_scan,
+)
+
+# the README CLI examples, each writing --out under LATTICEWAVE_OUTDIR
+README_EXAMPLES = {
+    "pairs.csv": ["pairs", "--d", "1", "--count", "5"],
+    "decay_full.csv": ["decay", "--kind", "schrodinger", "--d", "1", "--h", "1", "--M", "4096", "--full",
+                       "--t-min", "1", "--t-max", "100", "--n-t", "25"],
+    "decay_band.csv": ["decay", "--d", "1", "--h", "1", "--M", "16384", "--N", "1/8", "--t-min", "30",
+                       "--t-max", "3000"],
+    "uniformity.csv": ["uniformity", "--kind", "schrodinger", "--d", "1", "--h-list", "1,0.5,0.25,0.125,0.0625",
+                       "--q", "6", "--r", "inf", "--box", "64"],
+    "constants.csv": ["constants", "--kind", "bernstein", "--d", "1", "--h-list", "1,0.5,0.25", "--box", "16",
+                      "--p", "2", "--q", "inf", "--ensemble", "32"],
+    "knapp_d1.csv": ["knapp", "--h", "0.5", "--eps-list", "0.04,0.02,0.01", "--q", "8", "--r", "8", "--s", "0.125"],
+    "knapp_d2.csv": ["knapp", "--d", "2", "--h", "0.5", "--eps-list", "0.04", "--q", "6", "--r", "4", "--s", "0.1"],
+    "czdemo.csv": ["czdemo", "--d", "1", "--M", "64", "--seed", "3"],
+    "dnls.csv": ["dnls", "--d", "1", "--h", "0.5", "--box", "32", "--lam", "1", "--p", "3", "--dt", "0.005",
+                 "--T", "1", "--snapshots", "states.bin"],
+    "s1.csv": ["s1", "--d", "1", "--h", "0.5", "--box", "32", "--lam", "1", "--p", "3", "--dt", "0.005", "--T", "1"],
+}
+
+
+def _focusing_packet(*coords):
+    """Criterion 11's focusing datum: a modulated Gaussian."""
+    x = coords[0]
+    return 0.6 * np.exp(-x**2 / 2.0) * np.exp(1j * x)
+
+
+def _hex(value):
+    """``value`` with every float written as ``float.hex``, ints and strings as they are."""
+    if isinstance(value, dict):
+        return {key: _hex(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return [_hex(v) for v in value]
+    if isinstance(value, float):  # np.float64 included
+        return value.hex()
+    return value
+
+
+def _scan(scan) -> dict:
+    return {"columns": scan.columns, "rows": _hex(scan.rows), "fits": _hex(scan.fits)}
+
+
+def scan_entries() -> dict:
+    """The spacing-scan panel: each entry the hex of a scan's rows and fits, or of one constant."""
+    d1 = AdmissiblePair(q=6.0, r=math.inf, d=1)
+    d2 = AdmissiblePair(q=6.0, r=4.0, d=2)
+    entries = {}
+    for kind in ("schrodinger", "klein_gordon"):
+        entries[f"uniformity d=1 {kind}"] = _scan(uniformity_scan(
+            kind, [1.0, 0.5, 0.25], d1, box=32.0, horizon_fraction=0.1, n_t=64))
+    entries["uniformity d=2 schrodinger"] = _scan(uniformity_scan(
+        "schrodinger", [1.0, 0.5], d2, box=16.0, horizon_fraction=0.05, n_t=64))
+    constants = {
+        "bernstein": {"p": 2.0, "q": math.inf},
+        "gagliardo_nirenberg": {"p": 2.0, "q": math.inf, "s": 1.0, "theta": 0.5},
+        "sobolev_endpoint": {"p": 2.0, "q": 4.0, "s": 0.25},
+        "norm_equivalence": {"p": 2.0, "s": 0.5},
+        "square_function": {"p": 3.0},
+    }
+    for kind, exponents in constants.items():
+        entries[f"constants {kind}"] = _scan(inequality_constant_scan(
+            kind, [1.0, 0.5, 0.25], box=16.0, ensemble=8, seed=5, **exponents))
+    entries["knapp_h_sharpness"] = _scan(knapp_h_sharpness(
+        [0.5, 0.25, 0.125], 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=4096, n_t=101, x_window=64.0))
+    gn = interpolation_constant([1.0, 0.5], d=1, box=16.0, p=2.5, ensemble=8)
+    entries["interpolation_constant d=1"] = gn.hex()
+    entries["interpolation_constant d=2"] = interpolation_constant(
+        [1.0, 0.5], d=2, box=8.0, p=3.0, ensemble=4).hex()
+    entries["uniform_bound defocusing"] = _scan(uniform_bound_experiment(
+        [1.0, 0.5], continuum_gaussian(1.0, 2.0), d=1, box=32.0, lam=1.0, p=3.0, dt=0.01, T=0.2,
+        pairs_count=4, snapshot_stride=2))
+    entries["uniform_bound focusing"] = _scan(uniform_bound_experiment(
+        [1.0, 0.5], _focusing_packet, d=1, box=32.0, lam=-1.0, p=2.5, dt=0.01, T=0.2,
+        pairs_count=4, snapshot_stride=2, gn_constant=gn))
+    return entries
+
+
+def cli_entries() -> dict:
+    """The sha256 of each README example's ``--out`` file and of ``states.bin``, keyed by file name."""
+    with tempfile.TemporaryDirectory() as outdir, mock.patch.dict(os.environ, {"LATTICEWAVE_OUTDIR": outdir}):
+        for name, argv in README_EXAMPLES.items():
+            if cli.run([*argv, "--out", name]) != 0:
+                raise RuntimeError(f"README example {name} failed: {' '.join(argv)}")
+        names = [*README_EXAMPLES, "states.bin"]
+        return {f"cli {name}": hashlib.sha256(Path(outdir, name).read_bytes()).hexdigest() for name in names}
+
+
+def manifest() -> dict:
+    return {"numpy": np.__version__, "entries": {**scan_entries(), **cli_entries()}}
+
+
+def render(doc: dict) -> str:
+    """The manifest's file text: sorted keys and a trailing newline, so reruns write the same bytes."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
+
+
+if __name__ == "__main__":
+    MANIFEST.write_text(render(manifest()))
+    print(f"wrote {MANIFEST}")

@@ -211,6 +211,7 @@ def test_rejected_input_exits_two(argv, capsys):
     (["decay", "--full", "--M", "64", "--t-min", "1", "--t-max", "1e308", "--n-t", "3"], "|t| = 1e+308"),
     (["strichartz", "--q", "6", "--r", "inf", "--T", "1e308"], "|t| = 1e+308"),
     (["dnls", "--h", "0.01", "--M", "64", "--dt", "1e305", "--T", "1e305"], "|t| = 5e+304"),
+    (["dnls", "--h", "0.01", "--M", "64", "--dt", "1e305", "--T", "1e305"], "dt = 1e+305"),
     (["decay", "--kind", "klein_gordon", "--h", "1e-150", "--M", "64", "--full", "--t-min", "1", "--t-max", "1e160",
       "--n-t", "3"], "|t| = 1e+160"),
     (["uniformity", "--h-list", "1,0.3", "--q", "6", "--r", "inf", "--box", "64"],
@@ -218,6 +219,10 @@ def test_rejected_input_exits_two(argv, capsys):
     (["strichartz", "--q", "6", "--r", "inf", "--box", "5", "--h", "1"], "box / h = 5.0 / 1.0 rounds to M = 5"),
     (["decay", "--full", "--box", "4097", "--h", "1"], "box / h = 4097.0 / 1.0 rounds to M = 4097"),
     (["strichartz", "--q", "6", "--r", "inf", "--box", "1e-300"], "box / h = 1e-300 / 1.0 rounds to M = 0"),
+    (["decay", "--h", "1e-200", "--M", "64", "--full"], "h=1e-200"),
+    (["decay", "--h", "1e-160", "--M", "64", "--full"], "h=1e-160"),
+    (["decay", "--d", "2", "--h", "1e-160", "--M", "64", "--full"], "h=1e-160"),
+    (["decay", "--d", "3", "--h", "1e-120", "--M", "8", "--full"], "h=1e-120"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
@@ -227,9 +232,10 @@ def test_rejected_input_exits_two(argv, capsys):
         "knapp-r0", "pairs-r-max-0", "pairs-d3-r-max-inf", "s1-d3-r-max-inf", "decay-N-below-smallest-scale",
         "decay-h-inf", "strichartz-h-inf", "pairs-count-over-cap", "dnls-steps-over-cap",
         "strichartz-n_t-over-cap", "decay-n_t-over-cap", "knapp-eps-repeated", "uniformity-h-repeated",
-        "constants-ensemble-over-cap", "decay-phase-overflow", "strichartz-phase-overflow", "dnls-phase-overflow",
+        "constants-ensemble-over-cap", "decay-phase-overflow", "strichartz-phase-overflow", "dnls-phase-overflow", "dnls-phase-overflow-names-dt",
         "decay-kg-phase-overflow", "uniformity-box-odd-M", "strichartz-box-odd-M", "decay-box-odd-M",
-        "strichartz-box-M-0"])
+        "strichartz-box-M-0", "decay-h-squared-underflow", "decay-4-over-h-squared-overflow",
+        "decay-d2-cell-volume-subnormal", "decay-d3-cell-volume-underflow"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

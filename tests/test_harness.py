@@ -91,6 +91,7 @@ SCANS_OVER_H = {
     "constants": (harness, lambda hs: inequality_constant_scan("bernstein", hs, q=math.inf, ensemble=4)),
     "knapp_h_sharpness": (harness, lambda hs: knapp_h_sharpness(hs, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1))),
     "uniform_bound": (dnls, lambda hs: uniform_bound_experiment(hs, continuum_gaussian(1.0, 2.0))),
+    "interpolation": (dnls, interpolation_constant),
 }
 
 
@@ -748,24 +749,25 @@ def test_uniformity_scan_weights_each_kind_by_its_stated_derivative_loss(kind, q
 
 def test_scan_result_fits_only_positive_columns():
     rows = [[1.0, 2.0, 0.0], [0.5, 4.0, 1.0]]
-    scan = scan_result("demo", ["h", "up", "degenerate"], rows, {}, {"up": "up", "flat": "degenerate"})
+    scan = scan_result("demo", [1.0, 0.5], lambda i, h: rows[i], ["h", "up", "degenerate"], {},
+                       {"up": "up", "flat": "degenerate"})
     assert set(scan.fits) == {"up"}
     assert scan.fits["up"]["slope"] == pytest.approx(1.0)
-    assert scan_result("demo", ["h", "up", "degenerate"], rows[:1], {}, {"up": "up"}).fits == {}
+    assert scan_result("demo", [1.0], lambda i, h: rows[i], ["h", "up", "degenerate"], {}, {"up": "up"}).fits == {}
 
 
 def test_scan_result_skips_non_finite_columns():
     rows = [[1.0, 2.0, math.inf, math.nan], [0.5, 4.0, 1.0, 1.0]]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        scan = scan_result("demo", ["h", "up", "infinite", "nan"], rows, {},
+        scan = scan_result("demo", [1.0, 0.5], lambda i, h: rows[i], ["h", "up", "infinite", "nan"], {},
                            {"up": "up", "infinite": "infinite", "nan": "nan"})
     assert set(scan.fits) == {"up"}
 
 
 def test_scan_drivers_reject_empty_spacing_list():
     with pytest.raises(ConfigurationError, match="no cells"):
-        scan_result("demo", ["h"], [], {}, {})
+        scan_result("demo", [], lambda i, h: [h], ["h"], {}, {})
     with pytest.raises(ConfigurationError, match="no cells"):
         uniformity_scan("schrodinger", [], AdmissiblePair(q=6.0, r=math.inf, d=1))
     with pytest.raises(ConfigurationError, match="unknown flow kind"):  # the kind is checked first
@@ -776,6 +778,8 @@ def test_scan_drivers_reject_empty_spacing_list():
         knapp_h_sharpness([], 0.125, AdmissiblePair(q=8.0, r=8.0, d=1))
     with pytest.raises(ConfigurationError, match="no cells"):
         uniform_bound_experiment([], continuum_gaussian())
+    with pytest.raises(ConfigurationError, match="no cells"):
+        interpolation_constant([])
 
 
 def test_spacing_drivers_reject_zero_spacing():
