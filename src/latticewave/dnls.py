@@ -255,13 +255,14 @@ def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
 
 def continuum_gaussian(amplitude: float = 1.0, width: float = 2.0):
     """A fixed continuum profile to sample across the spacing scan."""
-    if not (math.isfinite(amplitude) and 0 < width < math.inf):
-        raise ConfigurationError(f"the Gaussian needs a finite amplitude and a positive, finite width, "
-                                 f"got amplitude={amplitude!r}, width={width!r}")
+    if not (math.isfinite(amplitude) and width > 0 and 0 < 2.0 * width * width < math.inf):
+        raise ConfigurationError(f"the Gaussian needs a finite amplitude and a positive width with 2 width^2 "
+                                 f"positive and finite, got amplitude={amplitude!r}, width={width!r}")
 
     def profile(*coords):
         r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        return amplitude * np.exp(-r2 / (2.0 * width**2))
+        with np.errstate(over="ignore"):  # off the centre of a tiny width, -r2 / (2 width^2) = -inf and exp gives 0
+            return amplitude * np.exp(-r2 / (2.0 * width**2))
 
     return profile
 
@@ -274,9 +275,10 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
     noise plus Gaussian bumps of widths 0.5 to 4 (those at least h) and their
     modulations exp(i kappa sum_j x_j), kappa in {0.5, 1, 2}: the class evolved
     trajectories live in.  Feeds the focusing a-priori bound; kept
-    independent of any trajectory it is later compared against.  An empty or
-    repeated spacing list is a ConfigurationError (see
-    :func:`latticewave.harness.scan_result`), not a constant of 0.
+    independent of any trajectory it is later compared against.  The kinetic
+    norm is a Parseval sum of the Laplacian's symbol, one forward transform
+    per candidate.  An empty or repeated spacing list is a ConfigurationError
+    (see :func:`latticewave.harness.scan_result`), not a constant of 0.
     """
     th = d * (p - 1.0) / (2.0 * (p + 1.0))
 
@@ -291,10 +293,11 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
             for kappa in (0.0, 0.5, 1.0, 2.0):
                 v = np.exp(-r2 / (2.0 * w**2)) * np.exp(1j * kappa * sum(coords))
                 candidates.append(GridFunction(lat, np.broadcast_to(v, lat.shape)))
-        kinetic = [radial_power(laplacian_symbol_grid(lat), 1.0)]
+        c, lap = lat.cell_volume / lat.site_count, laplacian_symbol_grid(lat)
         best = 0.0
-        for f, (part,) in zip(candidates, symbol_parts(candidates, kinetic)):
-            rhs = lp_norm(f, 2.0) ** (1.0 - th) * modulus_lp_norm(np.abs(part), lat, 2) ** th
+        for f in candidates:
+            kinetic = math.sqrt(c * float(np.vdot(lap, np.square(np.abs(np.fft.fftn(f.values))))))
+            rhs = lp_norm(f, 2.0) ** (1.0 - th) * kinetic**th
             if rhs > 0:
                 best = max(best, lp_norm(f, p + 1.0) / rhs)
         return [h, best]

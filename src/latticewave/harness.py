@@ -459,8 +459,9 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     The per-spacing horizon is ``horizon_fraction * box * h`` so the fastest
     band (group speed ~ 2/h) stays inside the box; the tail it cuts is a
     vanishing fraction of the q-th power integral and is recorded in metadata.
-    The derivative weight is the flow kind's ``weight`` row, read (and the
-    kind and its dimension checked) before the first cell.
+    The derivative weight is the flow kind's ``weight`` symbol w, read (and
+    the kind and its dimension checked) before the first cell; ``rhs_with``
+    is sqrt(h^d / M^d sum w^2 |fftn u0|^2), by Parseval.
     """
     if data not in ("point", "gaussian"):
         raise ConfigurationError(f"unknown data kind {data!r}")
@@ -470,6 +471,10 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
     if n_t > MAX_SITES:
         raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
+    h_max = max((h for h in h_list if math.isfinite(h)), default=0.0)
+    if math.isfinite(box * h_max) and not horizon_fraction * box * h_max < math.inf:  # else the cells name box, h
+        raise ConfigurationError(f"horizon_fraction = {horizon_fraction!r} makes the horizon T = horizon_fraction "
+                                 f"* box * h infinite at box = {box!r}, h = {h_max!r}")
     weight = dispersion(kind, pair.d).weight
 
     def cell(index: int, h: float) -> list:
@@ -479,7 +484,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         T = horizon_fraction * box * h
         grid = symmetric_time_grid(T, n_t, h * h / 16.0)
         S = strichartz_norm(u0, pair, T, t_grid=grid, kind=kind)
-        rhs_with = lp_norm(weight(u0, pair.q), 2)
+        c, w = lat.cell_volume / lat.site_count, weight(continuum_symbol_grid(lat), pair.q)
+        rhs_with = math.sqrt(c * float(np.vdot(np.square(w, out=w), np.square(np.abs(np.fft.fftn(u0.values))))))
         rhs_without = lp_norm(u0, 2)
         return [h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without]
 
@@ -810,14 +816,21 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
 
     # right side: |f(t, x)| = |sin(a t)/t| * prod_i |sin(d1 (x_i - 2t/h)) / (x_i - 2t/h)|
     a = epsilon**3 / h**2
-    us = np.linspace(-u_window, u_window, n_t)
-    us = 0.5 * (us - us[::-1])  # exactly antisymmetric, so the centres +-c pair up in the axis norms
-    ts = us / a
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite samples are rejected below
+        us = np.linspace(-u_window, u_window, n_t)
+        us = 0.5 * (us - us[::-1])  # exactly antisymmetric, so the centres +-c pair up in the axis norms
+        ts = us / a
+        centers = 2.0 * ts / h
         tf = np.abs(np.sin(us) / np.where(us == 0.0, 1.0, ts))
+    if not np.isfinite(centers).all():
+        raise ConfigurationError(f"u_window = {u_window:g} puts a right-side time sample t = u / (eps^3/h^2) "
+                                 f"or its centre 2t/h past the float range at eps = {epsilon:g}")
     tf = np.where(us == 0.0, a, tf)
-    xnorms = _knapp_axis_norms(h, d1, 2.0 * ts / h, rp, x_window) ** d
+    xnorms = _knapp_axis_norms(h, d1, centers, rp, x_window) ** d
     right = float(np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp))
+    if not 0 < right < math.inf:
+        raise ConfigurationError(f"the right side is {right!r} at eps = {epsilon:g}: the quadrature windows "
+                                 f"u_window = {u_window:g}, x_window = {x_window:g} underflow or overflow it")
 
     predicted_left = h**s * (epsilon / h) ** (d / 2.0)
     predicted_right = (epsilon / h) ** (d * (1.0 - 1.0 / rp)) * (epsilon**3 / h**2) ** (1.0 - 1.0 / qp)

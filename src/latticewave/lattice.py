@@ -69,7 +69,11 @@ class Lattice:
             raise ValueError("M must be an even integer >= 4")
         if int(self.M) ** self.d > MAX_SITES:
             raise ConfigurationError(f"site count M^d = {self.M}^{self.d} exceeds MAX_SITES = {MAX_SITES}")
-        if self.h**self.d < sys.float_info.min or self.h**2 == 0.0 or math.isinf(4.0 / self.h**2):
+        h2, volume = self.h * self.h, math.prod([self.h] * self.d)  # products reach inf where ** would raise
+        if not max(h2, volume, self.h * self.M) < math.inf:
+            raise ConfigurationError(f"lattice spacing h={self.h!r} is too large: h^2, the cell volume h^{self.d} "
+                                     f"or the box h*M = {self.h!r}*{self.M} is not finite")
+        if volume < sys.float_info.min or h2 == 0.0 or math.isinf(4.0 / h2):
             raise ConfigurationError(f"lattice spacing h={self.h!r} is too small: the cell volume h^{self.d} is "
                                      "below the smallest normal float or the symbol scale 4/h^2 overflows")
 
@@ -196,11 +200,13 @@ def plane_wave(lattice: Lattice, k: tuple[int, ...] | int) -> GridFunction:
 
 def gaussian(lattice: Lattice, width: float, amplitude: complex = 1.0) -> GridFunction:
     """Gaussian envelope centred on the site x = 0 (the middle of the periodic box)."""
-    if not 0 < width < math.inf:
-        raise ConfigurationError(f"the Gaussian width must be positive and finite, got width={width!r}")
+    if not (width > 0 and 0 < 2.0 * width * width < math.inf):  # also rejects NaN
+        raise ConfigurationError(f"the Gaussian width must be positive with 2 width^2 positive and finite, "
+                                 f"got width={width!r}")
     coords = lattice.coordinate_grids()
     r2 = sum(np.broadcast_to(c, lattice.shape) ** 2 for c in coords)
-    return GridFunction(lattice, amplitude * np.exp(-r2 / (2.0 * width**2)))
+    with np.errstate(over="ignore"):  # off the centre of a tiny width, -r2 / (2 width^2) = -inf and exp gives 0
+        return GridFunction(lattice, amplitude * np.exp(-r2 / (2.0 * width**2)))
 
 
 def from_function(lattice: Lattice, fn) -> GridFunction:

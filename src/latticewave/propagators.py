@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lattice import GridFunction, Lattice
-from .spectral import apply_multiplier, band_symbol, bessel_derivative, fractional_derivative, lattice_symbol
+from .spectral import apply_multiplier, band_symbol, lattice_symbol, radial_power
 
 __all__ = [
     "Dispersion",
@@ -52,14 +52,14 @@ class Dispersion:
     the flow maps an outer product of one-axis data to the outer product of
     their flows; a kind without it runs in d = 1 only.  ``degenerate(h)`` is
     the positive frequency where the phase loses convexity along an axis,
-    and ``weight(u, q)`` the derivative-weighted datum whose L^2 norm bounds
-    the space-time norm uniformly in h.
+    and ``weight(xi2, q)`` the uniform bound's derivative loss: a symbol of
+    the continuum |xi|^2 grid ``xi2`` that weights the datum's L^2 norm.
     """
 
     frequency: Callable[[np.ndarray], np.ndarray]
     additive: bool
     degenerate: Callable[[float], float]
-    weight: Callable[[GridFunction, float], GridFunction]
+    weight: Callable[[np.ndarray, float], np.ndarray]
 
 
 DISPERSIONS = {
@@ -68,14 +68,14 @@ DISPERSIONS = {
         frequency=lambda s: s,
         additive=True,
         degenerate=lambda h: np.pi / (2.0 * h),
-        weight=lambda u, q: fractional_derivative(u, 1.0 / q),
+        weight=lambda xi2, q: radial_power(xi2, 1.0 / q),
     ),
     # the d = 1 half-wave flow exp(i t sqrt(1 + s)) of Stefanov-Kevrekidis
     "klein_gordon": Dispersion(
         frequency=lambda s: -np.sqrt(1.0 + s),
         additive=False,
         degenerate=lambda h: np.arccos(((h**2 + 2.0) - h * np.sqrt(h**2 + 4.0)) / 2.0) / h,
-        weight=lambda u, q: bessel_derivative(fractional_derivative(u, 1.0 / 3.0), 1.0),
+        weight=lambda xi2, q: radial_power(1.0 + xi2, 1.0) * radial_power(xi2, 1.0 / 3.0),
     ),
 }
 

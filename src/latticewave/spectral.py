@@ -1,9 +1,11 @@
-"""FFT calculus on the lattice: transforms, multipliers, dyadic band projections, derivatives.
+"""FFT calculus on the lattice: transforms, multipliers, dyadic band projections, derivative symbols.
 
 Conventions: the forward transform is h^d times the DFT, the inverse is the
 uniform dual-grid Riemann sum of the inversion integral (cell volume
 (2*pi/(h*M))^d), which makes the pair an exact mutual inverse and Parseval
-exact up to roundoff.
+exact up to roundoff.  A derivative weight is a real dual-grid symbol w
+(:func:`radial_power` of a squared radial symbol); by Parseval the
+w-weighted L^2 norm is sqrt(h^d / M^d sum w^2 |fftn f|^2).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .lattice import GridFunction, Lattice, lp_norm
+from .lattice import GridFunction, Lattice
 
 __all__ = [
     "SpectralFunction",
@@ -33,16 +35,12 @@ __all__ = [
     "band_symbol",
     "band_bank",
     "band_projection",
-    "fractional_derivative",
-    "bessel_derivative",
     "discrete_laplacian",
     "lattice_symbol",
     "laplacian_symbol_grid",
     "continuum_symbol_grid",
-    "laplacian_power",
     "radial_power",
     "forward_difference",
-    "sobolev_norm",
 ]
 
 
@@ -250,7 +248,7 @@ def band_projection(f: GridFunction, N: float) -> GridFunction:
 
 
 # ---------------------------------------------------------------------------
-# derivatives
+# derivative symbols and differences
 
 _DC_TOLERANCE = 1e-12
 
@@ -272,18 +270,6 @@ def radial_power(radial2: np.ndarray, s: float) -> np.ndarray:
     if not np.isfinite(out).all():
         raise ConfigurationError(f"the derivative symbol overflows at the order s = {s!r}")
     return out
-
-
-def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
-    """Multiplier |xi|^s; the DC coefficient is dropped, and s < 0 demands mean-zero input."""
-    if s < 0:
-        _check_mean_zero(f)
-    return apply_multiplier(radial_power(continuum_symbol_grid(f.lattice), s), f)
-
-
-def bessel_derivative(f: GridFunction, s: float) -> GridFunction:
-    """Multiplier (1 + |xi|^2)^(s/2)."""
-    return apply_multiplier(radial_power(1.0 + continuum_symbol_grid(f.lattice), s), f)
 
 
 def discrete_laplacian(f: GridFunction) -> GridFunction:
@@ -310,21 +296,9 @@ def continuum_symbol_grid(lattice: Lattice) -> np.ndarray:
     return sum(g**2 for g in lattice.frequency_grids())
 
 
-def laplacian_power(f: GridFunction, s: float) -> GridFunction:
-    """Multiplier ((4/h^2) sum_j sin^2(h xi_j/2))^(s/2); s < 0 demands mean-zero input."""
-    if s < 0:
-        _check_mean_zero(f)
-    return apply_multiplier(radial_power(laplacian_symbol_grid(f.lattice), s), f)
-
-
 def forward_difference(f: GridFunction, axis: int) -> GridFunction:
     """One-sided difference (f(x + h e_axis) - f(x)) / h, axis counted from 0."""
     if not 0 <= axis < f.lattice.d:
         raise ValueError(f"axis {axis} out of range for dimension {f.lattice.d}")
     v = f.values
     return GridFunction(f.lattice, (np.roll(v, -1, axis=axis) - v) / f.lattice.h)
-
-
-def sobolev_norm(f: GridFunction, s: float, p: float) -> float:
-    """Lp norm of the Bessel derivative (1 + |xi|^2)^(s/2) f."""
-    return lp_norm(bessel_derivative(f, s), p)

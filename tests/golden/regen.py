@@ -14,7 +14,9 @@ numpy's version is recorded too: another version may round differently, and
 the test then names both versions instead of every entry.
 
 Run ``python tests/golden/regen.py`` from the repository root to rewrite the
-manifest, and list each changed entry old -> new in ``CHANGES.md``.
+manifest.  Before it writes, it prints each entry that changes: a scan's
+changed cells and fit values in hex, or a digest's or constant's old and new
+value, each old -> new; list them in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -139,6 +141,32 @@ def render(doc: dict) -> str:
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per changed value of the manifest ``old`` -> ``new``: each scan cell by row and column, each
+    fit value by fit and key, and any other entry (a digest or a constant) whole."""
+    lines = [f"numpy: {old.get('numpy')} -> {new['numpy']}"] if old.get("numpy") != new["numpy"] else []
+    before, after = old.get("entries", {}), new["entries"]
+    for name in sorted(set(before) | set(after)):
+        a, b = before.get(name), after.get(name)
+        if a == b:
+            continue
+        if not (isinstance(a, dict) and isinstance(b, dict) and a["columns"] == b["columns"]
+                and len(a["rows"]) == len(b["rows"])):
+            lines.append(f"{name}: {a} -> {b}")
+            continue
+        for i, (ra, rb) in enumerate(zip(a["rows"], b["rows"])):
+            lines += [f"{name}: row {i} {col}: {x} -> {y}" for col, x, y in zip(b["columns"], ra, rb) if x != y]
+        for fit in sorted(set(a["fits"]) | set(b["fits"])):
+            fa, fb = a["fits"].get(fit, {}), b["fits"].get(fit, {})
+            lines += [f"{name}: fit {fit} {key}: {fa.get(key)} -> {fb.get(key)}"
+                      for key in sorted(set(fa) | set(fb)) if fa.get(key) != fb.get(key)]
+    return lines
+
+
 if __name__ == "__main__":
-    MANIFEST.write_text(render(manifest()))
+    fresh = manifest()
+    pinned = json.loads(MANIFEST.read_text()) if MANIFEST.exists() else {}
+    for line in changes(pinned, fresh):
+        print(line)
+    MANIFEST.write_text(render(fresh))
     print(f"wrote {MANIFEST}")

@@ -223,6 +223,19 @@ def test_rejected_input_exits_two(argv, capsys):
     (["decay", "--h", "1e-160", "--M", "64", "--full"], "h=1e-160"),
     (["decay", "--d", "2", "--h", "1e-160", "--M", "64", "--full"], "h=1e-160"),
     (["decay", "--d", "3", "--h", "1e-120", "--M", "8", "--full"], "h=1e-120"),
+    (["decay", "--h", "1e308", "--M", "256", "--full"], "h=1e+308"),
+    (["decay", "--h", "1e155", "--M", "64", "--full"], "h=1e+155"),
+    (["decay", "--d", "2", "--h", "1e200", "--M", "64", "--full"], "h=1e+200"),
+    (["czdemo", "--h", "1e308"], "h=1e+308"),
+    ([*KNAPP, "--h", "1e308", "--eps-list", "0.04,0.02", "--M", "4096"], "h=1e+308"),
+    (["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian", "--width", "1e200"], "width=1e+200"),
+    (["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian", "--width", "1e-200"], "width=1e-200"),
+    (["decay", "--data", "gaussian", "--width", "1e-200", "--M", "256", "--full"], "width=1e-200"),
+    (["dnls", "--width", "1e308"], "width=1e+308"),
+    (["s1", "--width", "1e-200"], "width=1e-200"),
+    ([*KNAPP_SMALL, "--u-window", "1e308"], "u_window = 1e+308"),
+    (["uniformity", "--h-list", "1,0.5", "--q", "6", "--r", "inf", "--box", "16", "--n-t", "64",
+      "--horizon-fraction", "1e308"], "horizon_fraction = 1e+308"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
@@ -235,7 +248,11 @@ def test_rejected_input_exits_two(argv, capsys):
         "constants-ensemble-over-cap", "decay-phase-overflow", "strichartz-phase-overflow", "dnls-phase-overflow", "dnls-phase-overflow-names-dt",
         "decay-kg-phase-overflow", "uniformity-box-odd-M", "strichartz-box-odd-M", "decay-box-odd-M",
         "strichartz-box-M-0", "decay-h-squared-underflow", "decay-4-over-h-squared-overflow",
-        "decay-d2-cell-volume-subnormal", "decay-d3-cell-volume-underflow"])
+        "decay-d2-cell-volume-subnormal", "decay-d3-cell-volume-underflow", "decay-h-squared-overflow",
+        "decay-h-1e155-squared-overflow", "decay-d2-cell-volume-overflow", "czdemo-h-squared-overflow",
+        "knapp-h-squared-overflow", "strichartz-width-squared-overflow", "strichartz-width-squared-underflow",
+        "decay-width-squared-underflow", "dnls-width-squared-overflow", "s1-width-squared-underflow",
+        "knapp-u-window-overflow", "uniformity-horizon-fraction-overflow"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

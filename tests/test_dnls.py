@@ -29,7 +29,7 @@ from latticewave.lattice import (
     point_mass,
 )
 from latticewave.propagators import schrodinger_flow
-from latticewave.spectral import bessel_derivative, laplacian_power
+from test_spectral import bessel_derivative, laplacian_power
 
 
 def smooth_data(lat, amplitude=1.0, width=2.0):

@@ -553,3 +553,10 @@ def test_boundary_mask_counts_edge_layers():
 def test_gaussian_rejects_a_width_that_is_not_positive_and_finite(width):
     with pytest.raises(ConfigurationError, match=f"width={width!r}"):
         gaussian(Lattice(h=1.0, d=1, M=16), width)
+
+
+@pytest.mark.parametrize("width", [1e-155, 1e-160])
+def test_gaussian_of_a_tiny_width_is_its_centre_site(width):
+    # off the centre -r^2 / (2 width^2) passes the float range, and exp takes its limit 0 without a warning
+    values = gaussian(Lattice(h=1.0, d=2, M=16), width).values
+    assert values[0, 0] == 1.0 and np.count_nonzero(values) == 1

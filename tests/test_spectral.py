@@ -12,26 +12,51 @@ from hypothesis import strategies as st
 
 from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave, point_mass
 from latticewave.spectral import (
+    _check_mean_zero,
     _inverse_rows,
     apply_multiplier,
     band_bank,
     band_projection,
     band_scales,
     band_symbol,
-    bessel_derivative,
     continuum_symbol_grid,
     discrete_laplacian,
     forward_difference,
     forward_transform,
-    fractional_derivative,
     inverse_transform,
-    laplacian_power,
     laplacian_symbol_grid,
     lattice_symbol,
     phi1,
-    sobolev_norm,
+    radial_power,
     varphi,
 )
+
+
+# oracles: the derivative operators as field-returning multipliers, one forward and one inverse transform each
+
+
+def fractional_derivative(f: GridFunction, s: float) -> GridFunction:
+    """Multiplier |xi|^s; the DC coefficient is dropped, and s < 0 demands mean-zero input."""
+    if s < 0:
+        _check_mean_zero(f)
+    return apply_multiplier(radial_power(continuum_symbol_grid(f.lattice), s), f)
+
+
+def bessel_derivative(f: GridFunction, s: float) -> GridFunction:
+    """Multiplier (1 + |xi|^2)^(s/2)."""
+    return apply_multiplier(radial_power(1.0 + continuum_symbol_grid(f.lattice), s), f)
+
+
+def laplacian_power(f: GridFunction, s: float) -> GridFunction:
+    """Multiplier ((4/h^2) sum_j sin^2(h xi_j/2))^(s/2); s < 0 demands mean-zero input."""
+    if s < 0:
+        _check_mean_zero(f)
+    return apply_multiplier(radial_power(laplacian_symbol_grid(f.lattice), s), f)
+
+
+def sobolev_norm(f: GridFunction, s: float, p: float) -> float:
+    """Lp norm of the Bessel derivative (1 + |xi|^2)^(s/2) f."""
+    return lp_norm(bessel_derivative(f, s), p)
 
 
 @dataclass
