@@ -6,9 +6,15 @@ a check that ``tests/test_golden.py`` reruns, not a claim:
 - ``float.hex`` of every row and fit of the five spacing scans (uniformity,
   every constants kind, ``knapp_h_sharpness``, the uniform bound) at small
   sizes, and of ``interpolation_constant`` in d = 1 and d = 2;
-- the sha256 of the file each README CLI example writes with ``--out``, and of
-  the ``dnls`` example's ``states.bin``, run in-process with relative paths
-  under ``LATTICEWAVE_OUTDIR``.
+- ``float.hex`` of the times, sup norms and fit of four
+  ``dispersive_decay_scan`` runs (Schrodinger d = 1 full and N = 1/4,
+  Klein-Gordon d = 1 N = 1/4, Schrodinger d = 2 full), and of
+  ``strichartz_norm`` for both kinds in d = 1 and Schrodinger in d = 2 and 3,
+  with point and Gaussian data;
+- the sha256 of the file each README CLI example writes with ``--out``, of
+  the ``dnls`` example's ``states.bin``, of criterion 12's file and of one
+  ``strichartz`` and one ``decay --full`` run on Gaussian data, run in-process
+  with relative paths under ``LATTICEWAVE_OUTDIR``.
 
 numpy's version is recorded too: another version may round differently, and
 the test then names both versions instead of every entry.
@@ -41,10 +47,15 @@ from latticewave import cli  # noqa: E402
 from latticewave.dnls import continuum_gaussian, interpolation_constant, uniform_bound_experiment  # noqa: E402
 from latticewave.harness import (  # noqa: E402
     AdmissiblePair,
+    decay_data,
+    decay_time_grid,
+    dispersive_decay_scan,
     inequality_constant_scan,
     knapp_h_sharpness,
+    strichartz_norm,
     uniformity_scan,
 )
+from latticewave.lattice import Lattice, gaussian, lp_norm, point_mass  # noqa: E402
 
 # the README CLI examples, each writing --out under LATTICEWAVE_OUTDIR
 README_EXAMPLES = {
@@ -63,6 +74,14 @@ README_EXAMPLES = {
     "dnls.csv": ["dnls", "--d", "1", "--h", "0.5", "--box", "32", "--lam", "1", "--p", "3", "--dt", "0.005",
                  "--T", "1", "--snapshots", "states.bin"],
     "s1.csv": ["s1", "--d", "1", "--h", "0.5", "--box", "32", "--lam", "1", "--p", "3", "--dt", "0.005", "--T", "1"],
+}
+# further CLI runs: criterion 12's file and the Gaussian data paths the README examples miss
+PANEL_RUNS = {
+    "criterion12.csv": ["constants", "--kind", "bernstein", "--d", "1", "--h-list", "1,0.5,0.25", "--box", "8",
+                        "--p", "2", "--q", "inf", "--ensemble", "12", "--seed", "7", "--threads", "1"],
+    "strichartz_gaussian.csv": ["strichartz", "--q", "6", "--r", "inf", "--data", "gaussian"],
+    "decay_gaussian.csv": ["decay", "--full", "--data", "gaussian", "--width", "2", "--M", "256", "--t-min", "1",
+                           "--t-max", "30", "--n-t", "8"],
 }
 
 
@@ -85,6 +104,37 @@ def _hex(value):
 
 def _scan(scan) -> dict:
     return {"columns": scan.columns, "rows": _hex(scan.rows), "fits": _hex(scan.fits)}
+
+
+def _decay(fit) -> dict:
+    """A decay scan in a scan entry's shape: its (t, sup norm) rows and its fit."""
+    fits = {"decay": {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}}
+    return {"columns": ["t", "sup_norm"], "rows": _hex([[t, s] for t, s in zip(fit.times.tolist(),
+                                                                               fit.sup_norms.tolist())]),
+            "fits": _hex(fits)}
+
+
+def flow_entries() -> dict:
+    """The free-flow panel: the hex of four decay scans and of eight Strichartz norms."""
+    entries = {}
+    lat = Lattice(h=1.0, d=1, M=4096)
+    for name, kind, N, times in [("schrodinger full", "schrodinger", None, (1.0, 100.0, 25)),
+                                 ("schrodinger N=1/4", "schrodinger", 0.25, (1.0, 100.0, 25)),
+                                 ("klein_gordon N=1/4", "klein_gordon", 0.25, (10.0, 1000.0, 16))]:
+        entries[f"decay d=1 {name}"] = _decay(dispersive_decay_scan(
+            kind, decay_data(lat), decay_time_grid(*times), N=N))
+    entries["decay d=2 schrodinger full"] = _decay(dispersive_decay_scan(
+        "schrodinger", decay_data(Lattice(h=1.0, d=2, M=128)), decay_time_grid(1.0, 15.0, 12)))
+    for kind, lat, q, r, T in [("schrodinger", Lattice(h=0.5, d=1, M=128), 6.0, math.inf, 2.0),
+                               ("klein_gordon", Lattice(h=0.5, d=1, M=128), 6.0, math.inf, 2.0),
+                               ("schrodinger", Lattice(h=0.5, d=2, M=64), 6.0, 4.0, 1.0),
+                               ("schrodinger", Lattice(h=1.0, d=3, M=32), 4.0, 4.0, 1.0)]:
+        for data in ("point", "gaussian"):
+            u0 = point_mass(lat) if data == "point" else gaussian(lat, lat.box_length / 16.0)
+            u0 = u0 * (1.0 / lp_norm(u0, 2))
+            entries[f"strichartz d={lat.d} {kind} {data}"] = strichartz_norm(
+                u0, AdmissiblePair(q=q, r=r, d=lat.d), T, n_t=64, kind=kind).hex()
+    return entries
 
 
 def scan_entries() -> dict:
@@ -123,17 +173,19 @@ def scan_entries() -> dict:
 
 
 def cli_entries() -> dict:
-    """The sha256 of each README example's ``--out`` file and of ``states.bin``, keyed by file name."""
+    """The sha256 of each README example's and panel run's ``--out`` file and of ``states.bin``, keyed by
+    file name."""
+    runs = {**README_EXAMPLES, **PANEL_RUNS}
     with tempfile.TemporaryDirectory() as outdir, mock.patch.dict(os.environ, {"LATTICEWAVE_OUTDIR": outdir}):
-        for name, argv in README_EXAMPLES.items():
+        for name, argv in runs.items():
             if cli.run([*argv, "--out", name]) != 0:
-                raise RuntimeError(f"README example {name} failed: {' '.join(argv)}")
-        names = [*README_EXAMPLES, "states.bin"]
+                raise RuntimeError(f"CLI run {name} failed: {' '.join(argv)}")
+        names = [*runs, "states.bin"]
         return {f"cli {name}": hashlib.sha256(Path(outdir, name).read_bytes()).hexdigest() for name in names}
 
 
 def manifest() -> dict:
-    return {"numpy": np.__version__, "entries": {**scan_entries(), **cli_entries()}}
+    return {"numpy": np.__version__, "entries": {**scan_entries(), **flow_entries(), **cli_entries()}}
 
 
 def render(doc: dict) -> str:
