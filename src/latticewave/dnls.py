@@ -24,12 +24,14 @@ from .harness import (
 )
 from .lattice import (
     BOUNDARY_THRESHOLD,
-    MAX_SITES,
     GridFunction,
     Lattice,
     boundary_mask,
+    check_sites,
+    continuum_gaussian,
     density_mass_fraction,
     from_function,
+    gaussian,
     inner_product,
     lp_norm,
     modulus_lp_norm,
@@ -42,7 +44,6 @@ __all__ = [
     "Trajectory",
     "mass",
     "energy",
-    "nonlinear_phase_flow",
     "step_strang",
     "evolve",
     "s1_norm",
@@ -81,11 +82,9 @@ class NlsConfig:
             raise ConfigurationError(f"nonlinearity power must satisfy 1 < p < inf, got p={self.p!r}")
         if not (0 < self.dt < math.inf and 0 < self.T < math.inf):
             raise ConfigurationError(f"dt and T must be positive and finite, got dt={self.dt!r}, T={self.T!r}")
-        if not self.T / self.dt < math.inf:
+        if not self.T / self.dt < math.inf:  # the step count is checked before any step is allocated
             raise ConfigurationError(f"the step count T/dt must be finite, got T={self.T!r}, dt={self.dt!r}")
-        if self.T / self.dt > MAX_SITES:  # checked before any step is allocated
-            raise ConfigurationError(f"the step count T/dt = {self.T / self.dt:.3g} exceeds MAX_SITES = {MAX_SITES}, "
-                                     f"got T={self.T!r}, dt={self.dt!r}")
+        check_sites(self.T / self.dt, f"the step count T/dt = {self.T / self.dt:.3g} (T={self.T!r}, dt={self.dt!r})")
         if not math.isfinite(self.lam):
             raise ConfigurationError(f"the coupling lam must be finite, got {self.lam!r}")
         unknown = set(self.monitors) - set(KNOWN_MONITORS)
@@ -121,17 +120,12 @@ def energy(u: GridFunction, lam: float, p: float) -> float:
     return kinetic + potential
 
 
-def nonlinear_phase_flow(u: GridFunction, tau: float, lam: float, p: float) -> GridFunction:
-    """Exact nonlinear sub-flow u -> u * exp(-i lam |u|^(p-1) tau); the modulus is conserved.
+def _rotate_phase(values: np.ndarray, tau: float, lam: float, p: float) -> np.ndarray:
+    """The exact nonlinear sub-flow on site values, values * exp(-i lam |values|^(p-1) tau): it conserves |values|.
 
     This is the flow of the nonlinear part of i u_t + Lap u = lam |u|^(p-1) u,
     the sign for which lam > 0 is defocusing and :func:`energy` is conserved.
     """
-    return GridFunction(u.lattice, _rotate_phase(u.values, tau, lam, p))
-
-
-def _rotate_phase(values: np.ndarray, tau: float, lam: float, p: float) -> np.ndarray:
-    """The nonlinear sub-flow on site values: values * exp(-i lam |values|^(p-1) tau)."""
     return values * np.exp(-1j * lam * tau * np.abs(values) ** (p - 1.0))
 
 
@@ -253,20 +247,6 @@ def s1_norm(traj: Trajectory, pairs: list[AdmissiblePair]) -> float:
     return max(_time_norm(norms, traj.snapshot_times, pair.q) for pair, norms in zip(pairs, rnorms))
 
 
-def continuum_gaussian(amplitude: float = 1.0, width: float = 2.0):
-    """A fixed continuum profile to sample across the spacing scan."""
-    if not (math.isfinite(amplitude) and width > 0 and 0 < 2.0 * width * width < math.inf):
-        raise ConfigurationError(f"the Gaussian needs a finite amplitude and a positive width with 2 width^2 "
-                                 f"positive and finite, got amplitude={amplitude!r}, width={width!r}")
-
-    def profile(*coords):
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
-        with np.errstate(over="ignore"):  # off the centre of a tiny width, -r2 / (2 width^2) = -inf and exp gives 0
-            return amplitude * np.exp(-r2 / (2.0 * width**2))
-
-    return profile
-
-
 def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0, p: float = 3.0,
                            ensemble: int = 24, seed: int = 11) -> float:
     """Largest observed constant in |f|_{p+1} <= C |f|_2^(1-th) |sqrt(-Lap) f|_2^th.
@@ -285,14 +265,11 @@ def interpolation_constant(h_list: list[float], *, d: int = 1, box: float = 32.0
     def cell(index: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
         candidates = list(random_ensemble(lat, ensemble, seed, cell_key=index))
-        coords = lat.coordinate_grids()
-        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+        phase = sum(lat.coordinate_grids())
         for w in (0.5, 1.0, 2.0, 4.0):
             if w < h:
                 continue
-            for kappa in (0.0, 0.5, 1.0, 2.0):
-                v = np.exp(-r2 / (2.0 * w**2)) * np.exp(1j * kappa * sum(coords))
-                candidates.append(GridFunction(lat, np.broadcast_to(v, lat.shape)))
+            candidates += [gaussian(lat, w) * np.exp(1j * kappa * phase) for kappa in (0.0, 0.5, 1.0, 2.0)]
         c, lap = lat.cell_volume / lat.site_count, laplacian_symbol_grid(lat)
         best = 0.0
         for f in candidates:

@@ -24,10 +24,10 @@ import numpy as np
 from .errors import ConfigurationError, WindowError
 from .lattice import (
     BOUNDARY_THRESHOLD,
-    MAX_SITES,
     GridFunction,
     Lattice,
     boundary_mask,
+    check_sites,
     gaussian,
     lp_norm,
     modulus_lp_norm,
@@ -141,8 +141,7 @@ def admissible_pairs(d: int, count: int, r_max: float = 100.0) -> list[Admissibl
         raise ConfigurationError("d must be 1, 2 or 3")
     if count < 2:
         raise ConfigurationError("need count >= 2")
-    if count > MAX_SITES:
-        raise ConfigurationError(f"count = {count} exponent pairs exceeds MAX_SITES = {MAX_SITES}")
+    check_sites(count, f"count = {count} exponent pairs")
     if not r_max >= 2:  # also rejects NaN
         raise ConfigurationError(f"r_max must be >= 2, got r_max={r_max!r}")
     if d == 3 and math.isinf(r_max):
@@ -169,11 +168,6 @@ class DecayFit:
     slope: float
     intercept: float
     r_squared: float
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.size < 2 or np.any(np.diff(t) <= 0):
-            raise ValueError("times must be strictly increasing")
 
 
 def decay_data(lattice: Lattice, kind: str = "point", width: float | None = None) -> GridFunction:
@@ -326,8 +320,7 @@ def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
         raise ConfigurationError(
             f"decay times need n_t >= 2 and 0 < t_min < t_max < inf, got n_t={n_t}, "
             f"t_min={t_min!r}, t_max={t_max!r}")
-    if n_t > MAX_SITES:
-        raise ConfigurationError(f"n_t = {n_t} decay times exceeds MAX_SITES = {MAX_SITES}")
+    check_sites(n_t, f"n_t = {n_t} decay times")
     return np.geomspace(t_min, t_max, n_t)
 
 
@@ -385,8 +378,7 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     if t_grid is None:
         if n_t < 64:
             raise ConfigurationError("need n_t >= 64 quadrature nodes")
-        if n_t > MAX_SITES:
-            raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
+        check_sites(n_t, f"n_t = {n_t} quadrature nodes")
         if not 0 < T < math.inf:
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
@@ -469,8 +461,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"horizon_fraction must be positive and finite, got {horizon_fraction!r}")
     if n_t < 64:
         raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
-    if n_t > MAX_SITES:
-        raise ConfigurationError(f"n_t = {n_t} quadrature nodes exceeds MAX_SITES = {MAX_SITES}")
+    check_sites(n_t, f"n_t = {n_t} quadrature nodes")
     h_max = max((h for h in h_list if math.isfinite(h)), default=0.0)
     if math.isfinite(box * h_max) and not horizon_fraction * box * h_max < math.inf:  # else the cells name box, h
         raise ConfigurationError(f"horizon_fraction = {horizon_fraction!r} makes the horizon T = horizon_fraction "
@@ -515,9 +506,7 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
     missing.  An ensemble of more than ``MAX_SITES`` sites in all is a
     ConfigurationError naming its size, raised before any draw.
     """
-    if size * lattice.site_count > MAX_SITES:
-        raise ConfigurationError(f"ensemble = {size} fields of {lattice.site_count} sites exceeds "
-                                 f"MAX_SITES = {MAX_SITES} sites in all")
+    check_sites(size * lattice.site_count, f"ensemble = {size} fields of {lattice.site_count} sites")
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
     # row k keeps every band at or below the k-th scale, summed in ascending order
     lowpass = np.cumsum(band_bank(lattice), axis=0)
@@ -783,16 +772,17 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         raise ConfigurationError("the right-side quadrature needs n_t >= 2 and finite u_window, x_window > 0")
     if not math.isfinite(s):
         raise ConfigurationError(f"the derivative weight s must be finite, got {s!r}")
-    if n_t > MAX_SITES:
-        raise ConfigurationError(f"n_t = {n_t} right-side time samples exceeds MAX_SITES = {MAX_SITES}")
+    check_sites(n_t, f"n_t = {n_t} right-side time samples")
     lat = Lattice(h=h, d=d, M=M)
     if not (epsilon > 0 and epsilon / h**2 <= np.pi / 2.0 + 1e-12):  # NaN fails too
         raise ConfigurationError("constraint violated: need 0 < epsilon <= pi * h^2 / 2")
+    with np.errstate(over="ignore"):  # the right side's time scale; a float epsilon**3 would raise on overflow
+        a = float(np.float64(epsilon) ** 3 / h**2)
+    if not 0 < a < math.inf:
+        raise ConfigurationError(f"eps = {epsilon:g} makes the right side's time scale eps^3/h^2 = {a!r} at h = {h!r}")
     d1 = epsilon / h
-    half_window = x_window / (d1 * h)  # sites either side of a centre, as _knapp_axis_norms sizes its window
-    if not half_window <= (MAX_SITES - 1) // 2:  # 2 * ceil(half_window) + 1 sites at most MAX_SITES
-        raise ConfigurationError(f"x_window = {x_window:g} spans {2.0 * half_window + 1.0:.3g} right-side "
-                                 f"window sites at eps = {epsilon:g}, over MAX_SITES = {MAX_SITES}")
+    sites = 2.0 * np.ceil(x_window / (d1 * h)) + 1.0  # the right-side window, as _knapp_axis_norms sizes it
+    check_sites(sites, f"x_window = {x_window:g} spans {sites:.3g} right-side window sites at eps = {epsilon:g}")
     qp, rp = pair.q_conjugate, pair.r_conjugate
     if qp <= 1.0:
         raise ConfigurationError("right-side time norm diverges at q = inf (q' = 1)")
@@ -815,7 +805,6 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
                                  f"|xi|^(-2s) underflows or overflows on the block, or the block misses the surface")
 
     # right side: |f(t, x)| = |sin(a t)/t| * prod_i |sin(d1 (x_i - 2t/h)) / (x_i - 2t/h)|
-    a = epsilon**3 / h**2
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # non-finite samples are rejected below
         us = np.linspace(-u_window, u_window, n_t)
         us = 0.5 * (us - us[::-1])  # exactly antisymmetric, so the centres +-c pair up in the axis norms
@@ -827,7 +816,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
                                  f"or its centre 2t/h past the float range at eps = {epsilon:g}")
     tf = np.where(us == 0.0, a, tf)
     xnorms = _knapp_axis_norms(h, d1, centers, rp, x_window) ** d
-    right = float(np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp))
+    right = _time_norm(tf * xnorms, ts, qp)
     if not 0 < right < math.inf:
         raise ConfigurationError(f"the right side is {right!r} at eps = {epsilon:g}: the quadrature windows "
                                  f"u_window = {u_window:g}, x_window = {x_window:g} underflow or overflow it")

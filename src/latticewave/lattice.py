@@ -23,6 +23,7 @@ from .errors import ConfigurationError
 __all__ = [
     "BOUNDARY_THRESHOLD",
     "MAX_SITES",
+    "check_sites",
     "Lattice",
     "GridFunction",
     "DyadicCube",
@@ -39,6 +40,7 @@ __all__ = [
     "cz_decompose",
     "point_mass",
     "plane_wave",
+    "continuum_gaussian",
     "gaussian",
     "from_function",
     "boundary_mask",
@@ -50,6 +52,12 @@ __all__ = [
 MAX_SITES = 2**22
 """Cap on the site count M^d: 16 times the largest lattice the experiments use (512^2 in d=2),
 so a tiny spacing fails with a named error before any grid is allocated."""
+
+
+def check_sites(count: float, what: str) -> None:
+    """The one bound on a count of sites, samples or steps: ConfigurationError "<what> exceeds MAX_SITES" (NaN too)."""
+    if not count <= MAX_SITES:
+        raise ConfigurationError(f"{what} exceeds MAX_SITES = {MAX_SITES}")
 
 
 @dataclass(frozen=True)
@@ -67,8 +75,7 @@ class Lattice:
             raise ValueError("dimension d must be 1, 2 or 3")
         if self.M < 4 or self.M % 2 != 0:
             raise ValueError("M must be an even integer >= 4")
-        if int(self.M) ** self.d > MAX_SITES:
-            raise ConfigurationError(f"site count M^d = {self.M}^{self.d} exceeds MAX_SITES = {MAX_SITES}")
+        check_sites(int(self.M) ** self.d, f"site count M^d = {self.M}^{self.d}")
         h2, volume = self.h * self.h, math.prod([self.h] * self.d)  # products reach inf where ** would raise
         if not max(h2, volume, self.h * self.M) < math.inf:
             raise ConfigurationError(f"lattice spacing h={self.h!r} is too large: h^2, the cell volume h^{self.d} "
@@ -84,9 +91,8 @@ class Lattice:
             raise ValueError(f"lattice spacing h must be positive and finite, got h={h!r}")
         if not 0 < box < math.inf:
             raise ValueError("box length must be positive and finite")
-        M = box / h
-        if M > MAX_SITES:  # over the cap in every d; also keeps an infinite box / h from round()
-            raise ConfigurationError(f"site count: box / h = {M:.3g} sites per axis exceeds MAX_SITES = {MAX_SITES}")
+        M = box / h  # over the cap in every d; the check also keeps an infinite box / h from round()
+        check_sites(M, f"site count: box / h = {M:.3g} sites per axis")
         M = int(round(M))
         if M < 4 or M % 2 != 0:
             raise ConfigurationError(f"box / h = {box!r} / {h!r} rounds to M = {M} sites per axis; "
@@ -198,15 +204,23 @@ def plane_wave(lattice: Lattice, k: tuple[int, ...] | int) -> GridFunction:
     return GridFunction(lattice, np.exp(1j * np.broadcast_to(phase, lattice.shape)))
 
 
+def continuum_gaussian(amplitude: complex = 1.0, width: float = 2.0):
+    """The continuum profile amplitude * exp(-|x|^2 / (2 width^2)), to sample with :func:`from_function`."""
+    if not (np.isfinite(amplitude) and width > 0 and 0 < 2.0 * width * width < math.inf):  # NaN fails too
+        raise ConfigurationError(f"the Gaussian needs a finite amplitude and a positive width with 2 width^2 "
+                                 f"positive and finite, got amplitude={amplitude!r}, width={width!r}")
+
+    def profile(*coords):
+        r2 = sum(np.asarray(c, dtype=float) ** 2 for c in coords)
+        with np.errstate(over="ignore"):  # off the centre of a tiny width, -r2 / (2 width^2) = -inf and exp gives 0
+            return amplitude * np.exp(-r2 / (2.0 * width**2))
+
+    return profile
+
+
 def gaussian(lattice: Lattice, width: float, amplitude: complex = 1.0) -> GridFunction:
-    """Gaussian envelope centred on the site x = 0 (the middle of the periodic box)."""
-    if not (width > 0 and 0 < 2.0 * width * width < math.inf):  # also rejects NaN
-        raise ConfigurationError(f"the Gaussian width must be positive with 2 width^2 positive and finite, "
-                                 f"got width={width!r}")
-    coords = lattice.coordinate_grids()
-    r2 = sum(np.broadcast_to(c, lattice.shape) ** 2 for c in coords)
-    with np.errstate(over="ignore"):  # off the centre of a tiny width, -r2 / (2 width^2) = -inf and exp gives 0
-        return GridFunction(lattice, amplitude * np.exp(-r2 / (2.0 * width**2)))
+    """:func:`continuum_gaussian` sampled on ``lattice``: centred on the site x = 0 (the middle of the box)."""
+    return from_function(lattice, continuum_gaussian(amplitude, width))
 
 
 def from_function(lattice: Lattice, fn) -> GridFunction:

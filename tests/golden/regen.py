@@ -108,10 +108,9 @@ def _scan(scan) -> dict:
 
 def _decay(fit) -> dict:
     """A decay scan in a scan entry's shape: its (t, sup norm) rows and its fit."""
+    rows = [[t, s] for t, s in zip(fit.times.tolist(), fit.sup_norms.tolist())]
     fits = {"decay": {"slope": fit.slope, "intercept": fit.intercept, "r_squared": fit.r_squared}}
-    return {"columns": ["t", "sup_norm"], "rows": _hex([[t, s] for t, s in zip(fit.times.tolist(),
-                                                                               fit.sup_norms.tolist())]),
-            "fits": _hex(fits)}
+    return {"columns": ["t", "sup_norm"], "rows": _hex(rows), "fits": _hex(fits)}
 
 
 def flow_entries() -> dict:

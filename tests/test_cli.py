@@ -236,6 +236,10 @@ def test_rejected_input_exits_two(argv, capsys):
     ([*KNAPP_SMALL, "--u-window", "1e308"], "u_window = 1e+308"),
     (["uniformity", "--h-list", "1,0.5", "--q", "6", "--r", "inf", "--box", "16", "--n-t", "64",
       "--horizon-fraction", "1e308"], "horizon_fraction = 1e+308"),
+    (["knapp", "--h", "1e-50", "--eps-list", "1e-120", "--q", "8", "--r", "8", "--s", "0", "--M", "4096",
+      "--x-window", "1e-120"], "eps = 1e-120"),
+    (["knapp", "--h", "1e100", "--eps-list", "1e150", "--q", "8", "--r", "8", "--s", "0", "--M", "4096"],
+     "eps = 1e+150"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
@@ -252,7 +256,8 @@ def test_rejected_input_exits_two(argv, capsys):
         "decay-h-1e155-squared-overflow", "decay-d2-cell-volume-overflow", "czdemo-h-squared-overflow",
         "knapp-h-squared-overflow", "strichartz-width-squared-overflow", "strichartz-width-squared-underflow",
         "decay-width-squared-underflow", "dnls-width-squared-overflow", "s1-width-squared-underflow",
-        "knapp-u-window-overflow", "uniformity-horizon-fraction-overflow"])
+        "knapp-u-window-overflow", "uniformity-horizon-fraction-overflow", "knapp-eps-cubed-underflow",
+        "knapp-eps-cubed-overflow"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -501,6 +501,21 @@ def test_decay_sup_norms_equal_the_bessel_kernel(h):
     np.testing.assert_allclose(fit.sup_norms, bessel_sup(t_grid, 512) ** 2, rtol=1e-12, atol=0)
 
 
+LANDAU_B = 0.6748850964304776  # sup_x x^(1/3) sup_n |J_n(x)| as x -> inf: 2^(1/3) times the maximum of Airy Ai
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.25])
+def test_decay_sup_norms_follow_the_landau_amplitude(h):
+    """sup_n |J_n(x)| ~ b x^(-1/3) (Landau, J. London Math. Soc. 61 (2000)), and the sup norm of the flow of
+    delta/h is h^-1 sup_n |J_n(2t/h^2)|: so sup * (2t)^(1/3) * h^(1/3) / b -> 1, and the h^(-1/3) growth of
+    the decay constant is measured against a closed form."""
+    x = np.array([100.0, 200.0, 400.0, 800.0])
+    t_grid = x * h * h / 2.0
+    fit = dispersive_decay_scan("schrodinger", decay_data(Lattice(h, 1, 4096)), t_grid)
+    np.testing.assert_allclose(fit.sup_norms * (2.0 * t_grid) ** (1.0 / 3.0) * h ** (1.0 / 3.0) / LANDAU_B,
+                               1.0, rtol=0.01, atol=0)
+
+
 def test_time_loops_transform_the_datum_once(transforms):
     lat = Lattice(h=1.0, d=2, M=32)
     dispersive_decay_scan("schrodinger", decay_data(lat), decay_time_grid(1.0, 3.0, 7))
