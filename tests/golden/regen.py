@@ -5,7 +5,8 @@ a check that ``tests/test_golden.py`` reruns, not a claim:
 
 - ``float.hex`` of every row and fit of the five spacing scans (uniformity,
   every constants kind, ``knapp_h_sharpness``, the uniform bound) at small
-  sizes, and of ``interpolation_constant`` in d = 1 and d = 2;
+  sizes, of two ``knapp_experiment`` cells whose centres mostly lie off the
+  lattice, and of ``interpolation_constant`` in d = 1 and d = 2;
 - ``float.hex`` of the times, sup norms and fit of four
   ``dispersive_decay_scan`` runs (Schrodinger d = 1 full and N = 1/4,
   Klein-Gordon d = 1 N = 1/4, Schrodinger d = 2 full), and of
@@ -51,6 +52,7 @@ from latticewave.harness import (  # noqa: E402
     decay_time_grid,
     dispersive_decay_scan,
     inequality_constant_scan,
+    knapp_experiment,
     knapp_h_sharpness,
     strichartz_norm,
     uniformity_scan,
@@ -158,6 +160,11 @@ def scan_entries() -> dict:
             kind, [1.0, 0.5, 0.25], box=16.0, ensemble=8, seed=5, **exponents))
     entries["knapp_h_sharpness"] = _scan(knapp_h_sharpness(
         [0.5, 0.25, 0.125], 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=4096, n_t=101, x_window=64.0))
+    # epsilons whose centres step by no whole number of sites: a few centres sit on a site, the rest do not
+    knapp = [knapp_experiment(0.5, eps, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=2**15) for eps in (0.03, 0.015)]
+    entries["knapp_experiment h=0.5 off-site centres"] = {
+        "columns": ["epsilon", "left_norm", "right_norm"],
+        "rows": _hex([[rep.epsilon, rep.left_norm, rep.right_norm] for rep in knapp]), "fits": {}}
     gn = interpolation_constant([1.0, 0.5], d=1, box=16.0, p=2.5, ensemble=8)
     entries["interpolation_constant d=1"] = gn.hex()
     entries["interpolation_constant d=2"] = interpolation_constant(
