@@ -689,8 +689,10 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     site (np.round is symmetric, so delta(-c) = -delta(c) exactly), so the
     norm at -c is the norm at c.  The distinct |c| are then folded by their
     delta, since magnitudes sharing a delta give the kernel identical inputs:
-    the kernel runs once per distinct delta (28 for the 751 magnitudes of a
-    criterion 08 cell, whose centres step by whole sites).
+    the kernel runs once per distinct delta (once for the 751 magnitudes of a
+    criterion 08 cell, whose centres :func:`knapp_experiment` puts on sites).
+    At delta = 0 the cos(d1 k h) term drops out, sin(d1 k h) cos 0 being
+    sin(d1 k h) bit for bit, so its vector is built only for a nonzero delta.
 
     The caller takes every delta's cosine and sine, then runs the lower half
     of the deltas while the row worker of :mod:`latticewave.spectral` runs the
@@ -702,11 +704,11 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     """
     n_win = int(math.ceil(x_window / (d1 * h)))
     xk = np.arange(-n_win, n_win + 1) * h
-    sk = np.sin(d1 * xk)
-    ck = np.cos(d1 * xk)
     magnitudes, inverse = np.unique(np.abs(centers), return_inverse=True)
     deltas, by_delta = np.unique(magnitudes - h * np.round(magnitudes / h), return_inverse=True)
     inverse = by_delta[inverse]
+    sk = np.sin(d1 * xk)
+    ck = np.cos(d1 * xk) if deltas.any() else None
     turns = [(math.cos(d1 * delta), math.sin(d1 * delta)) for delta in deltas]
     norms = np.empty(deltas.size)
     span = _CHUNK_BYTES // 8
@@ -721,8 +723,9 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
                     part = num[a : a + span]
                     tmp = scratch[: part.size]
                     np.multiply(sk[a : a + span], cos_delta, out=part)
-                    np.multiply(ck[a : a + span], sin_delta, out=tmp)
-                    np.subtract(part, tmp, out=part)
+                    if delta:  # at delta = 0, sk cos 0 - ck sin 0 is sk bit for bit
+                        np.multiply(ck[a : a + span], sin_delta, out=tmp)
+                        np.subtract(part, tmp, out=part)
                     np.subtract(xk[a : a + span], delta, out=tmp)
                     np.divide(part, tmp, out=part)
                 if delta == 0.0:
@@ -760,8 +763,19 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     Dirichlet-type kernels whose first factor scales the time axis by
     eps^3/h^2) and quadratures the mixed norm with conjugate exponents.
     Truncations are fixed in the scaled variables, so they cancel from fitted
-    epsilon-exponents.  ``M`` defaults to 2^15 sites per axis in d = 1 and
-    2^10 in d = 2.
+    epsilon-exponents; each window must cover at least pi (one main lobe) and
+    the u-grid spacing be at most 2 pi (one period of sin u).  ``M`` defaults
+    to 2^15 sites per axis in d = 1 and 2^10 in d = 2.
+
+    A centre c = 2u/(a h), a = eps^3/h^2, carries the rounding of its time
+    sample: one ulp of ``u_window`` is 2 ulp(u_window)/(a h) in c, and the
+    divisions by a and h and the doubling round once each.  A centre within
+    four of these units of the site h round(c/h) is put on that site, so a
+    grid whose centres step by whole sites (criterion 08's cells) has the one
+    offset 0.  The genuine offsets measured (eps = 0.03 and 0.015 at h = 1/2,
+    and :func:`knapp_h_sharpness`'s eps) lie at least 10^6 units away, and the
+    axis norm is even in the offset, so the snap moves a norm by second-order
+    rounding.
     """
     d = pair.d
     if d not in (1, 2):
@@ -814,7 +828,16 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     if not np.isfinite(centers).all():
         raise ConfigurationError(f"u_window = {u_window:g} puts a right-side time sample t = u / (eps^3/h^2) "
                                  f"or its centre 2t/h past the float range at eps = {epsilon:g}")
+    for name, window in (("u_window", u_window), ("x_window", x_window)):
+        if window < math.pi:
+            raise ConfigurationError(f"{name} = {window:g} is less than pi: the right-side quadrature window "
+                                     f"misses the main lobe of its sine kernel")
+    if u_window / (n_t - 1) > math.pi:
+        raise ConfigurationError(f"n_t = {n_t} spaces the right side's u-grid {2.0 * u_window / (n_t - 1):g} "
+                                 f"apart over u_window = {u_window:g}: more than one period 2 pi of sin u")
     tf = np.where(us == 0.0, a, tf)
+    sites = h * np.round(centers / h)
+    centers = np.where(np.abs(centers - sites) <= 8.0 * np.spacing(u_window) / (a * h), sites, centers)
     xnorms = _knapp_axis_norms(h, d1, centers, rp, x_window) ** d
     right = _time_norm(tf * xnorms, ts, qp)
     if not 0 < right < math.inf:

@@ -3,9 +3,9 @@
 The spatial domain is a periodic truncation of the infinite grid with spacing
 ``h``: sites are x = h*n with integer coordinates n in {-M/2, ..., M/2-1} per
 axis.  Arrays are stored in FFT order (0, 1, ..., M/2-1, -M/2, ..., -1) along
-every axis so transforms need no reshuffling.  All norms, inner products and
-convolutions carry the cell volume h^d so that values are stable as h shrinks
-with the physical box held fixed.
+every axis so transforms need no reshuffling.  All norms and inner products carry
+the cell volume h^d so that values are stable as h shrinks with the physical
+box held fixed.
 """
 
 from __future__ import annotations
@@ -31,12 +31,7 @@ __all__ = [
     "CZDecomposition",
     "lp_norm",
     "modulus_lp_norm",
-    "weak_lp_norm",
     "inner_product",
-    "convolve",
-    "dyadic_site_scales",
-    "dyadic_average",
-    "dyadic_maximal",
     "cz_decompose",
     "point_mass",
     "plane_wave",
@@ -246,61 +241,14 @@ def modulus_lp_norm(a: np.ndarray, lattice: Lattice, p: float) -> float:
     return float((lattice.cell_volume * np.sum(a**p)) ** (1.0 / p))
 
 
-def weak_lp_norm(f: GridFunction, p: float) -> float:
-    """sup over level sets of lambda * |{|f| >= lambda}|^(1/p), h^d counting measure.
-
-    The supremum over continuous lambda is attained at one of the finitely many
-    distinct values of |f|, so those are the only candidates scanned.
-    """
-    if math.isinf(p) or not p >= 1:
-        raise ValueError("weak norm requires finite p >= 1")
-    a = np.abs(f.values).ravel()
-    levels = np.unique(a)
-    levels = levels[levels > 0]
-    if levels.size == 0:
-        return 0.0
-    srt = np.sort(a)
-    counts = a.size - np.searchsorted(srt, levels, side="left")
-    measures = f.lattice.cell_volume * counts
-    return float(np.max(levels * measures ** (1.0 / p)))
-
-
 def inner_product(f: GridFunction, g: GridFunction) -> complex:
     """h^d sum f conj(g)."""
     _check_same_lattice(f, g)
     return complex(f.lattice.cell_volume * np.vdot(g.values, f.values))
 
 
-def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
-    """h-weighted periodic convolution (f*g)(x) = h^d sum_y f(x-y) g(y)."""
-    _check_same_lattice(f, g)
-    lat = f.lattice
-    out = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(g.values)) * lat.cell_volume
-    return GridFunction(lat, out)
-
-
 # ---------------------------------------------------------------------------
-# dyadic averaging, maximal function, stopping-time decomposition
-
-def dyadic_site_scales(M: int) -> list[int]:
-    """Powers of two from 1 up to M that divide M (usable cube side lengths)."""
-    scales = []
-    N = 1
-    while N <= M:
-        if M % N == 0:
-            scales.append(N)
-        N *= 2
-    return scales
-
-
-def _validate_scale(M: int, N: int) -> None:
-    if N < 1 or (N & (N - 1)) != 0:
-        raise ValueError("cube side N must be a power of two")
-    if N > M:
-        raise ValueError("cube side N exceeds the grid")
-    if M % N != 0:
-        raise ValueError(f"cube side N={N} does not divide M={M}")
-
+# dyadic block averages and the stopping-time decomposition
 
 def _block_averages(values: np.ndarray, N: int) -> np.ndarray:
     """Mean over each aligned N^d block; returns the coarse (M/N)^d array."""
@@ -318,29 +266,6 @@ def _upsample(coarse: np.ndarray, N: int) -> np.ndarray:
     for ax in range(coarse.ndim):
         out = np.repeat(out, N, axis=ax)
     return out
-
-
-def dyadic_average(f: GridFunction, N: int) -> GridFunction:
-    """Replace f by its mean over each aligned dyadic cube of side N sites.
-
-    Cubes are anchored at site index 0 and open on the right; block membership
-    is floor division of the site index by N, so parents at side 2N contain
-    exactly 2^d children.
-    """
-    _validate_scale(f.lattice.M, N)
-    if N == 1:
-        return f.copy()
-    return GridFunction(f.lattice, _upsample(_block_averages(f.values, N), N))
-
-
-def dyadic_maximal(f: GridFunction) -> GridFunction:
-    """Pointwise sup of |dyadic_average(f, N)| over all usable dyadic N."""
-    out = np.abs(f.values).astype(float)
-    for N in dyadic_site_scales(f.lattice.M):
-        if N == 1:
-            continue
-        np.maximum(out, np.abs(_upsample(_block_averages(f.values, N), N)), out=out)
-    return GridFunction(f.lattice, out)
 
 
 @dataclass(frozen=True)

@@ -240,6 +240,10 @@ def test_rejected_input_exits_two(argv, capsys):
       "--x-window", "1e-120"], "eps = 1e-120"),
     (["knapp", "--h", "1e100", "--eps-list", "1e150", "--q", "8", "--r", "8", "--s", "0", "--M", "4096"],
      "eps = 1e+150"),
+    ([*KNAPP, "--eps-list", "0.04", "--M", "4096", "--n-t", "2"], "n_t = 2"),
+    ([*KNAPP, "--eps-list", "0.04", "--M", "4096", "--n-t", "5"], "n_t = 5"),
+    ([*KNAPP, "--eps-list", "0.04", "--M", "4096", "--x-window", "1e-300"], "x_window = 1e-300"),
+    ([*KNAPP, "--eps-list", "0.04", "--M", "4096", "--u-window", "1e-300"], "u_window = 1e-300"),
 ], ids=["czdemo-lam-overflow", "czdemo-sum-overflow", "decay-h-tiny", "strichartz-M-over-cap",
         "knapp-x-window-over-cap", "knapp-n_t-over-cap", "knapp-eps-nan", "knapp-s-nan", "dnls-T-inf",
         "dnls-lam-nan", "constants-ensemble-0", "dnls-steps-overflow", "dnls-p-inf", "knapp-s-huge",
@@ -257,7 +261,8 @@ def test_rejected_input_exits_two(argv, capsys):
         "knapp-h-squared-overflow", "strichartz-width-squared-overflow", "strichartz-width-squared-underflow",
         "decay-width-squared-underflow", "dnls-width-squared-overflow", "s1-width-squared-underflow",
         "knapp-u-window-overflow", "uniformity-horizon-fraction-overflow", "knapp-eps-cubed-underflow",
-        "knapp-eps-cubed-overflow"])
+        "knapp-eps-cubed-overflow", "knapp-n_t-2-past-a-period", "knapp-n_t-5-past-a-period",
+        "knapp-x-window-below-a-lobe", "knapp-u-window-below-a-lobe"])
 def test_overflowing_input_names_its_cause(argv, named, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

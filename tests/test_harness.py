@@ -1272,12 +1272,56 @@ def _knapp_kernel_calls(monkeypatch, experiment):
 
 @pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
 def test_knapp_kernel_runs_once_per_distinct_offset(eps, monkeypatch):
-    # criterion 08's cell: the centre step 0.8/eps^3 is a whole number of sites
+    # criterion 08's cell: the centre step 0.8/eps^3 is a whole number of sites, so every centre is one
     pair = AdmissiblePair(q=8.0, r=8.0, d=1)
     ((args, passes),) = _knapp_kernel_calls(monkeypatch, lambda: knapp_experiment(0.5, eps, 0.125, pair, M=2**15))
     centers = args[2]
-    assert np.unique(np.abs(centers)).size == 751 and passes == 28
+    assert np.unique(np.abs(centers)).size == 751 and passes == 1
     np.testing.assert_array_equal(_knapp_axis_norms(*args), _knapp_axis_norms_by_magnitude(*args))
+
+
+def _knapp_raw_time_grid(h, eps, u_window=300.0, n_t=1501):
+    """The right side's samples as ``knapp_experiment`` computes them before the snap: a = eps^3/h^2, ts,
+    |sin(a t)/t| and the unsnapped centres 2t/h."""
+    a = float(np.float64(eps) ** 3 / h**2)
+    us = np.linspace(-u_window, u_window, n_t)
+    us = 0.5 * (us - us[::-1])
+    ts = us / a
+    tf = np.where(us == 0.0, a, np.abs(np.sin(us) / np.where(us == 0.0, 1.0, ts)))
+    return a, ts, tf, 2.0 * ts / h
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+def test_knapp_snap_moves_centres_within_their_rounding_and_keeps_the_right_norm(eps, monkeypatch):
+    h, s, pair = 0.5, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1)
+    ((args, _),) = _knapp_kernel_calls(monkeypatch, lambda: knapp_experiment(h, eps, s, pair, M=2**15))
+    rep = knapp_experiment(h, eps, s, pair, M=2**15)
+    _, d1, snapped, rp, x_window = args
+    a, ts, tf, raw = _knapp_raw_time_grid(h, eps)
+    assert np.array_equal(snapped, h * np.round(raw / h))
+    bound = 8.0 * np.spacing(300.0) / (a * h)  # four rounding units 2 ulp(u_window) / (a h) of a centre
+    assert np.abs(snapped - raw).max() <= bound and np.count_nonzero(snapped != raw) > 700
+    raw_norms = _knapp_axis_norms(h, d1, raw, rp, x_window)
+    np.testing.assert_array_max_ulp(_knapp_axis_norms(*args), raw_norms, maxulp=1)
+    assert harness._time_norm(tf * raw_norms, ts, pair.q_conjugate) == rep.right_norm
+
+
+def test_knapp_snap_moves_no_centre_at_the_coupled_eps(monkeypatch):
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    h_list = [0.5, 0.25, 0.125]
+    calls = _knapp_kernel_calls(monkeypatch, lambda: knapp_h_sharpness(h_list, 0.125, pair))
+    for h, (args, _) in zip(h_list, calls):
+        assert np.array_equal(args[2], _knapp_raw_time_grid(h, harness.KNAPP_COUPLING * np.pi * h * h / 2.0)[3])
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+def test_knapp_criterion_08_cell_runs_inline(eps, monkeypatch):
+    def no_worker():
+        raise AssertionError("a criterion 08 cell has one offset and needs no row worker")
+
+    monkeypatch.setattr(harness, "_row_worker", no_worker)
+    rep = knapp_experiment(0.5, eps, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=2**15)
+    assert 0 < rep.right_norm < math.inf
 
 
 def test_knapp_offset_fold_is_exact_at_generic_eps(monkeypatch):
@@ -1503,6 +1547,20 @@ def test_knapp_rejects_degenerate_quadrature(window):
     pair = AdmissiblePair(q=8.0, r=8.0, d=1)
     with pytest.raises(ConfigurationError, match="quadrature"):
         knapp_experiment(0.5, 0.04, 0.125, pair, M=4096, **window)
+
+
+@pytest.mark.parametrize("rejected, accepted, named", [
+    ({"u_window": 3.14}, {"u_window": math.pi}, "u_window = 3.14 is less than pi"),
+    ({"x_window": 3.14}, {"x_window": math.pi}, "x_window = 3.14 is less than pi"),
+    ({"u_window": 10.0, "n_t": 4}, {"u_window": 9.0, "n_t": 4}, "n_t = 4 spaces the right side's u-grid 6.66667"),
+    ({"n_t": 96}, {"n_t": 97}, "n_t = 96 spaces the right side's u-grid 6.31579"),
+])
+def test_knapp_rejects_a_quadrature_that_misses_a_lobe_or_a_period(rejected, accepted, named):
+    # each pair brackets a bound: pi for the two windows, one period 2 pi of sin u for the u-grid spacing
+    pair = AdmissiblePair(q=8.0, r=8.0, d=1)
+    with pytest.raises(ConfigurationError, match=re.escape(named)):
+        knapp_experiment(0.5, 0.04, 0.125, pair, M=4096, **rejected)
+    assert 0 < knapp_experiment(0.5, 0.04, 0.125, pair, M=4096, **accepted).right_norm < math.inf
 
 
 @pytest.mark.parametrize("pair, M", [(AdmissiblePair(q=8.0, r=8.0, d=1), 2**15),

