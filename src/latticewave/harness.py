@@ -18,6 +18,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,10 +40,11 @@ from .spectral import (
     _check_mean_zero,
     _inverse_rows,
     _multiply_into,
+    _orthant_mirror,
     _row_worker,
     band_bank,
-    band_projection,
     band_scales,
+    band_symbol,
     continuum_symbol_grid,
     forward_difference,
     laplacian_symbol_grid,
@@ -200,7 +202,9 @@ def _axis_factors(u0: GridFunction, kind: str) -> tuple[complex, list[GridFuncti
     kept only if c times their outer product rebuilds ``u0`` exactly.  Only
     the flow of a kind whose symbol is additive over the axes maps an outer
     product to the outer product of the one-axis flows (see
-    :mod:`latticewave.propagators`).
+    :mod:`latticewave.propagators`).  The product is checked a block of at
+    most 256 KiB of axis-0 slices at a time, row i as c u_1[i] times the outer
+    product of the other factors (the full product's row bit for bit).
     """
     lat, v = u0.lattice, u0.values
     if lat.d == 1 or not DISPERSIONS[kind].additive:
@@ -210,10 +214,46 @@ def _axis_factors(u0: GridFunction, kind: str) -> tuple[complex, list[GridFuncti
     if c == 0:
         return 1.0, [u0]
     units = [v[pivot[:ax] + (slice(None),) + pivot[ax + 1:]] / c for ax in range(lat.d)]
-    if not np.array_equal(reduce(np.multiply.outer, units, c), v):
-        return 1.0, [u0]
+    rows = max(1, _CHUNK_BYTES // v[0].nbytes)
+    for i in range(0, lat.M, rows):
+        if not np.array_equal(reduce(np.multiply.outer, units[1:], c * units[0][i : i + rows]), v[i : i + rows]):
+            return 1.0, [u0]
     axis = Lattice(h=lat.h, d=1, M=lat.M)
     return c, [GridFunction(axis, s) for s in units]
+
+
+class _Spectra(NamedTuple):
+    """A datum c f_1 x ... x f_d as the time loop flows it: its scale ``c``, the forward transforms
+    ``spectra`` of its distinct factors on ``lattice``, the spectrum ``slot[j]`` of each factor j, and
+    whether the datum is ``real``.  A datum that is not an outer product is its own single factor."""
+
+    c: complex
+    lattice: Lattice
+    spectra: list[np.ndarray]
+    slot: list[int]
+    real: bool
+
+
+def _spectra(u0: GridFunction, kind: str, scale: float = 1.0, weight: np.ndarray | None = None) -> _Spectra:
+    """``scale`` times ``u0`` as its :func:`_axis_factors`, ``scale`` folded into c; equal factors share a transform.
+
+    A real symbol ``weight`` on ``u0``'s lattice multiplies the spectrum of
+    ``u0`` kept whole (a band symbol does not factor in d >= 2).  Only a
+    datum kept whole is scaled and read for an imaginary part as M^d values;
+    a factored datum is real when c and its factors are.
+    """
+    c, factors = (1.0, [u0]) if weight is not None else _axis_factors(u0, kind)
+    if len(factors) == 1:
+        v = u0.values if scale == 1.0 else u0.values * scale
+        spectrum = np.fft.fftn(v)
+        if weight is not None:  # a real symbol times a complex spectrum: no operand order changes a bit
+            np.multiply(weight, spectrum, out=spectrum)
+        return _Spectra(1.0, u0.lattice, [spectrum], [0], not np.any(v.imag))
+    values = [f.values for f in factors]
+    index = [next(k for k, g in enumerate(values) if np.array_equal(g, f)) for f in values]
+    distinct = sorted(set(index))
+    return _Spectra(c * scale, factors[0].lattice, [np.fft.fftn(values[k]) for k in distinct],
+                    [distinct.index(k) for k in index], not (np.imag(c) or any(np.any(f.imag) for f in values)))
 
 
 def _outer_lp_norms(c: complex, moduli: np.ndarray, slot: list[int], lattice: Lattice, p: float) -> np.ndarray:
@@ -252,39 +292,35 @@ def _outer_edge_fractions(moduli: np.ndarray, slot: list[int], edge: np.ndarray)
     return reduce(lambda f, b: f + b - f * b, [shares[:, k] for k in slot])
 
 
-def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> np.ndarray:
+def _time_samples(kind: str, u0: GridFunction | _Spectra, t_grid: np.ndarray, p: float) -> np.ndarray:
     """The l^p norm of the ``kind`` flow of ``u0`` at each time of ``t_grid``, each field window-checked.
 
-    Times are walked in ascending |t| and the norms are scattered back.  A
-    real datum is flowed once per distinct |t| (see :func:`strichartz_norm`),
-    a complex one at every time (a stable sort keeps -t before t).  A window
-    failure names the largest |t| below the failing one at which every
-    sample passed.
+    ``u0`` is a grid function, read as its :func:`_spectra`, or a datum
+    already in that form: its scale c, its factors' spectra and whether it
+    is real.  Times are walked in ascending |t| and the norms are scattered
+    back.  A real datum is flowed once per distinct |t| (see
+    :func:`strichartz_norm`), a complex one at every time (a stable sort
+    keeps -t before t).  A window failure names the largest |t| below the
+    failing one at which every sample passed.
 
-    The datum is flowed as its :func:`_axis_factors`, and factors with equal
-    values are transformed and flowed once (a point mass on the diagonal
-    costs one transform of M points per sample).  A sample is one row per
-    distinct factor in a block of :func:`latticewave.spectral._inverse_rows`
-    that holds whole samples.  Each block is filled by one
-    :meth:`PhaseSpec.phases_into` for its times and one product with each
-    factor's spectrum, and reduced by one modulus pass and one
-    boundary-fraction and one norm reduction along its last axis, so no M^d
-    array is built.  A datum that is not an outer product is its own single
-    factor, flowed on the full grid.
+    Each distinct factor spectrum is flowed once per sample (a point mass on
+    the diagonal costs one row of M points per sample).  A sample is one row
+    per distinct factor in a block of
+    :func:`latticewave.spectral._inverse_rows` that holds whole samples.
+    Each block is filled by one :meth:`PhaseSpec.phases_into` for its times
+    and one product with each spectrum, and reduced by one modulus pass and
+    one boundary-fraction and one norm reduction along its last axis, so no
+    M^d array is built for a factored datum.
     """
-    if not np.any(u0.values.imag):
+    if not isinstance(u0, _Spectra):
+        u0 = _spectra(u0, kind)
+    if u0.real:
         times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
     else:
         order = np.argsort(np.abs(t_grid), kind="stable")
         times, inverse = t_grid[order], np.argsort(order)
-    c, factors = _axis_factors(u0, kind)
-    lat = factors[0].lattice  # Lattice(h, 1, M) for an outer product, else u0's
+    lat, spectra, slot = u0.lattice, u0.spectra, u0.slot  # lat is Lattice(h, 1, M) for an outer product
     edge = np.flatnonzero(boundary_mask(lat))
-    # index[j]: the first factor whose values equal factor j's; slot[j]: its place among the distinct ones
-    index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
-    distinct = sorted(set(index))
-    slot = [distinct.index(k) for k in index]
-    spectra = [np.fft.fftn(factors[k].values) for k in distinct]
     flow = PhaseSpec(kind, lat)
     rows = len(spectra)  # per sample
 
@@ -310,7 +346,7 @@ def _time_samples(kind: str, u0: GridFunction, t_grid: np.ndarray, p: float) -> 
                 f"{largest_ok if largest_ok is not None else 'none'}",
                 largest_valid_t=largest_ok,
             )
-        norms[done : done + len(moduli)] = _outer_lp_norms(c, moduli, slot, lat, p)
+        norms[done : done + len(moduli)] = _outer_lp_norms(u0.c, moduli, slot, lat, p)
         done += len(moduli)
     return norms[inverse]
 
@@ -326,24 +362,25 @@ def decay_time_grid(t_min: float, t_max: float, n_t: int = 25) -> np.ndarray:
 
 def dispersive_decay_scan(kind: str, data: GridFunction, t_grid: np.ndarray,
                           N: float | None = None) -> DecayFit:
-    """Fit the log-log slope of t -> sup norm of the evolved data.
+    """Fit the log-log slope of t -> sup norm of the evolved data, normalised in l^1.
 
     ``N`` selects a dyadic frequency band first; ``None`` evolves the full
     spectrum.  Each sampled time is checked against the boundary-mass monitor
     and the scan aborts (reporting the largest admissible |t|) once wraparound
     contaminates the box.  The kind, and a scale ``N`` below the lattice's
     smallest band scale (its band holds no dual-grid frequency), are checked
-    before the band projection.
+    before any transform.  The data is flowed as its :func:`_spectra`: the
+    l^1 normalisation is folded into the scale c of a factored datum, and the
+    band symbol multiplies the datum's spectrum, so no M^d copy is scaled and
+    no band projection is transformed back and forth.
     """
     dispersion(kind, data.lattice.d)
     t_grid = _checked_time_grid(t_grid, positive=True)
     if N is not None and N < (n_min := band_scales(data.lattice)[0]):
         raise ConfigurationError(f"band scale N={N:g} is below the smallest band scale {n_min:g} of an "
                                  f"M = {data.lattice.M} lattice, so its band holds no dual-grid frequency")
-    f = data * (1.0 / lp_norm(data, 1))
-    if N is not None:
-        f = band_projection(f, N)
-    sups = _time_samples(kind, f, t_grid, math.inf)
+    weight = None if N is None else band_symbol(data.lattice, N)
+    sups = _time_samples(kind, _spectra(data, kind, 1.0 / lp_norm(data, 1), weight), t_grid, math.inf)
     fit = loglog_fit(t_grid, sups)
     return DecayFit(times=t_grid, sup_norms=sups,
                     slope=fit["slope"], intercept=fit["intercept"], r_squared=fit["r_squared"])
@@ -451,9 +488,14 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     The per-spacing horizon is ``horizon_fraction * box * h`` so the fastest
     band (group speed ~ 2/h) stays inside the box; the tail it cuts is a
     vanishing fraction of the q-th power integral and is recorded in metadata.
-    The derivative weight is the flow kind's ``weight`` symbol w, read (and
-    the kind and its dimension checked) before the first cell; ``rhs_with``
-    is sqrt(h^d / M^d sum w^2 |fftn u0|^2), by Parseval.
+    The datum is d equal one-axis factors g (a point mass, or a Gaussian of
+    width box/16, normalised in l^2), flowed as one factor with no M^d array;
+    ``rhs_without`` is the product of their norms.  The derivative weight is
+    the flow kind's ``weight`` symbol w, read (and the kind and its dimension
+    checked) before the first cell; ``rhs_with`` is sqrt(h^d / M^d sum w^2
+    |g^|^2 x ... x |g^|^2), by Parseval, with w^2 on the (M/2+1)^d orthant
+    (w is even in each axis) contracted with |g^|^2 one axis at a time
+    through :func:`latticewave.spectral._orthant_mirror`.
     """
     if data not in ("point", "gaussian"):
         raise ConfigurationError(f"unknown data kind {data!r}")
@@ -470,14 +512,20 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
 
     def cell(index: int, h: float) -> list:
         lat = Lattice.for_box(h, pair.d, box)
-        u0 = point_mass(lat) if data == "point" else gaussian(lat, box / 16.0)
-        u0 = u0 * (1.0 / lp_norm(u0, 2))
+        axis = Lattice(h=h, d=1, M=lat.M)
+        g = point_mass(axis) if data == "point" else gaussian(axis, box / 16.0)
+        g = g * (1.0 / lp_norm(g, 2))
+        spectrum = np.fft.fftn(g.values)
         T = horizon_fraction * box * h
         grid = symmetric_time_grid(T, n_t, h * h / 16.0)
-        S = strichartz_norm(u0, pair, T, t_grid=grid, kind=kind)
-        c, w = lat.cell_volume / lat.site_count, weight(continuum_symbol_grid(lat), pair.q)
-        rhs_with = math.sqrt(c * float(np.vdot(np.square(w, out=w), np.square(np.abs(np.fft.fftn(u0.values))))))
-        rhs_without = lp_norm(u0, 2)
+        S = _time_norm(_time_samples(kind, _Spectra(1.0, axis, [spectrum], [0] * pair.d, True), grid, pair.r),
+                       grid, pair.q)
+        w2 = np.square(weight(continuum_symbol_grid(lat, orthant=True), pair.q))
+        density, mirror = np.square(np.abs(spectrum)), _orthant_mirror(lat.M)
+        for _ in range(pair.d):  # w^2 over the full last axis, contracted with |g^|^2
+            w2 = w2[..., mirror] @ density
+        rhs_with = math.sqrt(lat.cell_volume / lat.site_count * float(w2))
+        rhs_without = math.prod([lp_norm(g, 2)] * pair.d)
         return [h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without]
 
     return scan_result(
@@ -492,7 +540,13 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
 # ---------------------------------------------------------------------------
 # random ensembles for constant scans
 
-def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -> list[GridFunction]:
+def _check_ensemble(lattice: Lattice, size: int) -> None:
+    """ConfigurationError naming the ensemble when ``size`` fields of ``lattice`` hold more than ``MAX_SITES`` sites."""
+    check_sites(size * lattice.site_count, f"ensemble = {size} fields of {lattice.site_count} sites")
+
+
+def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0,
+                    bank: np.ndarray | None = None) -> list[GridFunction]:
     """Deterministic mix of band-limited complex noise and structured candidates, each mean-zero.
 
     Structured members (a point mass and an off-axis frequency block) probe
@@ -503,13 +557,15 @@ def random_ensemble(lattice: Lattice, size: int, seed: int, cell_key: int = 0) -
     Each noise member draws its field, then its band, into a row of a block
     of :func:`latticewave.spectral._inverse_rows`, and the block is
     transformed and low-passed at once; a round draws only the members still
-    missing.  An ensemble of more than ``MAX_SITES`` sites in all is a
-    ConfigurationError naming its size, raised before any draw.
+    missing.  The low-pass filters are summed from ``bank``, the lattice's
+    :func:`band_bank` (built here when it is not given).  An ensemble of
+    more than ``MAX_SITES`` sites in all is a ConfigurationError naming its
+    size, raised before any draw.
     """
-    check_sites(size * lattice.site_count, f"ensemble = {size} fields of {lattice.site_count} sites")
+    _check_ensemble(lattice, size)
     rng = np.random.default_rng(np.random.SeedSequence([seed, cell_key]))
     # row k keeps every band at or below the k-th scale, summed in ascending order
-    lowpass = np.cumsum(band_bank(lattice), axis=0)
+    lowpass = np.cumsum(band_bank(lattice) if bank is None else bank, axis=0)
 
     def normalized(fields) -> list[GridFunction]:
         """Each field made mean-zero and scaled to sup norm 1, in order; a zero field is dropped."""
@@ -600,11 +656,13 @@ def inequality_constant_scan(kind: str, h_list: list[float], *, box: float = 16.
 
     def cell(idx: int, h: float) -> list:
         lat = Lattice.for_box(h, d, box)
-        fields = random_ensemble(lat, ensemble, seed, cell_key=idx)
+        _check_ensemble(lat, ensemble)  # before the bank: up to 23 real symbols of the lattice's shape
+        bank = band_bank(lat)  # the ensemble's low-pass filters, and the band loop's symbols
+        fields = random_ensemble(lat, ensemble, seed, cell_key=idx, bank=bank)
         if kind in ("bernstein", "square_function"):
             scales = band_scales(lat)
             first = sum(N * lat.M < 4 for N in scales) if kind == "bernstein" else 0  # keep bands with solid support
-            symbols = band_bank(lat)[first:]
+            symbols = bank[first:]
         else:
             if s < 0:  # a homogeneous symbol of negative order is singular at DC
                 for f in fields:

@@ -238,7 +238,7 @@ def modulus_lp_norm(a: np.ndarray, lattice: Lattice, p: float) -> float:
     """:func:`lp_norm` of a field on ``lattice`` from its modulus ``a`` = |f|, p >= 1."""
     if math.isinf(p):
         return float(a.max()) if a.size else 0.0
-    return float((lattice.cell_volume * np.sum(a**p)) ** (1.0 / p))
+    return float((lattice.cell_volume * np.sum(a if p == 1 else a**p)) ** (1.0 / p))  # a**1 is a, bit for bit
 
 
 def inner_product(f: GridFunction, g: GridFunction) -> complex:

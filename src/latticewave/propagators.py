@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .lattice import GridFunction, Lattice
-from .spectral import apply_multiplier, band_symbol, lattice_symbol, radial_power
+from .spectral import apply_multiplier, lattice_symbol, radial_power
 
 __all__ = [
     "Dispersion",
@@ -37,7 +37,6 @@ __all__ = [
     "schrodinger_flow",
     "kg_phase_curvature",
     "degenerate_points",
-    "hessian_cosine_product_min",
 ]
 
 
@@ -175,17 +174,3 @@ def degenerate_points(kind: str, h: float) -> np.ndarray:
     x = disp.degenerate(h)
     return np.array([-x, x])
 
-
-def hessian_cosine_product_min(lattice: Lattice, N: float) -> float:
-    """min over the scale-N band of |prod_j 2 cos(h xi_j)|.
-
-    The phase Hessian of the free flow factors as t^d times this product, so a
-    positive, h-stable minimum certifies non-degeneracy on the band.
-    """
-    mask = band_symbol(lattice, N) > 1e-12
-    if not mask.any():
-        raise ValueError(f"band at scale N={N} has no dual-grid support")
-    prod = np.ones(lattice.shape, dtype=float)
-    for g in lattice.frequency_grids():
-        prod = prod * 2.0 * np.cos(lattice.h * g)
-    return float(np.abs(prod[mask]).min())

@@ -222,6 +222,14 @@ def band_scales(lattice: Lattice) -> list[float]:
     return scales[::-1]
 
 
+def _orthant_mirror(M: int) -> np.ndarray:
+    """Per axis position in FFT order, the index k -> min(k, M - k) of its frequency's modulus among the first
+    M/2+1 frequencies.  The axis frequencies are exact negatives in FFT order, so a symbol even in each axis,
+    evaluated on that orthant and indexed by this map, is its full-grid evaluation bit for bit."""
+    n = M // 2 + 1
+    return np.r_[:n, n - 2 : 0 : -1]
+
+
 def band_symbol(lattice: Lattice, N: float) -> np.ndarray:
     """Real symbol of the scale-N dyadic band: varphi(h xi / (2 pi N)) on the dual grid.
 
@@ -230,11 +238,9 @@ def band_symbol(lattice: Lattice, N: float) -> np.ndarray:
     along each axis and mirrored onto the rest, bit for bit.
     """
     _require_dyadic_leq_one(N)
-    n = lattice.M // 2 + 1
-    u = np.fft.fftfreq(lattice.M)[:n] / N  # h*xi/(2*pi*N) along one axis
+    u = np.fft.fftfreq(lattice.M)[: lattice.M // 2 + 1] / N  # h*xi/(2*pi*N) along one axis
     half = varphi(*np.meshgrid(*([u] * lattice.d), indexing="ij", sparse=True))
-    mirror = np.r_[:n, n - 2 : 0 : -1]
-    return half[np.ix_(*[mirror] * lattice.d)]
+    return half[np.ix_(*[_orthant_mirror(lattice.M)] * lattice.d)]
 
 
 def band_bank(lattice: Lattice) -> np.ndarray:
@@ -291,9 +297,11 @@ def laplacian_symbol_grid(lattice: Lattice) -> np.ndarray:
     return sum(lattice_symbol(g, lattice.h) for g in lattice.frequency_grids())
 
 
-def continuum_symbol_grid(lattice: Lattice) -> np.ndarray:
-    """Symbol of the continuum negated Laplacian on the dual grid: |xi|^2 = sum_j xi_j^2, full shape."""
-    return sum(g**2 for g in lattice.frequency_grids())
+def continuum_symbol_grid(lattice: Lattice, orthant: bool = False) -> np.ndarray:
+    """Symbol of the continuum negated Laplacian on the dual grid: |xi|^2 = sum_j xi_j^2, full shape, or with
+    ``orthant`` on the first M/2+1 frequencies of each axis only (see :func:`_orthant_mirror`)."""
+    xi = lattice.axis_frequencies()[: lattice.M // 2 + 1 if orthant else None]
+    return sum(g**2 for g in np.meshgrid(*([xi] * lattice.d), indexing="ij", sparse=True))
 
 
 def forward_difference(f: GridFunction, axis: int) -> GridFunction:

@@ -358,18 +358,21 @@ def _outer_edge_fraction(moduli, mask):
     return reduce(lambda f, b: f + b - f * b, [density_mass_fraction(np.square(a), mask) for a in moduli])
 
 
-def _time_samples_per_sample(kind, u0, t_grid, p):
-    """The time loop with one ``flow`` call and one inverse transform per sample and distinct factor."""
+def _time_samples_per_sample(kind, u0, t_grid, p, weight=None):
+    """The time loop with one ``flow`` call and one inverse transform per sample and distinct factor; a real
+    symbol ``weight`` on u0's lattice multiplies the spectrum of u0, which it keeps whole."""
     if not np.any(u0.values.imag):
         times, inverse = np.unique(np.abs(t_grid), return_inverse=True)
     else:
         order = np.argsort(np.abs(t_grid), kind="stable")
         times, inverse = t_grid[order], np.argsort(order)
-    c, factors = harness._axis_factors(u0, kind)
+    c, factors = harness._axis_factors(u0, kind) if weight is None else (1.0, [u0])
     lat = factors[0].lattice
     mask = boundary_mask(lat)
     index = [next(k for k, g in enumerate(factors) if np.array_equal(g.values, f.values)) for f in factors]
     spectra = {k: np.fft.fftn(factors[k].values) for k in dict.fromkeys(index)}
+    if weight is not None:
+        spectra = {k: weight * spectrum for k, spectrum in spectra.items()}
     norms = np.empty(times.size)
     for i, t in enumerate(times):
         flowed = {k: np.abs(flow(kind, spectrum, lat, float(t)).values) for k, spectrum in spectra.items()}
@@ -463,20 +466,77 @@ def test_window_error_in_a_later_block_of_two_factor_samples_matches_the_per_sam
 
 def test_window_error_on_large_rows_matches_the_per_sample_loop():
     """Rows of 256 KiB go through the worker thread: the criterion 06 decay scan that leaves the window
-    raises the per-sample loop's error at a middle sample, and the next call still works."""
+    raises the per-sample loop's error at a middle sample, and the next call still works.  The oracle
+    flows the band-weighted spectrum band_symbol * fftn(datum) of the l^1-normalised datum (h = 1)."""
     lat = Lattice(h=1.0, d=1, M=16384)
-    f = band_projection(decay_data(lat), 0.25)
+    f, band = decay_data(lat), band_symbol(lat, 0.25)
     t_grid = decay_time_grid(1000.0, 30000.0, 12)
     with pytest.raises(WindowError) as pipelined:
         dispersive_decay_scan("klein_gordon", decay_data(lat), t_grid, N=0.25)
     with pytest.raises(WindowError) as per_sample:
-        _time_samples_per_sample("klein_gordon", f, t_grid, math.inf)
+        _time_samples_per_sample("klein_gordon", f, t_grid, math.inf, band)
     assert str(pipelined.value) == str(per_sample.value)
     assert pipelined.value.largest_valid_t == per_sample.value.largest_valid_t is not None
     valid = t_grid[t_grid <= pipelined.value.largest_valid_t]
     assert 2 < valid.size < t_grid.size - 2
     fit = dispersive_decay_scan("klein_gordon", decay_data(lat), valid, N=0.25)
-    assert np.array_equal(fit.sup_norms, _time_samples_per_sample("klein_gordon", f, valid, math.inf))
+    assert np.array_equal(fit.sup_norms, _time_samples_per_sample("klein_gordon", f, valid, math.inf, band))
+
+
+BAND_DECAY_CASES = {
+    # kind, lattice, datum, N, decay grid
+    "schrodinger-d1": ("schrodinger", Lattice(h=1.0, d=1, M=4096), point_mass, 0.25, (1.0, 100.0, 12)),
+    "schrodinger-d1-gaussian": ("schrodinger", Lattice(h=0.5, d=1, M=2048), lambda lat: gaussian(lat, 3.0), 0.125,
+                                (1.0, 20.0, 8)),
+    "half-wave-d1": ("klein_gordon", Lattice(h=1.0, d=1, M=4096), point_mass, 0.25, (10.0, 1000.0, 12)),
+    "schrodinger-d2": ("schrodinger", Lattice(h=1.0, d=2, M=128), point_mass, 0.25, (1.0, 15.0, 8)),
+    "schrodinger-d2-off-centre": ("schrodinger", Lattice(h=0.5, d=2, M=64),
+                                  lambda lat: point_mass(lat, (1, -2), 3.0 - 2.0j), 0.5, (0.2, 1.2, 6)),
+}
+
+
+@pytest.mark.parametrize("case", list(BAND_DECAY_CASES))
+def test_band_weighted_decay_matches_the_projected_flow(case):
+    """The band symbol weights the datum's spectrum: the sup norms match the flow of the band projection
+    of the l^1-normalised datum, transformed back and forth, to rounding."""
+    kind, lat, datum, N, (t_min, t_max, n_t) = BAND_DECAY_CASES[case]
+    data = datum(lat)
+    t_grid = decay_time_grid(t_min, t_max, n_t)
+    projected = band_projection(data * (1.0 / lp_norm(data, 1)), N)
+    oracle = harness._time_samples(kind, projected, t_grid, math.inf)
+    np.testing.assert_allclose(dispersive_decay_scan(kind, data, t_grid, N=N).sup_norms, oracle, rtol=1e-13, atol=0)
+
+
+def test_decay_scan_folds_the_l1_normalisation_into_the_scale(transforms):
+    """A factored datum is normalised through its scale c: only its d one-axis factors are transformed, and
+    the sup norms match the flow of the normalised M^d datum."""
+    lat = Lattice(h=0.5, d=2, M=64)
+    data = point_mass(lat, (1, -2), 3.0 - 2.0j)
+    t_grid = decay_time_grid(0.2, 1.2, 6)
+    fit = dispersive_decay_scan("schrodinger", data, t_grid)
+    assert transforms.points["fftn"] == 2 * lat.M
+    oracle = harness._time_samples("schrodinger", data * (1.0 / lp_norm(data, 1)), t_grid, math.inf)
+    np.testing.assert_allclose(fit.sup_norms, oracle, rtol=1e-13, atol=0)
+
+
+def _peak_mib(call):
+    """The traced peak of one warm ``call``, in MiB."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_factored_scans_build_no_dense_copy():
+    """On a 512^2 lattice the d = 2 decay scan of a point mass (4 MiB of data) and a uniformity cell
+    (one flow row is 8 KiB) make no complex M^d temporary: no scaled copy, product check or transform."""
+    data, t_grid = decay_data(Lattice(1.0, 2, 512)), decay_time_grid(1.5, 60.0, 20)
+    assert _peak_mib(lambda: dispersive_decay_scan("schrodinger", data, t_grid)) <= 4.5
+    pair = AdmissiblePair(q=3.0, r=math.inf, d=2)
+    assert _peak_mib(lambda: uniformity_scan("schrodinger", [0.125], pair, box=64.0)) <= 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -542,12 +602,12 @@ def test_time_loops_transform_the_datum_once(transforms):
     strichartz_norm(_chirped_gaussian(lat), AdmissiblePair(q=6.0, r=4.0, d=2), 1.0, t_grid=t_grid)
     assert transforms.points == {"fftn": lat.site_count, "ifftn": t_grid.size * lat.site_count}
     transforms.assert_row_blocks()
-    # a band-projected decay datum: the projection's inverse transform writes in place too; at M = 16384
-    # a row is 256 KiB, so each sample is a block of its own
+    # a band-limited decay datum: the band symbol weights its spectrum, which is not transformed back; at
+    # M = 16384 a row is 256 KiB, so each sample is a block of its own
     transforms.reset()
     dispersive_decay_scan("klein_gordon", decay_data(Lattice(h=1.0, d=1, M=16384)), decay_time_grid(5.0, 50.0, 4),
                           N=0.25)
-    assert [rows for rows, _, _ in transforms.blocks] == [1] * 5
+    assert [rows for rows, _, _ in transforms.blocks] == [1] * 4
     transforms.assert_row_blocks()
 
 
@@ -757,6 +817,33 @@ def test_uniformity_scan_weights_each_kind_by_its_stated_derivative_loss(kind, q
         u0 = point_mass(Lattice.for_box(h, 1, 32.0))
         u0 = u0 * (1.0 / lp_norm(u0, 2))
         np.testing.assert_allclose(rhs_with, lp_norm(STATED_WEIGHTS[kind](u0, q), 2), rtol=1e-14, atol=0)
+
+
+def _dense_uniformity_row(kind, h, pair, box, data, horizon_fraction, n_t):
+    """One uniformity cell on the M^d datum: ``strichartz_norm`` of the normalised point mass or Gaussian
+    on the d-dimensional lattice, and its weighted and plain L^2 norms from the full-grid fftn."""
+    lat = Lattice.for_box(h, pair.d, box)
+    u0 = point_mass(lat) if data == "point" else gaussian(lat, box / 16.0)
+    u0 = u0 * (1.0 / lp_norm(u0, 2))
+    T = horizon_fraction * box * h
+    grid = symmetric_time_grid(T, n_t, h * h / 16.0)
+    S = strichartz_norm(u0, pair, T, t_grid=grid, kind=kind)
+    w = harness.dispersion(kind, pair.d).weight(continuum_symbol_grid(lat), pair.q)
+    rhs_with = math.sqrt(lat.cell_volume / lat.site_count * float(np.vdot(w**2, np.abs(np.fft.fftn(u0.values)) ** 2)))
+    rhs_without = lp_norm(u0, 2)
+    return [h, lat.M, T, S, rhs_with, rhs_without, S / rhs_with, S / rhs_without]
+
+
+@pytest.mark.parametrize("data", ["point", "gaussian"])
+@pytest.mark.parametrize("pair,box", [(AdmissiblePair(q=6.0, r=4.0, d=2), 32.0),
+                                      (AdmissiblePair(q=3.0, r=math.inf, d=2), 32.0),
+                                      (AdmissiblePair(q=4.0, r=4.0, d=3), 16.0)])
+def test_factored_uniformity_cells_match_the_dense_cell(pair, box, data):
+    h_list = [1.0, 0.5]
+    scan = uniformity_scan("schrodinger", h_list, pair, box=box, data=data, horizon_fraction=0.05, n_t=64)
+    for row, h in zip(scan.rows, h_list):
+        np.testing.assert_allclose(row, _dense_uniformity_row("schrodinger", h, pair, box, data, 0.05, 64),
+                                   rtol=1e-13, atol=0)
 
 
 def test_scan_result_fits_only_positive_columns():
@@ -1042,13 +1129,25 @@ def test_band_loops_build_one_bank_and_transform_each_field_once(kind, q, monkey
     built.update(band_symbol=0, band_bank=0)
     transforms.reset()
     inequality_constant_scan(kind, [0.5], box=16.0, d=2, p=2.0, q=q, ensemble=ensemble, seed=1)
-    assert built["band_bank"] == 2  # the ensemble's low-pass and the band loop
+    assert built["band_bank"] == 1  # one bank for the ensemble's low-pass and the band loop
     assert built["band_symbol"] <= built["band_bank"] * len(scales)
     kept = len(scales) if kind == "square_function" else sum(N * lat.M >= 4 for N in scales)
     n = lat.site_count
     assert transforms.points == {"fftn": in_ensemble["fftn"] + ensemble * n,
                                  "ifftn": in_ensemble["ifftn"] + ensemble * kept * n}
     transforms.assert_row_blocks()
+
+
+@pytest.mark.parametrize("kind,exponents", [
+    ("bernstein", {"q": math.inf}), ("square_function", {}),
+    ("gagliardo_nirenberg", {"q": math.inf, "s": 1.0, "theta": 0.5}), ("sobolev_endpoint", {"q": 4.0, "s": 0.25}),
+    ("norm_equivalence", {"s": 0.5})])
+def test_constant_scans_build_one_band_bank_per_cell(kind, exponents, monkeypatch):
+    built = []
+    monkeypatch.setattr(harness, "band_bank", lambda lat, _fn=harness.band_bank: built.append(lat) or _fn(lat))
+    h_list = [1.0, 0.5, 0.25]
+    inequality_constant_scan(kind, h_list, box=8.0, p=2.0, ensemble=4, seed=2, **exponents)
+    assert built == [Lattice.for_box(h, 1, 8.0) for h in h_list]
 
 
 def _weighted_row_reference(kind, lat, fields, p, q, s, theta):

@@ -13,11 +13,16 @@ from latticewave.propagators import (
     PhaseSpec,
     degenerate_points,
     dispersion,
-    hessian_cosine_product_min,
     kg_phase_curvature,
     schrodinger_flow,
 )
-from latticewave.spectral import apply_multiplier, band_projection, laplacian_symbol_grid, lattice_symbol
+from latticewave.spectral import (
+    apply_multiplier,
+    band_projection,
+    band_symbol,
+    laplacian_symbol_grid,
+    lattice_symbol,
+)
 
 
 # oracles: the per-sample flow, the half-wave symbol on the full grid, and flows built from it and from
@@ -298,6 +303,23 @@ def test_degenerate_points_rejects_bad_args():
             degenerate_points("klein_gordon", h)
     with pytest.raises(ValueError):
         degenerate_points("wave", 1.0)
+
+
+# oracle: the cosine product that the free flow's phase Hessian factors into
+
+def hessian_cosine_product_min(lattice, N):
+    """min over the scale-N band of |prod_j 2 cos(h xi_j)|.
+
+    The phase Hessian of the free flow factors as t^d times this product, so a
+    positive, h-stable minimum certifies non-degeneracy on the band.
+    """
+    mask = band_symbol(lattice, N) > 1e-12
+    if not mask.any():
+        raise ValueError(f"band at scale N={N} has no dual-grid support")
+    prod = np.ones(lattice.shape, dtype=float)
+    for g in lattice.frequency_grids():
+        prod = prod * 2.0 * np.cos(lattice.h * g)
+    return float(np.abs(prod[mask]).min())
 
 
 @pytest.mark.parametrize("d", [1, 2])
