@@ -223,9 +223,10 @@ def _axis_factors(u0: GridFunction, kind: str) -> tuple[complex, list[GridFuncti
 
 
 class _Spectra(NamedTuple):
-    """A datum c f_1 x ... x f_d as the time loop flows it: its scale ``c``, the forward transforms
-    ``spectra`` of its distinct factors on ``lattice``, the spectrum ``slot[j]`` of each factor j, and
-    whether the datum is ``real``.  A datum that is not an outer product is its own single factor."""
+    """A datum c f_1 x ... x f_d on ``lattice`` as the time loop flows it: its scale ``c``, the forward
+    transforms ``spectra`` of its distinct factors on ``Lattice(h, 1, M)``, the spectrum ``slot[j]`` of
+    each factor j, and whether the datum is ``real``.  A datum that is not an outer product is its own
+    single factor (``slot == [0]``), transformed on ``lattice``."""
 
     c: complex
     lattice: Lattice
@@ -240,11 +241,13 @@ def _spectra(u0: GridFunction, kind: str, scale: float = 1.0, weight: np.ndarray
     A real symbol ``weight`` on ``u0``'s lattice multiplies the spectrum of
     ``u0`` kept whole (a band symbol does not factor in d >= 2).  Only a
     datum kept whole is scaled and read for an imaginary part as M^d values;
-    a factored datum is real when c and its factors are.
+    a factored datum is real when c and its factors are.  A scaled datum
+    with a non-finite entry, or a non-finite scaled c, is a ValueError, as
+    for a :class:`GridFunction`.
     """
     c, factors = (1.0, [u0]) if weight is not None else _axis_factors(u0, kind)
     if len(factors) == 1:
-        v = u0.values if scale == 1.0 else u0.values * scale
+        v = u0.values if scale == 1.0 else GridFunction(u0.lattice, u0.values * scale).values
         spectrum = np.fft.fftn(v)
         if weight is not None:  # a real symbol times a complex spectrum: no operand order changes a bit
             np.multiply(weight, spectrum, out=spectrum)
@@ -252,7 +255,9 @@ def _spectra(u0: GridFunction, kind: str, scale: float = 1.0, weight: np.ndarray
     values = [f.values for f in factors]
     index = [next(k for k, g in enumerate(values) if np.array_equal(g, f)) for f in values]
     distinct = sorted(set(index))
-    return _Spectra(c * scale, factors[0].lattice, [np.fft.fftn(values[k]) for k in distinct],
+    if not np.isfinite(c := c * scale):
+        raise ValueError("grid function contains non-finite entries")
+    return _Spectra(c, u0.lattice, [np.fft.fftn(values[k]) for k in distinct],
                     [distinct.index(k) for k in index], not (np.imag(c) or any(np.any(f.imag) for f in values)))
 
 
@@ -319,7 +324,8 @@ def _time_samples(kind: str, u0: GridFunction | _Spectra, t_grid: np.ndarray, p:
     else:
         order = np.argsort(np.abs(t_grid), kind="stable")
         times, inverse = t_grid[order], np.argsort(order)
-    lat, spectra, slot = u0.lattice, u0.spectra, u0.slot  # lat is Lattice(h, 1, M) for an outer product
+    spectra, slot = u0.spectra, u0.slot
+    lat = u0.lattice if len(slot) == 1 else Lattice(h=u0.lattice.h, d=1, M=u0.lattice.M)
     edge = np.flatnonzero(boundary_mask(lat))
     flow = PhaseSpec(kind, lat)
     rows = len(spectra)  # per sample
@@ -395,7 +401,7 @@ def symmetric_time_grid(T: float, n_t: int, t_min: float) -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
-def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int = 96,
+def strichartz_norm(u0: GridFunction | _Spectra, pair: AdmissiblePair, T: float, n_t: int = 96,
                     t_grid: np.ndarray | None = None, kind: str = "schrodinger") -> float:
     """Truncated mixed norm: trapezoid in t over [-T, T] of the spatial r-norm to the q.
 
@@ -409,7 +415,7 @@ def strichartz_norm(u0: GridFunction, pair: AdmissiblePair, T: float, n_t: int =
     (6 flows instead of 11 on ``symmetric_time_grid(T, 5, t_min)``), walking
     |t| upwards; a window failure then names the largest admissible |t|.  A
     complex datum is flowed at every node of the grid.  The kind is checked
-    before any transform.
+    before any transform.  ``u0`` may be given as its :func:`_spectra`.
     """
     dispersion(kind, u0.lattice.d)
     if t_grid is None:
@@ -495,7 +501,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
     checked) before the first cell; ``rhs_with`` is sqrt(h^d / M^d sum w^2
     |g^|^2 x ... x |g^|^2), by Parseval, with w^2 on the (M/2+1)^d orthant
     (w is even in each axis) contracted with |g^|^2 one axis at a time
-    through :func:`latticewave.spectral._orthant_mirror`.
+    through :func:`latticewave.spectral._orthant_mirror`: on the full grid
+    the weight alone peaks at four M^d real arrays.
     """
     if data not in ("point", "gaussian"):
         raise ConfigurationError(f"unknown data kind {data!r}")
@@ -517,9 +524,8 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         g = g * (1.0 / lp_norm(g, 2))
         spectrum = np.fft.fftn(g.values)
         T = horizon_fraction * box * h
-        grid = symmetric_time_grid(T, n_t, h * h / 16.0)
-        S = _time_norm(_time_samples(kind, _Spectra(1.0, axis, [spectrum], [0] * pair.d, True), grid, pair.r),
-                       grid, pair.q)
+        S = strichartz_norm(_Spectra(1.0, lat, [spectrum], [0] * pair.d, True), pair, T,
+                            t_grid=symmetric_time_grid(T, n_t, h * h / 16.0), kind=kind)
         w2 = np.square(weight(continuum_symbol_grid(lat, orthant=True), pair.q))
         density, mirror = np.square(np.abs(spectrum)), _orthant_mirror(lat.M)
         for _ in range(pair.d):  # w^2 over the full last axis, contracted with |g^|^2

@@ -142,6 +142,7 @@ SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.
     [*KNAPP, "--eps-list", "0.04,0.04"],
     ["uniformity", "--d", "1", "--h-list", "0.5,0.5", "--q", "6", "--r", "inf"],
     ["constants", "--kind", "bernstein", "--h-list", "1", "--q", "inf", "--ensemble", "100000000"],
+    ["uniformity", "--h-list", "1", "--q", "6", "--r", "inf", "--horizon-fraction", "1e-4"],
 ], ids=["decay-h0", "uniformity-h0", "constants-h0", "strichartz-M0", "decay-N-1/0", "knapp-eps-1/0",
         "uniformity-empty", "constants-empty", "knapp-empty", "knapp-n_t-1", "knapp-u-window-0",
         "knapp-x-window-negative", "knapp-x-window-huge", "knapp-n_t-huge", "knapp-eps-nan",
@@ -155,7 +156,8 @@ SOBOLEV_ENDPOINT = ["constants", "--kind", "sobolev_endpoint", "--h-list", "1,0.
         "constants-s-symbol-overflow", "constants-gn-s-nan", "constants-sobolev-s-nan", "strichartz-q0",
         "strichartz-r0", "uniformity-q0", "knapp-r0", "pairs-d3-r-max-0", "pairs-d1-r-max-0", "decay-h-inf",
         "strichartz-h-inf", "pairs-count-over-cap", "dnls-steps-over-cap", "strichartz-n_t-over-cap",
-        "decay-n_t-over-cap", "knapp-eps-repeated", "uniformity-h-repeated", "constants-ensemble-over-cap"])
+        "decay-n_t-over-cap", "knapp-eps-repeated", "uniformity-h-repeated", "constants-ensemble-over-cap",
+        "uniformity-horizon-below-first-node"])
 def test_rejected_input_exits_two(argv, capsys):
     assert run(argv) == 2
     err = capsys.readouterr().err

@@ -519,6 +519,16 @@ def test_decay_scan_folds_the_l1_normalisation_into_the_scale(transforms):
     np.testing.assert_allclose(fit.sup_norms, oracle, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_decay_scan_rejects_a_datum_whose_l1_normalisation_overflows(d):
+    """A datum whose l^1 norm is subnormal has no finite l^1 normalisation: a ValueError, whether the datum
+    is scaled whole (d = 1) or through the scale c of its factors (d = 2, a power of two divides exactly)."""
+    data = point_mass(Lattice(h=2.0 ** (-30 // d), d=d, M=64), 0, 2.0**-1000)
+    assert len(harness._axis_factors(data, "schrodinger")[1]) == d
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+        dispersive_decay_scan("schrodinger", data, decay_time_grid(1.0, 2.0, 3))
+
+
 def _peak_mib(call):
     """The traced peak of one warm ``call``, in MiB."""
     call()
@@ -899,6 +909,14 @@ def test_uniformity_scan_keeps_the_quadrature_floor(n_t, transforms):
     with pytest.raises(ConfigurationError, match="n_t >= 64"):
         uniformity_scan("schrodinger", [0.5], AdmissiblePair(q=6.0, r=math.inf, d=1), box=32.0, n_t=n_t)
     assert transforms.counts == {"fftn": 0, "ifftn": 0}
+
+
+@pytest.mark.parametrize("horizon_fraction", [1e-4, 1 / 1024])
+def test_uniformity_scan_rejects_a_horizon_at_or_below_the_first_node(horizon_fraction):
+    """T = horizon_fraction * box * h at or below the first node h^2/16 gives no increasing time grid."""
+    with pytest.raises(ConfigurationError, match="strictly increasing"):
+        uniformity_scan("schrodinger", [1.0], AdmissiblePair(q=3.0, r=math.inf, d=2), box=64.0,
+                        horizon_fraction=horizon_fraction)
 
 
 def test_decay_scan_rejects_a_band_below_the_smallest_scale_before_any_transform(transforms):

@@ -14,6 +14,7 @@ from latticewave.lattice import GridFunction, Lattice, lp_norm, plane_wave, poin
 from latticewave.spectral import (
     _check_mean_zero,
     _inverse_rows,
+    _orthant_mirror,
     apply_multiplier,
     band_bank,
     band_projection,
@@ -239,6 +240,16 @@ def test_band_symbol_equals_the_full_axis_evaluation(d, M):
         u = np.fft.fftfreq(M) / N
         dense = varphi(*np.meshgrid(*[u] * d, indexing="ij", sparse=True))
         assert np.array_equal(band_symbol(lat, N), np.broadcast_to(dense, lat.shape)), N
+
+
+@pytest.mark.parametrize("d,M", [(1, 4), (1, 48), (2, 16), (2, 512), (3, 16)])
+def test_orthant_continuum_symbol_mirrors_to_the_full_grid(d, M):
+    """|xi|^2 on the first M/2+1 frequencies of each axis, indexed by the orthant mirror, is the full-grid
+    symbol bit for bit: the axis frequencies are exact negatives in FFT order."""
+    lat = Lattice(h=0.125, d=d, M=M)
+    half = continuum_symbol_grid(lat, orthant=True)
+    assert half.shape == (M // 2 + 1,) * d
+    assert np.array_equal(half[np.ix_(*[_orthant_mirror(M)] * d)], continuum_symbol_grid(lat))
 
 
 @settings(max_examples=60)
