@@ -739,6 +739,29 @@ class KnappReport:
     metadata: dict = field(default_factory=dict)
 
 
+def _knapp_window(h: float, d1: float, x_window: float,
+                  cosines: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The axis-norm window xk = h (-n ... n), n = ceil(x_window / (d1 h)), with sin(d1 xk) and, if
+    ``cosines``, cos(d1 xk) (else None).
+
+    Each table is evaluated on k >= 0 only and mirrored onto k < 0, negated
+    for the sine: d1 xk is exactly antisymmetric, and sine is odd and cosine
+    even, so each equals its full-window evaluation bit for bit.
+    """
+    n_win = int(math.ceil(x_window / (d1 * h)))
+    xk = np.arange(-n_win, n_win + 1) * h
+    half = d1 * xk[n_win:]
+    sk = np.empty_like(xk)
+    np.sin(half, out=sk[n_win:])
+    np.negative(sk[:n_win:-1], out=sk[:n_win])
+    if not cosines:
+        return xk, sk, None
+    ck = np.empty_like(xk)
+    np.cos(half, out=ck[n_win:])
+    ck[:n_win] = ck[:n_win:-1]
+    return xk, sk, ck
+
+
 def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_window: float) -> np.ndarray:
     """h-weighted l^rp sums of |sin(d1 (x - c)) / (x - c)| over a lattice window, one per centre c.
 
@@ -758,21 +781,25 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     At delta = 0 the cos(d1 k h) term drops out, sin(d1 k h) cos 0 being
     sin(d1 k h) bit for bit, so its vector is built only for a nonzero delta.
 
+    The vectors come from :func:`_knapp_window`, which evaluates them on the
+    window's k >= 0 half only.  At delta = 0 the summand |sin(d1 k h) / (k h)|
+    is itself exactly even in k, so the divide, modulus and power run on the
+    k >= 0 half (k = 0 taking d1) and that half is copied mirrored onto
+    k < 0: the window holds the values the full passes would write.
+
     The caller takes every delta's cosine and sine, then runs the lower half
     of the deltas while the row worker of :mod:`latticewave.spectral` runs the
     upper half (one delta runs inline), in a copy of the caller's context.
     Each thread sums in one window-length buffer; the passes that need a
     second operand run per span of ``_CHUNK_BYTES // 8`` sites into a
-    span-sized scratch, and the modulus, power and sum run over the whole
-    window, so each norm is the same sum of the same array bit for bit.
+    span-sized scratch, and the sum runs over the whole window, so each norm
+    is the same sum of the same array bit for bit.
     """
-    n_win = int(math.ceil(x_window / (d1 * h)))
-    xk = np.arange(-n_win, n_win + 1) * h
     magnitudes, inverse = np.unique(np.abs(centers), return_inverse=True)
     deltas, by_delta = np.unique(magnitudes - h * np.round(magnitudes / h), return_inverse=True)
     inverse = by_delta[inverse]
-    sk = np.sin(d1 * xk)
-    ck = np.cos(d1 * xk) if deltas.any() else None
+    xk, sk, ck = _knapp_window(h, d1, x_window, cosines=bool(deltas.any()))
+    n_win = xk.size // 2
     turns = [(math.cos(d1 * delta), math.sin(d1 * delta)) for delta in deltas]
     norms = np.empty(deltas.size)
     span = _CHUNK_BYTES // 8
@@ -783,19 +810,24 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
         with np.errstate(invalid="ignore"):
             for i in range(lo, hi):
                 delta, (cos_delta, sin_delta) = deltas[i], turns[i]
-                for a in range(0, xk.size, span):
-                    part = num[a : a + span]
-                    tmp = scratch[: part.size]
-                    np.multiply(sk[a : a + span], cos_delta, out=part)
-                    if delta:  # at delta = 0, sk cos 0 - ck sin 0 is sk bit for bit
+                if delta == 0.0:  # sk cos 0 - ck sin 0 is sk and xk - 0 is xk, bit for bit
+                    half = num[n_win:]
+                    np.divide(sk[n_win:], xk[n_win:], out=half)
+                    half[0] = d1
+                    np.abs(half, out=half)
+                    np.power(half, rp, out=half)
+                    num[:n_win] = half[:0:-1]
+                else:
+                    for a in range(0, xk.size, span):
+                        part = num[a : a + span]
+                        tmp = scratch[: part.size]
+                        np.multiply(sk[a : a + span], cos_delta, out=part)
                         np.multiply(ck[a : a + span], sin_delta, out=tmp)
                         np.subtract(part, tmp, out=part)
-                    np.subtract(xk[a : a + span], delta, out=tmp)
-                    np.divide(part, tmp, out=part)
-                if delta == 0.0:
-                    num[n_win] = d1
-                np.abs(num, out=num)
-                np.power(num, rp, out=num)
+                        np.subtract(xk[a : a + span], delta, out=tmp)
+                        np.divide(part, tmp, out=part)
+                    np.abs(num, out=num)
+                    np.power(num, rp, out=num)
                 norms[i] = num.sum()
 
     def buffers():  # taken by the caller for both threads: a worker allocating its own peaked higher in RSS
@@ -814,6 +846,24 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     return (h * norms[inverse]) ** (1.0 / rp)
 
 
+def _knapp_block_frequencies(h: float, epsilon: float, M: int) -> np.ndarray:
+    """The frequencies of :meth:`Lattice.axis_frequencies` (spacing h, M sites) that the frequency block
+    |(h xi / 2 - pi/4) / eps| < 1 keeps, in FFT order.
+
+    h xi_k / 2 = pi k / M, so the block holds the k within eps M / pi of
+    M / 4.  Only that index range, widened by one site on each side against
+    rounding and clipped to the FFT indices -(M//2) ... (M-1)//2, is
+    evaluated, by the method's own formula 2 pi (k / M) / h, and masked: the
+    method's masked axis bit for bit, without its M frequencies.
+    """
+    reach = epsilon * M / math.pi
+    lo = max(-(M // 2), math.floor(M / 4.0 - reach) - 1)
+    hi = min((M - 1) // 2, math.ceil(M / 4.0 + reach) + 1)
+    k = np.concatenate([np.arange(max(lo, 0), hi + 1), np.arange(lo, min(hi + 1, 0))])  # k >= 0 first
+    xi = 2.0 * np.pi * (k * (1.0 / M)) / h
+    return xi[np.abs((0.5 * h * xi - np.pi / 4.0) / epsilon) < 1.0]
+
+
 def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *,
                      M: int | None = None, u_window: float = 300.0, n_t: int = 1501,
                      x_window: float = 512.0) -> KnappReport:
@@ -822,10 +872,12 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     The left side is exact on the dual grid: the block's space-time transform
     restricted to the dispersion surface, weighted by |xi|^(-s) with xi = 0
     dropped, summed with the dual-grid quadrature over the block's own
-    dual-grid points, so no M^d array is built.  The right side takes the
-    closed-form modulus of the block in physical variables (a product of
-    Dirichlet-type kernels whose first factor scales the time axis by
-    eps^3/h^2) and quadratures the mixed norm with conjugate exponents.
+    dual-grid points, so no M^d array is built; only the block's index range
+    of the axis is evaluated (:func:`_knapp_block_frequencies`), not its M
+    frequencies.  The right side takes the closed-form modulus of the block
+    in physical variables (a product of Dirichlet-type kernels whose first
+    factor scales the time axis by eps^3/h^2) and quadratures the mixed norm
+    with conjugate exponents.
     Truncations are fixed in the scaled variables, so they cancel from fitted
     epsilon-exponents; each window must cover at least pi (one main lobe) and
     the u-grid spacing be at most 2 pi (one period of sin u).  ``M`` defaults
@@ -851,7 +903,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
     if not math.isfinite(s):
         raise ConfigurationError(f"the derivative weight s must be finite, got {s!r}")
     check_sites(n_t, f"n_t = {n_t} right-side time samples")
-    lat = Lattice(h=h, d=d, M=M)
+    Lattice(h=h, d=d, M=M)  # checks h and M
     if not (epsilon > 0 and epsilon / h**2 <= np.pi / 2.0 + 1e-12):  # NaN fails too
         raise ConfigurationError("constraint violated: need 0 < epsilon <= pi * h^2 / 2")
     with np.errstate(over="ignore"):  # the right side's time scale; a float epsilon**3 would raise on overflow
@@ -868,8 +920,7 @@ def knapp_experiment(h: float, epsilon: float, s: float, pair: AdmissiblePair, *
         raise ConfigurationError("right-side spatial norm diverges at r = inf (r' = 1)")
 
     # left side: the block's own dual-grid points, kept where they lie on the dispersion surface
-    axis_xi = lat.axis_frequencies()
-    axis_xi = axis_xi[np.abs((0.5 * h * axis_xi - np.pi / 4.0) / epsilon) < 1.0]
+    axis_xi = _knapp_block_frequencies(h, epsilon, M)
     grids = np.meshgrid(*[axis_xi] * d, indexing="ij", sparse=True)
     om = sum(lattice_symbol(g, h) for g in grids)
     arg = (h**2 / epsilon**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * sum(grids))

@@ -197,6 +197,20 @@ def test_strichartz_quadrature_self_convergence():
     assert abs(fine - coarse) / fine < 0.005
 
 
+def test_strichartz_norm_converges_to_the_continuum_gaussian_at_second_order():
+    """The continuum flow of exp(-x^2 / (2 w^2)) under i u_t + u_xx = 0, the h -> 0 limit of the lattice
+    Schrodinger flow, has |u|^2 = (w^2 / sqrt(s)) exp(-x^2 w^2 / s), s = w^4 + 4 t^2, so its L^8 norm over
+    [-T, T] x R is (sqrt(pi) w^3 T / sqrt(w^4 + 4 T^2))^(1/8).  With the time quadrature resolved, the
+    lattice norm's error is second order in h, as the symbol's mismatch h^2 xi^4 / 12 predicts."""
+    w, T = 2.0, 4.0
+    exact = (math.sqrt(math.pi) * w**3 * T / math.sqrt(w**4 + 4.0 * T**2)) ** 0.125
+    h_list = [1.0, 0.5, 0.25, 0.125, 0.0625]
+    errors = [abs(strichartz_norm(gaussian(Lattice.for_box(h, 1, 64.0), w), AdmissiblePair(8.0, 8.0, 1), T, 1536)
+                  / exact - 1.0) for h in h_list]
+    assert 6e-3 < errors[0] < 7e-3
+    assert 1.9 <= loglog_fit(np.array(h_list), np.array(errors))["slope"] <= 2.1
+
+
 def test_strichartz_rejects_small_quadrature():
     lat = Lattice(h=0.5, d=1, M=64)
     pair = AdmissiblePair(q=6.0, r=math.inf, d=1)
@@ -1326,6 +1340,64 @@ def test_knapp_right_norm_d2_matches_direct_sum():
                            for t in ts])
         expected = np.trapezoid((tf * xnorms) ** qp, ts) ** (1.0 / qp)
         assert rep.right_norm == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.3])
+@pytest.mark.parametrize("share", [0.02, 0.3, 1.0])  # eps as a share of its largest admissible value pi h^2 / 2
+@pytest.mark.parametrize("x_window", [4.0, 64.0, 512.0])
+def test_knapp_window_tables_equal_their_full_window_evaluation(h, share, x_window):
+    # the half-window tables, mirrored, hold the full window's bits: a libm whose sine is not exactly odd fails here
+    d1 = share * math.pi * h / 2.0
+    n_win = int(math.ceil(x_window / (d1 * h)))
+    xk, sk, ck = harness._knapp_window(h, d1, x_window, cosines=True)
+    bits = np.uint64
+    np.testing.assert_array_equal(xk.view(bits), (np.arange(-n_win, n_win + 1) * h).view(bits))
+    np.testing.assert_array_equal(sk.view(bits), np.sin(d1 * xk).view(bits))
+    np.testing.assert_array_equal(ck.view(bits), np.cos(d1 * xk).view(bits))
+    _, sines, cosines = harness._knapp_window(h, d1, x_window, cosines=False)
+    assert cosines is None and np.array_equal(sines.view(bits), sk.view(bits))
+
+
+def _knapp_left_side_full_axis(h, eps, s, d, M):
+    """The left side's norm and surface point count as the full dual axis, masked to the block."""
+    axis_xi = Lattice(h=h, d=d, M=M).axis_frequencies()
+    axis_xi = axis_xi[np.abs((0.5 * h * axis_xi - np.pi / 4.0) / eps) < 1.0]
+    grids = np.meshgrid(*[axis_xi] * d, indexing="ij", sparse=True)
+    om = sum(spectral.lattice_symbol(g, h) for g in grids)
+    arg = (h**2 / eps**3) * (-om + d * (2.0 - np.pi) / h**2 + (2.0 / h) * sum(grids))
+    K = np.abs(arg) < 1.0
+    r2 = sum(g**2 for g in grids)[K]
+    with np.errstate(over="ignore", divide="ignore"):
+        left = float(np.sqrt(np.sum(r2[r2 > 0] ** (-s))) / (h * M) ** (d / 2.0))
+    return left, int(np.count_nonzero(K))
+
+
+@pytest.mark.parametrize("d, M", [(1, 4096), (1, 4094), (2, 256), (2, 254)])
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.25])
+@pytest.mark.parametrize("share", [0.02, 0.2, 1.0])  # eps as a share of pi h^2 / 2
+def test_knapp_left_side_equals_the_masked_full_axis(d, M, h, share):
+    eps = share * math.pi * h * h / 2.0
+    pair = AdmissiblePair(q=6.0, r=4.0, d=2) if d == 2 else AdmissiblePair(q=8.0, r=8.0, d=1)
+    left, points = _knapp_left_side_full_axis(h, eps, 0.1, d, M)
+    run = lambda: knapp_experiment(h, eps, 0.1, pair, M=M, u_window=40.0, n_t=81, x_window=8.0)
+    if not 0 < left < math.inf:  # a block that misses the surface is rejected on both paths
+        with pytest.raises(ConfigurationError, match="misses the surface"):
+            run()
+        return
+    rep = run()
+    assert rep.left_norm == left and rep.metadata["surface_points"] == points
+
+
+@pytest.mark.parametrize("M", [63, 64, 65, 1000, 1001])
+@pytest.mark.parametrize("h, eps", [(1.0, 0.01), (1.0, 0.7), (1.0, math.pi / 2.0), (0.5, 0.3), (0.25, 0.0981)])
+def test_knapp_block_frequencies_equal_the_masked_fft_axis(M, h, eps):
+    # odd M too (the lattice itself takes only even M): the index range is clipped to -(M//2) ... (M-1)//2
+    axis_xi = 2.0 * np.pi * np.fft.fftfreq(M) / h
+    expected = axis_xi[np.abs((0.5 * h * axis_xi - np.pi / 4.0) / eps) < 1.0]
+    block = harness._knapp_block_frequencies(h, eps, M)
+    np.testing.assert_array_equal(block.view(np.uint64), expected.view(np.uint64))
+    if eps > math.pi / 4.0:  # the block reaches k < 0, which FFT order puts after every k >= 0
+        assert block[0] >= 0.0 > block.min()
 
 
 def _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window):

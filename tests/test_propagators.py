@@ -96,6 +96,27 @@ def test_schrodinger_plane_wave_phase():
     np.testing.assert_allclose(schrodinger_flow(pw, t).values, phase * pw.values, atol=1e-12)
 
 
+@pytest.mark.parametrize("d, sources", [(1, [((5,), 1.0)]), (2, [((3, -5), 1.0), ((-6, 2), 0.5 - 1.0j)])],
+                         ids=["d1-one-mass", "d2-two-masses"])
+def test_schrodinger_flow_of_point_masses_equals_shifted_bessel_products(d, sources):
+    """The flow of c delta_s / h^d is c h^-d e^(-2idt/h^2) prod_j i^(m_j) J_(m_j)(2t/h^2) at n = s + m (Jacobi-Anger
+    on each axis's multiplier e^(-2it/h^2) e^(i (2t/h^2) cos h xi); Stefanov-Kevrekidis, Nonlinearity 18 (2005)).
+    Two masses off the diagonal make a datum that is no outer product.  At 2t/h^2 = 4 an image one box away
+    sits at |m| >= 32, where J_32(4) < 1e-25, so the periodic field is the sum of the shifted kernels."""
+    from scipy.special import jv
+
+    h, M, t = 0.5, 64, 0.5
+    lat, z = Lattice(h=h, d=d, M=M), 2.0 * t / h**2
+    u0 = GridFunction(lat, sum(point_mass(lat, site, c / h**d).values for site, c in sources))
+    expected = 0.0
+    for site, c in sources:
+        offsets = [(np.arange(M) - s + M // 2) % M - M // 2 for s in site]  # the nearest image of n - s
+        factors = [np.array([1.0, 1.0j, -1.0, -1.0j])[m % 4] * jv(m, z) for m in offsets]
+        expected = expected + c / h**d * np.exp(-2.0j * d * t / h**2) * reduce(np.multiply.outer, factors)
+    error = np.abs(schrodinger_flow(u0, t).values - expected).max()
+    assert error <= 1e-13 * np.abs(expected).max()
+
+
 def test_flow_commutes_with_band_projection():
     lat = Lattice(h=0.5, d=1, M=64)
     f = random_field(lat, 3)
