@@ -13,7 +13,6 @@ columns against 1/h.
 
 from __future__ import annotations
 
-import contextvars
 import math
 from collections import Counter
 from dataclasses import dataclass, field
@@ -41,7 +40,6 @@ from .spectral import (
     _inverse_rows,
     _multiply_into,
     _orthant_mirror,
-    _row_worker,
     band_bank,
     band_scales,
     band_symbol,
@@ -401,6 +399,13 @@ def symmetric_time_grid(T: float, n_t: int, t_min: float) -> np.ndarray:
     return np.concatenate([-pos[::-1], [0.0], pos])
 
 
+def _check_quadrature_nodes(n_t: int) -> None:
+    """ConfigurationError naming ``n_t`` unless a Strichartz time quadrature has 64 to MAX_SITES nodes."""
+    if n_t < 64:
+        raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
+    check_sites(n_t, f"n_t = {n_t} quadrature nodes")
+
+
 def strichartz_norm(u0: GridFunction | _Spectra, pair: AdmissiblePair, T: float, n_t: int = 96,
                     t_grid: np.ndarray | None = None, kind: str = "schrodinger") -> float:
     """Truncated mixed norm: trapezoid in t over [-T, T] of the spatial r-norm to the q.
@@ -419,9 +424,7 @@ def strichartz_norm(u0: GridFunction | _Spectra, pair: AdmissiblePair, T: float,
     """
     dispersion(kind, u0.lattice.d)
     if t_grid is None:
-        if n_t < 64:
-            raise ConfigurationError("need n_t >= 64 quadrature nodes")
-        check_sites(n_t, f"n_t = {n_t} quadrature nodes")
+        _check_quadrature_nodes(n_t)
         if not 0 < T < math.inf:
             raise ConfigurationError(f"the time horizon T must be positive and finite, got {T!r}")
         t_grid = symmetric_time_grid(T, n_t, T / (8.0 * n_t))
@@ -508,9 +511,7 @@ def uniformity_scan(kind: str, h_list: list[float], pair: AdmissiblePair, *,
         raise ConfigurationError(f"unknown data kind {data!r}")
     if not 0 < horizon_fraction < math.inf:
         raise ConfigurationError(f"horizon_fraction must be positive and finite, got {horizon_fraction!r}")
-    if n_t < 64:
-        raise ConfigurationError(f"need n_t >= 64 quadrature nodes, got n_t={n_t}")
-    check_sites(n_t, f"n_t = {n_t} quadrature nodes")
+    _check_quadrature_nodes(n_t)
     h_max = max((h for h in h_list if math.isfinite(h)), default=0.0)
     if math.isfinite(box * h_max) and not horizon_fraction * box * h_max < math.inf:  # else the cells name box, h
         raise ConfigurationError(f"horizon_fraction = {horizon_fraction!r} makes the horizon T = horizon_fraction "
@@ -787,62 +788,39 @@ def _knapp_axis_norms(h: float, d1: float, centers: np.ndarray, rp: float, x_win
     k >= 0 half (k = 0 taking d1) and that half is copied mirrored onto
     k < 0: the window holds the values the full passes would write.
 
-    The caller takes every delta's cosine and sine, then runs the lower half
-    of the deltas while the row worker of :mod:`latticewave.spectral` runs the
-    upper half (one delta runs inline), in a copy of the caller's context.
-    Each thread sums in one window-length buffer; the passes that need a
-    second operand run per span of ``_CHUNK_BYTES // 8`` sites into a
-    span-sized scratch, and the sum runs over the whole window, so each norm
-    is the same sum of the same array bit for bit.
+    A nonzero delta runs the angle-addition passes over the whole window, its
+    second operand in one more window-length buffer that exists only when some
+    delta is nonzero.  The deltas run one after another, and each pass takes
+    its delta's cosine and sine, delta = 0 included, so one cosine counts
+    one pass.
     """
     magnitudes, inverse = np.unique(np.abs(centers), return_inverse=True)
     deltas, by_delta = np.unique(magnitudes - h * np.round(magnitudes / h), return_inverse=True)
     inverse = by_delta[inverse]
     xk, sk, ck = _knapp_window(h, d1, x_window, cosines=bool(deltas.any()))
     n_win = xk.size // 2
-    turns = [(math.cos(d1 * delta), math.sin(d1 * delta)) for delta in deltas]
+    num = np.empty_like(xk)
+    den = None if ck is None else np.empty_like(xk)
     norms = np.empty(deltas.size)
-    span = _CHUNK_BYTES // 8
-
-    def passes(lo: int, hi: int, num: np.ndarray, scratch: np.ndarray) -> None:
-        """norms[i] for the deltas lo <= i < hi, summed in ``num`` (the window's length) with the span
-        ``scratch``."""
-        with np.errstate(invalid="ignore"):
-            for i in range(lo, hi):
-                delta, (cos_delta, sin_delta) = deltas[i], turns[i]
-                if delta == 0.0:  # sk cos 0 - ck sin 0 is sk and xk - 0 is xk, bit for bit
-                    half = num[n_win:]
-                    np.divide(sk[n_win:], xk[n_win:], out=half)
-                    half[0] = d1
-                    np.abs(half, out=half)
-                    np.power(half, rp, out=half)
-                    num[:n_win] = half[:0:-1]
-                else:
-                    for a in range(0, xk.size, span):
-                        part = num[a : a + span]
-                        tmp = scratch[: part.size]
-                        np.multiply(sk[a : a + span], cos_delta, out=part)
-                        np.multiply(ck[a : a + span], sin_delta, out=tmp)
-                        np.subtract(part, tmp, out=part)
-                        np.subtract(xk[a : a + span], delta, out=tmp)
-                        np.divide(part, tmp, out=part)
-                    np.abs(num, out=num)
-                    np.power(num, rp, out=num)
-                norms[i] = num.sum()
-
-    def buffers():  # taken by the caller for both threads: a worker allocating its own peaked higher in RSS
-        return np.empty_like(xk), np.empty(min(span, xk.size))
-
-    if deltas.size < 2:
-        passes(0, deltas.size, *buffers())
-    else:
-        mid = (deltas.size + 1) // 2
-        job = _row_worker().submit(contextvars.copy_context().run, passes, mid, deltas.size, *buffers())
-        try:
-            passes(0, mid, *buffers())
-        finally:
-            job.exception()  # wait even when our half failed, so no pass outlives the call
-        job.result()
+    with np.errstate(invalid="ignore"):
+        for i, delta in enumerate(deltas):
+            cos_delta, sin_delta = math.cos(d1 * delta), math.sin(d1 * delta)
+            if delta == 0.0:  # sk cos 0 - ck sin 0 is sk and xk - 0 is xk, bit for bit
+                half = num[n_win:]
+                np.divide(sk[n_win:], xk[n_win:], out=half)
+                half[0] = d1
+                np.abs(half, out=half)
+                np.power(half, rp, out=half)
+                num[:n_win] = half[:0:-1]
+            else:
+                np.multiply(sk, cos_delta, out=num)
+                np.multiply(ck, sin_delta, out=den)
+                np.subtract(num, den, out=num)
+                np.subtract(xk, delta, out=den)
+                np.divide(num, den, out=num)
+                np.abs(num, out=num)
+                np.power(num, rp, out=num)
+            norms[i] = num.sum()
     return (h * norms[inverse]) ** (1.0 / rp)
 
 

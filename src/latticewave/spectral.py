@@ -80,8 +80,7 @@ _CHUNK_BYTES = 256 * 1024  # largest inverse-transform block: numpy's temporary-
 @functools.cache
 def _row_worker():
     """The package's one worker thread, started on first use: it transforms the rows of :func:`_inverse_rows`
-    of 256 KiB or more, and runs the upper half of the offsets of the frequency-block axis-norm kernel
-    (:func:`latticewave.harness._knapp_axis_norms`)."""
+    of 256 KiB or more."""
     from concurrent.futures import ThreadPoolExecutor
 
     return ThreadPoolExecutor(max_workers=1, thread_name_prefix="latticewave-rows")
@@ -112,9 +111,7 @@ def _inverse_rows(shape: tuple[int, ...], count: int, fill, group: int = 1) -> I
     A row of 256 KiB or more is a block of its own (at ``group`` 1): the
     caller fills block k+1 while the worker thread transforms block k, so at
     most two blocks are alive here.  That worker (:func:`_row_worker`) is
-    the package's only thread, shared with the frequency-block axis-norm
-    kernel: a job of one queues behind the other's, and no job waits on
-    the worker, so they cannot deadlock.  Scan cells still run serially.
+    the package's only thread.  Scan cells still run serially.
     Each job runs in a copy of the caller's context, which carries its
     ``np.errstate``; a block still in flight when the caller stops early is
     finished and dropped.

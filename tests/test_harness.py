@@ -1,9 +1,11 @@
+import concurrent.futures
 import math
 import re
 import threading
 import tracemalloc
 import warnings
 from functools import reduce
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -211,10 +213,34 @@ def test_strichartz_norm_converges_to_the_continuum_gaussian_at_second_order():
     assert 1.9 <= loglog_fit(np.array(h_list), np.array(errors))["slope"] <= 2.1
 
 
+def test_strichartz_norm_matches_the_continuum_gaussian_at_six_six():
+    """At q = r = 6 the same continuum flow has L^6 norm (sqrt(pi/3) w^3 arctan(2T / w^2))^(1/6) over
+    [-T, T] x R.  (6, 6) is on the continuum line 2/q + 1/r = 1/2, not the lattice line, so the pair is
+    duck-typed: :func:`strichartz_norm` reads only q and r."""
+    w, T = 2.0, 8.0
+    exact = (math.sqrt(math.pi / 3.0) * w**3 * math.atan(2.0 * T / w**2)) ** (1.0 / 6.0)
+    pair = SimpleNamespace(q=6.0, r=6.0, d=1)
+    norm = strichartz_norm(gaussian(Lattice.for_box(0.25, 1, 128.0), w), pair, T, 768)
+    assert abs(norm / exact - 1.0) < 1e-3
+
+
+def test_strichartz_norm_converges_to_the_continuum_gaussian_product_in_d2():
+    """In d = 2 the continuum flow of the Gaussian is the product of two axis flows, so |u|^2 =
+    (w^4 / s) exp(-|x|^2 w^2 / s), and its L^5 norm over [-T, T] x R^2 at the lattice-line pair (5, 5) is
+    ((4 pi / 5) w^4 T / sqrt(w^4 + 4 T^2))^(1/5); the lattice norm's error is again second order in h."""
+    w, T = 2.0, 4.0
+    exact = (0.8 * math.pi * w**4 * T / math.sqrt(w**4 + 4.0 * T**2)) ** 0.2
+    h_list = [1.0, 0.5, 0.25]
+    errors = [abs(strichartz_norm(gaussian(Lattice.for_box(h, 2, 64.0), w), AdmissiblePair(5.0, 5.0, 2), T, 192)
+                  / exact - 1.0) for h in h_list]
+    assert 1.0e-2 < errors[0] < 1.1e-2
+    assert 1.9 <= loglog_fit(np.array(h_list), np.array(errors))["slope"] <= 2.1
+
+
 def test_strichartz_rejects_small_quadrature():
     lat = Lattice(h=0.5, d=1, M=64)
     pair = AdmissiblePair(q=6.0, r=math.inf, d=1)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match=r"n_t >= 64 quadrature nodes, got n_t=16$"):
         strichartz_norm(point_mass(lat), pair, T=1.0, n_t=16)
 
 
@@ -1503,13 +1529,14 @@ def test_knapp_snap_moves_no_centre_at_the_coupled_eps(monkeypatch):
         assert np.array_equal(args[2], _knapp_raw_time_grid(h, harness.KNAPP_COUPLING * np.pi * h * h / 2.0)[3])
 
 
-@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
-def test_knapp_criterion_08_cell_runs_inline(eps, monkeypatch):
-    def no_worker():
-        raise AssertionError("a criterion 08 cell has one offset and needs no row worker")
+def test_knapp_cell_with_many_offsets_submits_no_thread_job(monkeypatch):
+    # at the coupled eps no centre is on a site: the h = 0.5 cell's right side runs 751 distinct offsets
+    def no_job(*args, **kwargs):
+        raise AssertionError("the axis-norm kernel runs on the caller's thread")
 
-    monkeypatch.setattr(harness, "_row_worker", no_worker)
-    rep = knapp_experiment(0.5, eps, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=2**15)
+    monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_job)
+    h, pair = 0.5, AdmissiblePair(q=8.0, r=8.0, d=1)
+    rep = knapp_experiment(h, harness.KNAPP_COUPLING * np.pi * h * h / 2.0, 0.125, pair)
     assert 0 < rep.right_norm < math.inf
 
 
@@ -1548,80 +1575,27 @@ def test_knapp_centres_sharing_an_offset_share_one_pass(case):
     np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
 
 
-class _RecordingWorker:
-    """Stands in for the harness's row worker: hands each job to the real one and keeps its future."""
-
-    def __init__(self):
-        self.jobs = []
-
-    def submit(self, *args):
-        job = spectral._row_worker().submit(*args)
-        self.jobs.append(job)
-        return job
-
-
-SPAN = spectral._CHUNK_BYTES // 8  # window sites per span of the kernel's two-operand passes
-
-# centres at h = 0.5, each set's offsets (sorted) and whether delta = 0 lands in the worker's upper half
-KNAPP_SPLIT_CENTRES = {
-    "one-offset": ([1.5, -1.5], [0.0], False),
-    "two-zero-in-caller": ([0.0, 1.125], [0.0, 0.125], False),
-    "two-zero-in-worker": ([0.375, -2.0], [-0.125, 0.0], True),
-    "three-zero-in-caller": ([0.375, 2.5, 3.5625], [-0.125, 0.0, 0.0625], False),
-    "three-zero-in-worker": ([-0.375, 1.4375, 0.0], [-0.125, -0.0625, 0.0], True),
+# centres at h = 0.5 and each set's offsets (sorted): delta = 0 alone, first, in the middle and last
+KNAPP_OFFSET_CENTRES = {
+    "one-offset": ([1.5, -1.5], [0.0]),
+    "two-zero-first": ([0.0, 1.125], [0.0, 0.125]),
+    "two-zero-last": ([0.375, -2.0], [-0.125, 0.0]),
+    "three-zero-middle": ([0.375, 2.5, 3.5625], [-0.125, 0.0, 0.0625]),
+    "three-zero-last": ([-0.375, 1.4375, 0.0], [-0.125, -0.0625, 0.0]),
 }
 
 
-@pytest.mark.parametrize("n_win", [5, SPAN // 2 - 1, SPAN // 2, SPAN, 3 * SPAN // 2 + 7],
-                         ids=["short", "span-minus-one", "span-plus-one", "centre-opens-a-span", "three-spans"])
-@pytest.mark.parametrize("case", list(KNAPP_SPLIT_CENTRES))
-def test_knapp_split_kernel_equals_one_pass_per_magnitude(case, n_win, monkeypatch):
-    # a window holds 2 n_win + 1 sites, an odd count, so it brackets the even span at SPAN -+ 1
-    centers, offsets, zero_in_worker = KNAPP_SPLIT_CENTRES[case]
+@pytest.mark.parametrize("n_win", [5, 50_000], ids=["short", "long"])
+@pytest.mark.parametrize("case", list(KNAPP_OFFSET_CENTRES))
+def test_knapp_kernel_equals_one_pass_per_magnitude(case, n_win):
+    centers, offsets = KNAPP_OFFSET_CENTRES[case]
     h, d1, rp = 0.5, 1.0 / 64.0, 8.0 / 7.0
     x_window = n_win * d1 * h  # dyadic, so the kernel's ceil returns n_win exactly
     centers = np.array(centers)
     magnitudes = np.abs(centers)
-    deltas = np.unique(magnitudes - h * np.round(magnitudes / h))
-    assert deltas.tolist() == offsets
-    assert (deltas.tolist().index(0.0) >= (deltas.size + 1) // 2) == zero_in_worker
-    worker = _RecordingWorker()
-    monkeypatch.setattr(harness, "_row_worker", lambda: worker)
+    assert np.unique(magnitudes - h * np.round(magnitudes / h)).tolist() == offsets
     norms = _knapp_axis_norms(h, d1, centers, rp, x_window)
     np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
-    assert len(worker.jobs) == (deltas.size >= 2)  # the split cannot silently vanish, and one offset stays inline
-    assert all(job.done() for job in worker.jobs)
-
-
-class _NumpyFailingOn:
-    """Stands in for ``numpy`` inside the harness; ``power`` raises on the main thread or on the others."""
-
-    def __init__(self, main: bool):
-        self.main = main
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def power(self, *args, **kwargs):
-        if (threading.current_thread() is threading.main_thread()) == self.main:
-            raise FloatingPointError("main" if self.main else "worker")
-        return np.power(*args, **kwargs)
-
-
-@pytest.mark.parametrize("main", [False, True], ids=["worker-half-fails", "caller-half-fails"])
-def test_knapp_split_kernel_raises_a_failing_half_and_leaves_no_job_running(main, monkeypatch):
-    h, d1 = 0.5, 1.0 / 64.0
-    worker = _RecordingWorker()
-    monkeypatch.setattr(harness, "_row_worker", lambda: worker)
-    monkeypatch.setattr(harness, "np", _NumpyFailingOn(main))
-    with pytest.raises(FloatingPointError, match="^main$" if main else "^worker$"):
-        _knapp_axis_norms(h, d1, np.array([0.0, 1.125, 0.375, 2.0625]), 8.0 / 7.0, 3 * SPAN * d1 * h)
-    (job,) = worker.jobs
-    assert job.done()
-    monkeypatch.undo()
-    # the worker is free for the next call
-    np.testing.assert_array_equal(_knapp_axis_norms(h, d1, np.array([0.0, 1.125]), 2.0, 64.0),
-                                  _knapp_axis_norms_by_magnitude(h, d1, np.array([0.0, 1.125]), 2.0, 64.0))
 
 
 def test_knapp_experiment_starts_at_most_one_thread():
