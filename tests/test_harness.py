@@ -1529,12 +1529,23 @@ def test_knapp_snap_moves_no_centre_at_the_coupled_eps(monkeypatch):
         assert np.array_equal(args[2], _knapp_raw_time_grid(h, harness.KNAPP_COUPLING * np.pi * h * h / 2.0)[3])
 
 
-def test_knapp_cell_with_many_offsets_submits_no_thread_job(monkeypatch):
-    # at the coupled eps no centre is on a site: the h = 0.5 cell's right side runs 751 distinct offsets
+def _forbid_thread_jobs(monkeypatch):
     def no_job(*args, **kwargs):
         raise AssertionError("the axis-norm kernel runs on the caller's thread")
 
     monkeypatch.setattr(concurrent.futures.ThreadPoolExecutor, "submit", no_job)
+
+
+@pytest.mark.parametrize("eps", [0.04, 0.02, 0.01])
+def test_knapp_criterion_08_cell_runs_inline(eps, monkeypatch):
+    _forbid_thread_jobs(monkeypatch)
+    rep = knapp_experiment(0.5, eps, 0.125, AdmissiblePair(q=8.0, r=8.0, d=1), M=2**15)
+    assert 0 < rep.right_norm < math.inf
+
+
+def test_knapp_cell_with_many_offsets_submits_no_thread_job(monkeypatch):
+    # at the coupled eps no centre is on a site: the h = 0.5 cell's right side runs 751 distinct offsets
+    _forbid_thread_jobs(monkeypatch)
     h, pair = 0.5, AdmissiblePair(q=8.0, r=8.0, d=1)
     rep = knapp_experiment(h, harness.KNAPP_COUPLING * np.pi * h * h / 2.0, 0.125, pair)
     assert 0 < rep.right_norm < math.inf
@@ -1575,25 +1586,34 @@ def test_knapp_centres_sharing_an_offset_share_one_pass(case):
     np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
 
 
-# centres at h = 0.5 and each set's offsets (sorted): delta = 0 alone, first, in the middle and last
-KNAPP_OFFSET_CENTRES = {
+# centres at h = 0.5 and each set's offsets (sorted); "caller" puts delta = 0 in the lower half of the
+# sorted offsets, "worker" in the upper half
+KNAPP_SPLIT_CENTRES = {
     "one-offset": ([1.5, -1.5], [0.0]),
-    "two-zero-first": ([0.0, 1.125], [0.0, 0.125]),
-    "two-zero-last": ([0.375, -2.0], [-0.125, 0.0]),
-    "three-zero-middle": ([0.375, 2.5, 3.5625], [-0.125, 0.0, 0.0625]),
-    "three-zero-last": ([-0.375, 1.4375, 0.0], [-0.125, -0.0625, 0.0]),
+    "two-zero-in-caller": ([0.0, 1.125], [0.0, 0.125]),
+    "two-zero-in-worker": ([0.375, -2.0], [-0.125, 0.0]),
+    "three-zero-in-caller": ([0.375, 2.5, 3.5625], [-0.125, 0.0, 0.0625]),
+    "three-zero-in-worker": ([-0.375, 1.4375, 0.0], [-0.125, -0.0625, 0.0]),
 }
 
+# a window holds 2 n_win + 1 sites, an odd count; a "span" is the 32 768 float64 sites of one
+# 256 KiB block, and the long windows bracket it at -+ 1, open it at the centre or hold three of it
+KNAPP_WINDOW_SITES = [5, 16_383, 16_384, 32_768, 49_159]
 
-@pytest.mark.parametrize("n_win", [5, 50_000], ids=["short", "long"])
-@pytest.mark.parametrize("case", list(KNAPP_OFFSET_CENTRES))
-def test_knapp_kernel_equals_one_pass_per_magnitude(case, n_win):
-    centers, offsets = KNAPP_OFFSET_CENTRES[case]
+
+@pytest.mark.parametrize("n_win", KNAPP_WINDOW_SITES,
+                         ids=["short", "span-minus-one", "span-plus-one", "centre-opens-a-span", "three-spans"])
+@pytest.mark.parametrize("case", list(KNAPP_SPLIT_CENTRES))
+def test_knapp_split_kernel_equals_one_pass_per_magnitude(case, n_win, monkeypatch):
+    centers, offsets = KNAPP_SPLIT_CENTRES[case]
     h, d1, rp = 0.5, 1.0 / 64.0, 8.0 / 7.0
     x_window = n_win * d1 * h  # dyadic, so the kernel's ceil returns n_win exactly
     centers = np.array(centers)
     magnitudes = np.abs(centers)
-    assert np.unique(magnitudes - h * np.round(magnitudes / h)).tolist() == offsets
+    deltas = np.unique(magnitudes - h * np.round(magnitudes / h))
+    assert deltas.tolist() == offsets
+    assert (deltas.tolist().index(0.0) >= (deltas.size + 1) // 2) == ("in-worker" in case)
+    _forbid_thread_jobs(monkeypatch)
     norms = _knapp_axis_norms(h, d1, centers, rp, x_window)
     np.testing.assert_array_equal(norms, _knapp_axis_norms_by_magnitude(h, d1, centers, rp, x_window))
 
